@@ -27,6 +27,10 @@ from .rng import Xoshiro256pp
 #: Partition grids of the three per-patch stages, finest first.
 GRIDS = (8, 4, 2)
 
+#: Frame sizes must be a multiple of this: the second region layer runs the
+#: finest grid at l/2, which also leaves its 2x2 pool an even size.
+FRAME_MULTIPLE = 2 * max(GRIDS)
+
 
 @dataclass
 class ConvParams:
@@ -176,8 +180,8 @@ def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
     if len(shape) not in (3, 4) or shape[-3] != 3 or shape[-2] != shape[-1]:
         raise ShapeError(f"frames must be (3, l, l) or (b, 3, l, l), got {shape}")
     l = shape[-1]
-    if l % 32:
-        raise ShapeError(f"frame size {l} must be divisible by 32")
+    if l % FRAME_MULTIPLE:
+        raise ShapeError(f"frame size {l} must be divisible by {FRAME_MULTIPLE}")
     h = region_layer_forward(frames, params.layer1)
     h = T.maxpool2d(h)
     h = region_layer_forward(h, params.layer2)

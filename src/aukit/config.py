@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .backbone import FRAME_MULTIPLE
 from .errors import ConfigError, IoError
 
 
@@ -34,8 +35,8 @@ class HyperParams:
     freeze_backbone: bool = True
 
     def validate(self) -> None:
-        if self.l < 32 or self.l % 32:
-            raise ConfigError(f"l must be a positive multiple of 32, got {self.l}")
+        if self.l < FRAME_MULTIPLE or self.l % FRAME_MULTIPLE:
+            raise ConfigError(f"l must be a positive multiple of {FRAME_MULTIPLE}, got {self.l}")
         if self.c < 1 or self.t < 1 or self.m < 1 or self.depth < 1:
             raise ConfigError("c, t, m and depth must be positive")
         if self.t_k < 1 or self.t_k % 2 == 0:

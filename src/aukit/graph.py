@@ -131,24 +131,27 @@ def partition(
     return root, centripetal, centrifugal
 
 
-def build_graph(labels: np.ndarray, tau: float) -> RelationGraph:
-    pcc = compute_pcc(labels)
+def graph_from_pcc(pcc: np.ndarray, tau: float) -> RelationGraph:
+    """Derive every other field of the relation graph from ``(pcc, tau)``."""
     adjacency = build_adjacency(pcc, tau)
     lam, a_norm = normalize(adjacency)
     gravity = gravity_center(adjacency)
     hops = hop_distances(adjacency, gravity)
-    parts = partition(a_norm, hops)
     return RelationGraph(
-        m=labels.shape[1],
+        m=pcc.shape[0],
         tau=float(tau),
         pcc=pcc,
         adjacency=adjacency,
         lam=lam,
         a_norm=a_norm,
-        parts=parts,
+        parts=partition(a_norm, hops),
         gravity=gravity,
         hops=hops,
     )
+
+
+def build_graph(labels: np.ndarray, tau: float) -> RelationGraph:
+    return graph_from_pcc(compute_pcc(labels), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,8 @@ def build_graph(labels: np.ndarray, tau: float) -> RelationGraph:
 # ---------------------------------------------------------------------------
 
 
-def save_graph(path, graph: RelationGraph) -> None:
-    payload = {
+def _payload(graph: RelationGraph) -> dict:
+    return {
         "m": graph.m,
         "tau": graph.tau,
         "pcc": graph.pcc.tolist(),
@@ -168,15 +171,23 @@ def save_graph(path, graph: RelationGraph) -> None:
         "gravity": graph.gravity + 1,
         "hops": graph.hops.tolist(),
     }
+
+
+def save_graph(path, graph: RelationGraph) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=1)
+            json.dump(_payload(graph), fp, indent=1)
             fp.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write graph file {path}: {exc}") from exc
 
 
 def load_graph(path) -> RelationGraph:
+    """Read a graph file, rebuilding every derived field from ``(pcc, tau)``.
+
+    The stored derived fields must equal the rebuilt ones; the first field
+    that differs is named in the FormatError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fp:
             raw = fp.read()
@@ -188,37 +199,17 @@ def load_graph(path) -> RelationGraph:
         raise FormatError(f"graph file is not valid JSON: {exc}", offset=exc.pos) from exc
     if not isinstance(payload, dict):
         raise FormatError("graph file must hold a JSON object")
-    required = ("m", "tau", "pcc", "adjacency", "lambda", "a_norm", "parts", "gravity", "hops")
-    for field in required:
+    try:
+        graph = graph_from_pcc(np.asarray(payload["pcc"], dtype=np.float64), float(payload["tau"]))
+    except KeyError as exc:
+        raise FormatError(f"graph file is missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError, ShapeError) as exc:
+        raise FormatError(f"graph file has a malformed pcc or tau: {exc}") from exc
+    for field, value in _payload(graph).items():
         if field not in payload:
             raise FormatError(f"graph file is missing key {field!r}")
-    try:
-        m = int(payload["m"])
-        pcc = np.asarray(payload["pcc"], dtype=np.float64)
-        adjacency = np.asarray(payload["adjacency"], dtype=np.float64)
-        lam = np.asarray(payload["lambda"], dtype=np.float64)
-        a_norm = np.asarray(payload["a_norm"], dtype=np.float64)
-        parts = tuple(np.asarray(part, dtype=np.float64) for part in payload["parts"])
-        gravity = int(payload["gravity"]) - 1
-        hops = np.asarray(payload["hops"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"graph file has a malformed field: {exc}") from exc
-    if pcc.shape != (m, m) or adjacency.shape != (m, m) or a_norm.shape != (m, m):
-        raise FormatError("graph matrices do not match the declared node count")
-    if lam.shape != (m,) or hops.shape != (m,) or len(parts) != 3:
-        raise FormatError("graph vectors do not match the declared node count")
-    if any(part.shape != (m, m) for part in parts):
-        raise FormatError("graph partition matrices do not match the node count")
-    if not 0 <= gravity < m:
-        raise FormatError(f"gravity index {gravity + 1} outside 1..{m}")
-    return RelationGraph(
-        m=m,
-        tau=float(payload["tau"]),
-        pcc=pcc,
-        adjacency=adjacency,
-        lam=lam,
-        a_norm=a_norm,
-        parts=parts,  # type: ignore[arg-type]
-        gravity=gravity,
-        hops=hops,
-    )
+        if payload[field] != value:
+            raise FormatError(
+                f"graph file field {field!r} differs from the graph rebuilt from pcc and tau"
+            )
+    return graph

@@ -28,7 +28,7 @@ from .backbone import (
     init_backbone,
 )
 from .errors import FormatError, ShapeError
-from .graph import RelationGraph
+from .graph import RelationGraph, graph_from_pcc
 from .rng import Xoshiro256pp, derive_seed
 from .serialize import load_checkpoint, save_checkpoint
 from .stgcn import (
@@ -122,14 +122,8 @@ def model_dims(entries: Entries) -> ModelDims:
 GRAPH_PREFIX = "graph."
 
 
-def embed_graph(entries: Entries, graph: RelationGraph) -> Entries:
-    """Store the relation graph inside the entry dict (self-contained file).
-
-    Graph entries are constants, never optimized; they ride along so that
-    sequence-level inference needs only the checkpoint.
-    """
-    out = dict(entries)
-    arrays = {
+def _graph_arrays(graph: RelationGraph) -> Dict[str, np.ndarray]:
+    return {
         "graph.tau": np.asarray(float(graph.tau)),
         "graph.pcc": graph.pcc,
         "graph.adjacency": graph.adjacency,
@@ -141,34 +135,42 @@ def embed_graph(entries: Entries, graph: RelationGraph) -> Entries:
         "graph.gravity": np.asarray(float(graph.gravity)),
         "graph.hops": np.asarray(graph.hops, dtype=np.float64),
     }
-    for name, arr in arrays.items():
+
+
+def embed_graph(entries: Entries, graph: RelationGraph) -> Entries:
+    """Store the relation graph inside the entry dict (self-contained file).
+
+    Graph entries are constants, never optimized; they ride along so that
+    sequence-level inference needs only the checkpoint.
+    """
+    out = dict(entries)
+    for name, arr in _graph_arrays(graph).items():
         out[name] = T.Tensor(arr)
     return out
 
 
 def extract_graph(entries: Entries) -> Optional[RelationGraph]:
-    """Rebuild the embedded relation graph, or None if absent."""
+    """Rebuild the embedded relation graph from its ``pcc`` and ``tau``, or None if absent.
+
+    Every other stored graph entry must equal the rebuilt one; the first
+    that differs is named in the FormatError.
+    """
     if "graph.pcc" not in entries:
         return None
     try:
-        pcc = entries["graph.pcc"].data
-        return RelationGraph(
-            m=pcc.shape[0],
-            tau=float(entries["graph.tau"].data),
-            pcc=pcc,
-            adjacency=entries["graph.adjacency"].data,
-            lam=entries["graph.lam"].data,
-            a_norm=entries["graph.a_norm"].data,
-            parts=(
-                entries["graph.part.1"].data,
-                entries["graph.part.2"].data,
-                entries["graph.part.3"].data,
-            ),
-            gravity=int(entries["graph.gravity"].data),
-            hops=entries["graph.hops"].data.astype(np.int64),
-        )
+        graph = graph_from_pcc(entries["graph.pcc"].data, float(entries["graph.tau"].data))
     except KeyError as exc:
         raise FormatError(f"embedded graph is incomplete: missing {exc}") from exc
+    except (TypeError, ValueError, IndexError, ShapeError) as exc:
+        raise FormatError(f"embedded graph has a malformed pcc or tau: {exc}") from exc
+    for name, expected in _graph_arrays(graph).items():
+        if name not in entries:
+            raise FormatError(f"embedded graph is incomplete: missing {name!r}")
+        if not np.array_equal(entries[name].data, expected):
+            raise FormatError(
+                f"embedded graph entry {name!r} differs from the graph rebuilt from pcc and tau"
+            )
+    return graph
 
 
 def attention_predict(

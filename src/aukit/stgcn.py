@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Sequence
 import numpy as np
 
 from . import tensor as T
+from .backbone import _uniform
 from .errors import ConfigError, ShapeError
 from .graph import RelationGraph
 from .rng import Xoshiro256pp
@@ -47,12 +48,6 @@ class StgcnLayerParams:
 class StgcnHead:
     weights: List[T.Tensor]  # m x (8c,)
     biases: List[T.Tensor]   # m x (1,)
-
-
-def _uniform(rng: Xoshiro256pp, shape: tuple[int, ...], fan_in: int) -> T.Tensor:
-    # Same variance-preserving fan-in scaling as the frame-level model.
-    scale = np.sqrt(3.0 / fan_in)
-    return T.Tensor(rng.uniform_array(shape, -scale, scale), requires_grad=True)
 
 
 def init_stgcn_layer(rng: Xoshiro256pp, c: int, m: int, t_k: int) -> StgcnLayerParams:

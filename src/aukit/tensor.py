@@ -18,6 +18,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, NumericalError, ShapeError
 
@@ -518,87 +519,86 @@ def graph_matmul(matrix: Tensor, feat: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv_out_size(size: int, k: int, pad: int, stride: int, label: str) -> int:
-    span = size + 2 * pad - k
-    if k > size + 2 * pad:
-        raise ShapeError(f"conv2d: kernel {label}={k} exceeds padded input {size + 2 * pad}")
-    if span % stride != 0:
-        raise ShapeError(
-            f"conv2d: ({size} + 2*{pad} - {k}) not divisible by stride {stride}"
-        )
-    return span // stride + 1
-
-
-def _windows(padded: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Sliding windows over the trailing two axes, as a zero-copy view."""
-    *lead, height, width = padded.shape
-    oh = (height - kh) // sh + 1
-    ow = (width - kw) // sw + 1
-    strides = padded.strides
-    shape = tuple(lead) + (oh, ow, kh, kw)
-    new_strides = strides[:-2] + (strides[-2] * sh, strides[-1] * sw, strides[-2], strides[-1])
-    return np.lib.stride_tricks.as_strided(padded, shape, new_strides)
-
-
-def _scatter_windows(dwindows: np.ndarray, padded_shape: tuple[int, ...], sh: int, sw: int) -> np.ndarray:
+def _scatter_windows(dwindows: np.ndarray, padded_shape: tuple[int, ...]) -> np.ndarray:
     """Accumulate window gradients back onto the padded input."""
-    *lead, oh, ow, kh, kw = dwindows.shape
+    *_, oh, ow, kh, kw = dwindows.shape
     dpad = np.zeros(padded_shape)
     for a in range(kh):
         for b in range(kw):
-            dpad[..., a : a + oh * sh : sh, b : b + ow * sw : sw] += dwindows[..., a, b]
+            dpad[..., a : a + oh, b : b + ow] += dwindows[..., a, b]
     return dpad
+
+
+def _grouped_conv(
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: tuple[int, int]
+) -> tuple[np.ndarray, Callable]:
+    """Cross-correlation of P independent groups, each with its own kernel bank.
+
+    ``x`` is (B, P, C_in, H, W), ``kernels`` (P, C_out, C_in, k_h, k_w) and
+    ``bias`` (P, C_out).  Returns the (B, P, C_out, oh, ow) output and
+    ``backward(g) -> (dx, dkernels, dbias)`` for an output gradient ``g``.
+    """
+    p, co, ci, kh, kw = kernels.shape
+    b, _, _, h, w = x.shape
+    ph, pw = padding
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
+    padded_shape = (b, p, ci, h + 2 * ph, w + 2 * pw)
+    if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
+        xp = np.zeros(padded_shape)
+        xp[..., ph : ph + h, pw : pw + w] = x
+    else:
+        xp = x
+    s = xp.strides
+    win = as_strided(xp, (b, p, ci, oh, ow, kh, kw), s + s[-2:], writeable=False)
+    k = ci * kh * kw
+    # One BLAS matmul per group: (P, B*oh*ow, k) @ (P, k, C_out).
+    win2 = np.ascontiguousarray(win.transpose(1, 0, 3, 4, 2, 5, 6)).reshape(p, b * oh * ow, k)
+    w2 = kernels.reshape(p, co, k)
+    y2 = win2 @ w2.transpose(0, 2, 1)  # (P, B*oh*ow, C_out)
+    y2 += bias[:, None, :]
+
+    def backward(g):
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 3, 4, 2)).reshape(p, b * oh * ow, co)
+        dk = np.matmul(g2.transpose(0, 2, 1), win2).reshape(kernels.shape)
+        dwin = (g2 @ w2).reshape(p, b, oh, ow, ci, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
+        dpad = _scatter_windows(dwin, padded_shape)
+        dx = dpad[..., ph : ph + h, pw : pw + w]
+        return dx, dk, g.sum(axis=(0, 3, 4))
+
+    return y2.reshape(p, b, oh, ow, co).transpose(1, 0, 4, 2, 3), backward
 
 
 def conv2d(
     input: Tensor,
     kernels: Tensor,
     bias: Tensor,
-    stride: tuple[int, int] = (1, 1),
     padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
     """2-D cross-correlation with zero padding.
 
     ``input`` is (C_in, H, W) or batched (B, C_in, H, W); ``kernels`` is
     (C_out, C_in, k_h, k_w); ``bias`` is (C_out,).  The output spatial size
-    must divide exactly: (H + 2*pad - k) / stride + 1.
+    is H + 2*pad - k + 1.  This is the one-group case of the per-patch kernel.
     """
     batched = input.data.ndim == 4
     x = input.data if batched else input.data[None]
     if x.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(f"conv2d: bad ranks input {input.shape} kernels {kernels.shape}")
-    co, ci, kh, kw = kernels.shape
+    co, ci = kernels.shape[:2]
     if x.shape[1] != ci:
         raise ShapeError(f"conv2d: input channels {x.shape[1]} != kernel channels {ci}")
     if bias.shape != (co,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({co},)")
-    sh, sw = stride
-    ph, pw = padding
-    _conv_out_size(x.shape[2], kh, ph, sh, "k_h")
-    _conv_out_size(x.shape[3], kw, pw, sw, "k_w")
-
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    win = _windows(xp, kh, kw, sh, sw)  # (B, C_in, oh, ow, kh, kw)
-    b, _, oh, ow = win.shape[:4]
-    # Flatten to matrix products so the contraction runs on BLAS.
-    win2 = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b, oh * ow, ci * kh * kw
-    )
-    w2 = kernels.data.reshape(co, ci * kh * kw)
-    y = (win2 @ w2.T).transpose(0, 2, 1).reshape(b, co, oh, ow)
-    y = y + bias.data[None, :, None, None]
-    out = Tensor._wrap(y if batched else y[0])
-    padded_shape = xp.shape
+    y, grads = _grouped_conv(x[:, None], kernels.data[None], bias.data[None], padding)
+    out = Tensor._wrap(y[:, 0] if batched else y[0, 0])
 
     def backward(g, acc):
-        gb = g if batched else g[None]
-        acc(bias.id, gb.sum(axis=(0, 2, 3)))
-        g2 = np.ascontiguousarray(gb.transpose(0, 2, 3, 1)).reshape(-1, co)
-        acc(kernels.id, (g2.T @ win2.reshape(-1, ci * kh * kw)).reshape(kernels.shape))
-        dwin = (g2 @ w2).reshape(b, oh, ow, ci, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dpad = _scatter_windows(dwin, padded_shape, sh, sw)
-        dx = dpad[:, :, ph : padded_shape[2] - ph, pw : padded_shape[3] - pw] if (ph or pw) else dpad
-        acc(input.id, dx if batched else dx[0])
+        dx, dk, db = grads(g[:, None] if batched else g[None, None])
+        acc(bias.id, db[0])
+        acc(kernels.id, dk[0])
+        acc(input.id, dx[:, 0] if batched else dx[0, 0])
 
     return _record(out, (input, kernels, bias), backward)
 
@@ -617,47 +617,27 @@ def conv2d_per_patch(
     """
     batched = input.data.ndim == 5
     x = input.data if batched else input.data[None]
-    p, co, ci, kh, kw = kernels.shape
-    if x.ndim != 5 or x.shape[1] != p or x.shape[2] != ci:
+    if x.ndim != 5 or kernels.data.ndim != 5 or x.shape[1:3] != (kernels.shape[0], kernels.shape[2]):
         raise ShapeError(
             f"conv2d_per_patch: input {input.shape} vs kernels {kernels.shape}"
         )
+    p, co = kernels.shape[:2]
     if bias.shape != (p, co):
         raise ShapeError(f"conv2d_per_patch: bias shape {bias.shape} != ({p}, {co})")
-    ph, pw = padding
-    _conv_out_size(x.shape[3], kh, ph, 1, "k_h")
-    _conv_out_size(x.shape[4], kw, pw, 1, "k_w")
-
-    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    win = _windows(xp, kh, kw, 1, 1)  # (B, P, C_in, oh, ow, kh, kw)
-    b, _, _, oh, ow = win.shape[:5]
-    k = ci * kh * kw
-    # One BLAS matmul per patch bank: (P, B*oh*ow, k) @ (P, k, C_out).
-    win2 = np.ascontiguousarray(win.transpose(1, 0, 3, 4, 2, 5, 6)).reshape(
-        p, b * oh * ow, k
-    )
-    w2 = kernels.data.reshape(p, co, k)
-    y2 = win2 @ w2.transpose(0, 2, 1)  # (P, B*oh*ow, C_out)
-    y = y2.reshape(p, b, oh, ow, co).transpose(1, 0, 4, 2, 3)
-    y = y + bias.data[None, :, :, None, None]
+    y, grads = _grouped_conv(x, kernels.data, bias.data, padding)
     out = Tensor._wrap(y if batched else y[0])
-    padded_shape = xp.shape
 
     def backward(g, acc):
-        gb = g if batched else g[None]
-        acc(bias.id, gb.sum(axis=(0, 3, 4)))
-        g2 = np.ascontiguousarray(gb.transpose(1, 0, 3, 4, 2)).reshape(p, b * oh * ow, co)
-        acc(kernels.id, np.matmul(g2.transpose(0, 2, 1), win2).reshape(kernels.shape))
-        dwin = (g2 @ w2).reshape(p, b, oh, ow, ci, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
-        dpad = _scatter_windows(dwin, padded_shape, 1, 1)
-        dx = dpad[..., ph : padded_shape[3] - ph, pw : padded_shape[4] - pw] if (ph or pw) else dpad
+        dx, dk, db = grads(g if batched else g[None])
+        acc(bias.id, db)
+        acc(kernels.id, dk)
         acc(input.id, dx if batched else dx[0])
 
     return _record(out, (input, kernels, bias), backward)
 
 
 def maxpool2d(input: Tensor) -> Tensor:
-    """Max over 2x2 fields with stride (2, 2).
+    """Max over non-overlapping 2x2 fields.
 
     On ties the first cell in row-major order within the field receives the
     whole gradient.

@@ -200,16 +200,6 @@ class TestPerOpGradients:
         err = T.grad_check(fn, [T.Tensor(x), T.Tensor(k), T.Tensor(b)], eps=1e-6)
         assert err < 1e-6
 
-    def test_conv2d_strided(self):
-        x = rand((2, 6, 6), 17)
-        k = rand((2, 2, 2, 2), 18)
-        b = rand((2,), 19)
-
-        def fn(xx, kk, bb):
-            return T.mean_all(T.conv2d(xx, kk, bb, stride=(2, 2)))
-
-        assert T.grad_check(fn, [T.Tensor(x), T.Tensor(k), T.Tensor(b)]) < 1e-6
-
     def test_conv2d_per_patch(self):
         x = rand((3, 2, 4, 4), 20)
         k = rand((3, 2, 2, 3, 3), 21)

@@ -3,6 +3,7 @@ import pytest
 
 from aukit import backbone as B
 from aukit import tensor as T
+from aukit.config import PRESETS, resolve
 from aukit.errors import ShapeError
 from aukit.rng import Xoshiro256pp
 
@@ -132,9 +133,20 @@ class TestBackbone:
     def test_bad_frame_size_rejected(self):
         params = B.init_backbone(Xoshiro256pp(12), c=1)
         with pytest.raises(ShapeError):
-            B.backbone_forward(T.Tensor(rand((3, 48, 48))), params)
+            B.backbone_forward(T.Tensor(rand((3, 40, 40))), params)
         with pytest.raises(ShapeError):
             B.backbone_forward(T.Tensor(rand((1, 32, 32))), params)
+
+    def test_frame_size_multiple_of_16_accepted(self):
+        # 48 px: layer 2 runs the 8x8 grid on 24 px, so patches are 3 px.
+        params = B.init_backbone(Xoshiro256pp(12), c=1)
+        out = B.backbone_forward(T.Tensor(rand((3, 48, 48))), params)
+        assert out.shape == (8, 12, 12)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_resolves(self, name):
+        hp = resolve(name)
+        assert hp.l % B.FRAME_MULTIPLE == 0
 
     def test_gradient_flows_to_all_parameters(self):
         params = B.init_backbone(Xoshiro256pp(13), c=1)

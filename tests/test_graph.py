@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aukit import graph as G
+from aukit import model, serialize
 from aukit.errors import DomainError, FormatError, InternalInvariantError
 
 # ---------------------------------------------------------------------------
@@ -313,3 +314,25 @@ class TestGraphFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             G.load_graph(path)
+
+    def test_edited_partition_rejected(self, tmp_path):
+        path = tmp_path / "graph.json"
+        G.save_graph(path, self.build())
+        payload = json.loads(path.read_text())
+        payload["parts"][1][0][1] += 0.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="'parts'"):
+            G.load_graph(path)
+
+    def test_edited_checkpoint_partition_rejected(self, tmp_path):
+        graph = self.build()
+        path = tmp_path / "model.stck"
+        model.save_model(path, model.embed_graph({}, graph))
+        loaded = model.extract_graph(model.load_model(path))
+        for got_part, want_part in zip(loaded.parts, graph.parts):
+            assert np.array_equal(got_part, want_part)
+        arrays = serialize.load_checkpoint(path)
+        arrays["graph.part.1"] = arrays["graph.part.1"] * 0.5
+        serialize.save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="graph.part.1"):
+            model.extract_graph(model.load_model(path))

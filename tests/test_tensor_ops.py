@@ -151,12 +151,6 @@ class TestConv2d:
         y = T.conv2d(x, T.Tensor(k), T.Tensor.zeros((3,)))
         assert np.array_equal(y.data, x.data)
 
-    def test_output_size_must_divide(self):
-        x = T.Tensor(rand((1, 5, 5)))
-        k = T.Tensor(rand((1, 1, 2, 2)))
-        with pytest.raises(ShapeError):
-            T.conv2d(x, k, T.Tensor.zeros((1,)), stride=(2, 2))
-
     def test_kernel_larger_than_input(self):
         x = T.Tensor(rand((1, 2, 2)))
         k = T.Tensor(rand((1, 1, 3, 3)))
@@ -190,12 +184,25 @@ class TestConv2dPerPatch:
         x = rand((p, ci, 4, 4))
         k = rand((p, co, ci, 3, 3), seed=1)
         b = rand((p, co), seed=2)
-        got = T.conv2d_per_patch(T.Tensor(x), T.Tensor(k), T.Tensor(b)).data
+        up = rand((p, co, 4, 4), seed=3)  # upstream gradient of a linear loss
+        xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
+        with T.Tape() as tape:
+            got = T.conv2d_per_patch(xs, ks, bs)
+            tape.backward(T.sum_all(T.mul(got, T.Tensor(up))))
         for i in range(p):
-            single = T.conv2d(
-                T.Tensor(x[i]), T.Tensor(k[i]), T.Tensor(b[i]), padding=(1, 1)
-            ).data
-            assert np.abs(got[i] - single).max() < 1e-12
+            xi, ki, bi = (T.Tensor(a[i], requires_grad=True) for a in (x, k, b))
+            with T.Tape() as single_tape:
+                single = T.conv2d(xi, ki, bi, padding=(1, 1))
+                single_tape.backward(T.sum_all(T.mul(single, T.Tensor(up[i]))))
+            assert np.abs(got.data[i] - single.data).max() < 1e-12
+            for whole, part in ((xs, xi), (ks, ki), (bs, bi)):
+                diff = tape.grad(whole)[i] - single_tape.grad(part)
+                assert np.abs(diff).max() < 1e-12
+
+    def test_kernel_rank_rejected(self):
+        x = T.Tensor(rand((2, 3, 4, 4)))
+        with pytest.raises(ShapeError):
+            T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor.zeros((2, 3)))
 
 
 class TestMaxPool:
