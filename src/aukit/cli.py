@@ -43,7 +43,7 @@ from .model import (
     relation_predict,
     save_model,
 )
-from .serialize import load_tensor, save_pgm
+from .serialize import atomic_write, load_tensor, save_pgm
 from .training import (
     save_training_log,
     train_attention_stage,
@@ -247,7 +247,7 @@ def _cmd_infer(args, log: _Logger) -> int:
     frames = _load_frames(args.frames)
     probs = _predict_sequence(entries, dims, graph, frames)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
+        with atomic_write(args.out, "w", encoding="utf-8", newline="") as fp:
             fp.write("frame_idx," + ",".join(
                 f"au_{j}" for j in range(1, dims.m + 1)) + "\n")
             for i, row in enumerate(probs):

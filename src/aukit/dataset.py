@@ -119,7 +119,7 @@ def save_spec(path, spec: SyntheticSpec) -> None:
         "seed": spec.seed,
     }
     try:
-        with open(path, "w", encoding="utf-8") as fp:
+        with serialize.atomic_write(path, "w", encoding="utf-8") as fp:
             json.dump(payload, fp, indent=1)
             fp.write("\n")
     except OSError as exc:
@@ -256,7 +256,7 @@ def save_labels(path, video_ids: Sequence[str], frame_idx: Sequence[int], labels
         raise DataError("video_ids, frame_idx and labels must have equal length")
     header = ["video_id", "frame_idx"] + [f"au_{j + 1}" for j in range(m)]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
+        with serialize.atomic_write(path, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(header)
             for i in range(n):

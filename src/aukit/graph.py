@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, FormatError, InternalInvariantError, IoError, ShapeError
+from .serialize import atomic_write
 
 #: Hop distance assigned to nodes with no path to the gravity center.
 #: Compares greater than any finite distance in partition decisions.
@@ -175,7 +176,7 @@ def _payload(graph: RelationGraph) -> dict:
 
 def save_graph(path, graph: RelationGraph) -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path, "w", encoding="utf-8") as fp:
             json.dump(_payload(graph), fp, indent=1)
             fp.write("\n")
     except OSError as exc:

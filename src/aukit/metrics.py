@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoError, ShapeError
+from .serialize import atomic_write
 
 #: Decision threshold for turning probabilities into labels; ties count
 #: as positive.
@@ -78,7 +79,7 @@ def save_metrics_csv(path, report: MetricsReport) -> None:
     """One row per label (1-based names) plus an unweighted Avg row."""
     m = report.f1.shape[0]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(["au", "precision", "recall", "f1", "accuracy"])
             for j in range(m):

@@ -18,13 +18,18 @@ Checkpoint layout:
 
 Malformed input raises ``FormatError`` carrying the byte offset where
 parsing failed.  Writers iterate checkpoint entries in insertion order,
-so identical dictionaries serialize to identical bytes.
+so identical dictionaries serialize to identical bytes.  Every file the
+toolkit writes goes through ``atomic_write``, so a failed or interrupted
+write leaves the previous file, not a partial one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
-from typing import BinaryIO, Dict
+import uuid
+from typing import BinaryIO, Dict, Iterator, IO
 
 import numpy as np
 
@@ -65,6 +70,28 @@ class _Reader:
             self._fp.seek(-1, 1)
             return False
         return True
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a new temporary file beside ``path``; rename it onto ``path`` on success.
+
+    ``mode`` is a write mode ("w" or "wb"); ``kwargs`` go to ``open``.  If
+    the block raises, the temporary file is removed and ``path`` keeps its
+    old contents.  The rename is atomic on POSIX and Windows; there is no
+    fsync, so this guards against failed and killed writes, not power loss.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _check_u32(value: int, what: str) -> int:
@@ -114,7 +141,7 @@ def read_tensor(reader: _Reader) -> np.ndarray:
 
 def save_tensor(path, array: np.ndarray) -> None:
     try:
-        with open(path, "wb") as fp:
+        with atomic_write(path) as fp:
             write_tensor(fp, array)
     except OSError as exc:
         raise IoError(f"cannot write tensor file {path}: {exc}") from exc
@@ -140,7 +167,7 @@ def load_tensor(path) -> np.ndarray:
 
 def save_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
     try:
-        with open(path, "wb") as fp:
+        with atomic_write(path) as fp:
             fp.write(CHECKPOINT_MAGIC)
             fp.write(bytes((FORMAT_VERSION,)))
             fp.write(struct.pack("<I", _check_u32(len(entries), "entry count")))
@@ -206,7 +233,7 @@ def save_pgm(path, image: np.ndarray) -> None:
     levels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     height, width = levels.shape
     try:
-        with open(path, "wb") as fp:
+        with atomic_write(path) as fp:
             fp.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fp.write(levels.tobytes(order="C"))
     except OSError as exc:

@@ -34,6 +34,7 @@ from .model import (
     sequence_features,
 )
 from .rng import Xoshiro256pp, derive_seed
+from .serialize import atomic_write
 from .stgcn import head_from, stgcn_forward, stgcn_from
 
 # Stream tags, one per consumer of the training seed.
@@ -191,7 +192,7 @@ def _center_window(frames: np.ndarray, l: int, stage: str) -> np.ndarray:
 
 def save_training_log(path, rows: Sequence[LogRow]) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(LOG_HEADER)
             for stage, epoch, step, lr, loss in rows:

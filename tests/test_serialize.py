@@ -117,3 +117,53 @@ class TestPgm:
         path = tmp_path / "map.pgm"
         serialize.save_pgm(path, np.array([[-0.5, 1.5]]))
         assert list(path.read_bytes()[-2:]) == [0, 255]
+
+
+class TestAtomicWrite:
+    """A write that fails partway leaves the old file and no temporary file."""
+
+    def test_failed_checkpoint_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.stck"
+        serialize.save_checkpoint(path, {"w": np.ones(4)})
+        before = path.read_bytes()
+        # Entry "a" is written before "b" fails to convert to float64.
+        with pytest.raises(ValueError):
+            serialize.save_checkpoint(path, {"a": np.zeros(3), "b": "not a number"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.stck"]
+
+    def test_os_error_partway_is_io_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.stnt"
+        serialize.save_tensor(path, np.arange(5.0))
+        before = path.read_bytes()
+
+        def disk_full(fp, array):
+            fp.write(b"STNT")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(serialize, "write_tensor", disk_full)
+        with pytest.raises(IoError, match="No space left"):
+            serialize.save_tensor(path, np.zeros(5))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.stnt"]
+
+    def test_failed_text_write_keeps_old_file(self, tmp_path):
+        from aukit.training import save_training_log
+
+        path = tmp_path / "log.csv"
+        save_training_log(path, [("relation", 3, 9, 0.2, 0.7)])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_training_log(path, [("attention", 0, 0, 0.1, 0.5), ("short row",)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+    def test_new_file_has_default_permissions(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        serialize.save_tensor(tmp_path / "t.stnt", np.zeros(2))
+        assert (tmp_path / "t.stnt").stat().st_mode == plain.stat().st_mode
+
+    def test_missing_directory_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            serialize.save_checkpoint(tmp_path / "absent" / "model.stck", {})
