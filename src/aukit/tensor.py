@@ -145,22 +145,29 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE.stack.pop()
 
-    def _accumulate(self, tensor_id: int, value: np.ndarray) -> None:
-        existing = self.gradients.get(tensor_id)
-        if existing is None:
-            self.gradients[tensor_id] = np.array(value, dtype=np.float64)
-        else:
-            existing += value
-
     def backward(self, loss: Tensor) -> None:
         """Populate gradients for everything reachable from ``loss``."""
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        self.gradients = {loss.id: np.ones((), dtype=np.float64)}
+        grads = self.gradients = {loss.id: np.ones((), dtype=np.float64)}
+        owned: set[int] = set()
+
+        def accumulate(tensor_id: int, value: np.ndarray) -> None:
+            # A first value is kept as given (``add`` hands one array to both
+            # inputs; views may be read-only): add in place only into our own.
+            existing = grads.get(tensor_id)
+            if existing is None:
+                grads[tensor_id] = value
+            elif tensor_id in owned:
+                existing += value
+            else:
+                grads[tensor_id] = existing + value
+                owned.add(tensor_id)
+
         for node in reversed(self._nodes):
-            grad_out = self.gradients.get(node.out_id)
+            grad_out = grads.get(node.out_id)
             if grad_out is not None:
-                node.backward(grad_out, self._accumulate)
+                node.backward(grad_out, accumulate)
 
     def grad(self, tensor: Tensor) -> np.ndarray | None:
         return self.gradients.get(tensor.id)
@@ -170,7 +177,8 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor
     """Record ``out = op(inputs)`` on the active tape if gradients can flow.
 
     ``backward(grad_out, accumulate)`` must push gradients to the inputs via
-    ``accumulate(tensor_id, array)``.
+    ``accumulate(tensor_id, array)``; the tape may keep the array, so neither
+    it nor ``grad_out`` may be written to.
     """
     tape = _active_tape()
     if tape is None:
@@ -519,55 +527,47 @@ def graph_matmul(matrix: Tensor, feat: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _scatter_windows(dwindows: np.ndarray, padded_shape: tuple[int, ...]) -> np.ndarray:
-    """Accumulate window gradients back onto the padded input."""
-    *_, oh, ow, kh, kw = dwindows.shape
-    dpad = np.zeros(padded_shape)
-    for a in range(kh):
-        for b in range(kw):
-            dpad[..., a : a + oh, b : b + ow] += dwindows[..., a, b]
-    return dpad
-
-
 def _grouped_conv(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: tuple[int, int]
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None, padding: tuple[int, int]
 ) -> tuple[np.ndarray, Callable]:
     """Cross-correlation of P independent groups, each with its own kernel bank.
 
     ``x`` is (B, P, C_in, H, W), ``kernels`` (P, C_out, C_in, k_h, k_w) and
-    ``bias`` (P, C_out).  Returns the (B, P, C_out, oh, ow) output and
-    ``backward(g) -> (dx, dkernels, dbias)`` for an output gradient ``g``.
+    ``bias`` (P, C_out) or None.  Returns the (B, P, C_out, oh, ow) output and
+    ``backward(g) -> (dx, dkernels, dbias)``.  Windows are channel-major,
+    (P, C_in*k_h*k_w, B*oh*ow): each copied run is one contiguous input row.
+    ``dx`` correlates ``g`` with the kernels flipped in both spatial axes and
+    C_in, C_out swapped, at padding k-1-p, so padding must lie in 0..k-1.
     """
     p, co, ci, kh, kw = kernels.shape
     b, _, _, h, w = x.shape
     ph, pw = padding
+    if not (0 <= ph < kh and 0 <= pw < kw):
+        raise ShapeError(f"conv2d: padding {padding} outside 0..k-1 for kernel {kh}x{kw}")
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
-    padded_shape = (b, p, ci, h + 2 * ph, w + 2 * pw)
     if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros(padded_shape)
+        xp = np.zeros((b, p, ci, h + 2 * ph, w + 2 * pw))
         xp[..., ph : ph + h, pw : pw + w] = x
     else:
         xp = x
     s = xp.strides
     win = as_strided(xp, (b, p, ci, oh, ow, kh, kw), s + s[-2:], writeable=False)
-    k = ci * kh * kw
-    # One BLAS matmul per group: (P, B*oh*ow, k) @ (P, k, C_out).
-    win2 = np.ascontiguousarray(win.transpose(1, 0, 3, 4, 2, 5, 6)).reshape(p, b * oh * ow, k)
-    w2 = kernels.reshape(p, co, k)
-    y2 = win2 @ w2.transpose(0, 2, 1)  # (P, B*oh*ow, C_out)
-    y2 += bias[:, None, :]
+    k, n = ci * kh * kw, b * oh * ow
+    win2 = np.ascontiguousarray(win.transpose(1, 2, 5, 6, 0, 3, 4)).reshape(p, k, n)
+    y2 = kernels.reshape(p, co, k) @ win2  # (P, C_out, B*oh*ow)
+    if bias is not None:
+        y2 += bias[:, :, None]
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 3, 4, 2)).reshape(p, b * oh * ow, co)
-        dk = np.matmul(g2.transpose(0, 2, 1), win2).reshape(kernels.shape)
-        dwin = (g2 @ w2).reshape(p, b, oh, ow, ci, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
-        dpad = _scatter_windows(dwin, padded_shape)
-        dx = dpad[..., ph : ph + h, pw : pw + w]
-        return dx, dk, g.sum(axis=(0, 3, 4))
+        g2 = np.ascontiguousarray(g.transpose(1, 2, 0, 3, 4)).reshape(p, co, n)
+        dk = (g2 @ win2.transpose(0, 2, 1)).reshape(kernels.shape)
+        flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)  # arXiv 1603.07285
+        dx, _ = _grouped_conv(g, flipped, None, (kh - 1 - ph, kw - 1 - pw))
+        return dx, dk, g2.sum(axis=2)
 
-    return y2.reshape(p, b, oh, ow, co).transpose(1, 0, 4, 2, 3), backward
+    return y2.reshape(p, co, b, oh, ow).transpose(2, 0, 1, 3, 4), backward
 
 
 def conv2d(

@@ -54,6 +54,18 @@ class TestTape:
             tape.backward(T.sum_all(T.mul(x, x)))
         assert np.allclose(tape.grad(x), 2 * x.data, atol=0, rtol=0)
 
+    def test_shared_first_gradient_is_not_added_into(self):
+        # add hands one array to both inputs; a's later accumulation must
+        # not write through it into b's gradient.
+        a = T.Tensor(rand((3,)), requires_grad=True)
+        b = T.Tensor(rand((3,), seed=1), requires_grad=True)
+        with T.Tape() as tape:
+            doubled = T.scalar_mul(a, 2.0)
+            both = T.add(a, b)
+            tape.backward(T.add(T.sum_all(both), T.sum_all(doubled)))
+        assert np.array_equal(tape.grad(b), np.ones(3))
+        assert np.array_equal(tape.grad(a), np.full(3, 3.0))
+
     def test_independent_tapes_do_not_interfere(self):
         x = T.Tensor(rand((3,)), requires_grad=True)
         with T.Tape() as t1:

@@ -157,6 +157,13 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(x, k, T.Tensor.zeros((1,)))
 
+    @pytest.mark.parametrize("padding", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_padding_outside_kernel_rejected(self, padding):
+        x = T.Tensor(rand((1, 8, 8)))
+        k = T.Tensor(rand((1, 1, 3, 3)))
+        with pytest.raises(ShapeError):
+            T.conv2d(x, k, T.Tensor.zeros((1,)), padding=padding)
+
     def test_batched_matches_per_frame(self):
         xs = rand((4, 2, 6, 6))
         k = T.Tensor(rand((3, 2, 3, 3), seed=1))
@@ -203,6 +210,75 @@ class TestConv2dPerPatch:
         x = T.Tensor(rand((2, 3, 4, 4)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor.zeros((2, 3)))
+
+
+    def test_padding_outside_kernel_rejected(self):
+        x = T.Tensor(rand((2, 3, 4, 4)))
+        k = T.Tensor(rand((2, 3, 3, 1, 1)))
+        with pytest.raises(ShapeError):  # a 1x1 kernel admits no padding
+            T.conv2d_per_patch(x, k, T.Tensor.zeros((2, 3)))
+
+
+def reference_conv(x, k, b, padding, up):
+    """Direct correlation of an explicitly zero-padded (B, P, C_in, H, W)
+    input with (P, C_out, C_in, k_h, k_w) kernels, one einsum per kernel
+    offset, plus the gradients of sum(y * up) for the input, kernels and bias.
+    """
+    ph, pw = padding
+    bsz, p, ci, h, w = x.shape
+    kh, kw = k.shape[-2:]
+    xp = np.zeros((bsz, p, ci, h + 2 * ph, w + 2 * pw))
+    xp[..., ph:ph + h, pw:pw + w] = x
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    y = np.zeros(up.shape) + b[None, :, :, None, None]
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[..., i:i + oh, j:j + ow]
+            y += np.einsum("bpchw,poc->bpohw", window, k[..., i, j])
+            dk[..., i, j] = np.einsum("bpohw,bpchw->poc", up, window)
+            dxp[..., i:i + oh, j:j + ow] += np.einsum("bpohw,poc->bpchw", up, k[..., i, j])
+    return y, dxp[..., ph:ph + h, pw:pw + w], dk, up.sum(axis=(0, 3, 4))
+
+
+class TestConvOracle:
+    """Both public convolutions against the direct-loop reference."""
+
+    @pytest.mark.parametrize(
+        "kernel, padding",
+        [((1, 1), (0, 0)), ((3, 3), (0, 0)), ((3, 3), (1, 1)), ((1, 3), (0, 1)), ((3, 1), (1, 0))],
+    )
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "op, p", [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4)]
+    )
+    def test_values_and_gradients(self, kernel, padding, batch, op, p):
+        ci, co, h, w = 2, 3, 5, 6
+        bsz = 1 if batch is None else batch
+        x = rand((bsz, p, ci, h, w))
+        k = rand((p, co, ci) + kernel, seed=1)
+        b = rand((p, co), seed=2)
+        oh, ow = h + 2 * padding[0] - kernel[0] + 1, w + 2 * padding[1] - kernel[1] + 1
+        up = rand((bsz, p, co, oh, ow), seed=3)
+        want = reference_conv(x, k, b, padding, up)
+
+        # Map the grouped layout onto the op's own: conv2d drops P, and the
+        # unbatched forms drop B.
+        if op == "conv2d":
+            x, k, b, up = x[:, 0], k[0], b[0], up[:, 0]
+            want = (want[0][:, 0], want[1][:, 0], want[2][0], want[3][0])
+        if batch is None:
+            x, up = x[0], up[0]
+            want = (want[0][0], want[1][0]) + want[2:]
+        xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
+        with T.Tape() as tape:
+            y = getattr(T, op)(xs, ks, bs, padding=padding)
+            tape.backward(T.sum_all(T.mul(y, T.Tensor(up))))
+        got = (y.data, tape.grad(xs), tape.grad(ks), tape.grad(bs))
+        for g, expected in zip(got, want):
+            assert g.shape == expected.shape
+            assert np.abs(g - expected).max() < 1e-12
 
 
 class TestMaxPool:

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from aukit import tensor as T
-from aukit.config import HyperParams
+from aukit.backbone import attention_stage_forward, backbone_from, branch_from
+from aukit.config import HyperParams, resolve
 from aukit.dataset import VideoSequence, default_spec, generate_labels, render_video
 from aukit.errors import ConfigError, DataError, NumericalError
 from aukit.graph import build_graph
+from aukit.losses import attention_stage_loss
 from aukit.model import (
     init_attention_entries,
     init_relation_entries,
@@ -253,6 +255,36 @@ def test_attention_training_is_deterministic(mini_data, stage1):
     again = train_attention_stage(mini_data, default_hp(), seed=3)
     assert_entries_equal(stage1.entries, again.entries)
     assert stage1.log == again.log
+
+
+def test_toy_attention_step_is_bytewise_repeatable():
+    # One toy-preset step (forward, backward, sgd_step) run twice in one
+    # process from the same entries and frames: gradients and updated
+    # entries must agree to the byte, not just to a tolerance.
+    hp = resolve("toy")
+    spec = default_spec(m=hp.m, videos=1, frames_per_video=4, seed=7)
+    labels = generate_labels(spec)[0]
+    frames = render_video(spec, 0, labels)
+    entries = init_attention_entries(hp.c, hp.m, seed=7)
+    weights = np.full(hp.m, 0.5)
+
+    def step():
+        with T.Tape() as tape:
+            branches = [branch_from(entries, j) for j in range(1, hp.m + 1)]
+            maps, _, probs = attention_stage_forward(
+                T.Tensor(frames), backbone_from(entries), branches)
+            loss = attention_stage_loss(probs, maps, labels, weights, hp.lambda_r)
+        tape.backward(loss)
+        grads = {name: tape.grad(t) for name, t in entries.items()}
+        state = OptimizerState(hp.momentum, hp.weight_decay)
+        return grads, sgd_step(entries, grads, hp.attention_lr, state)
+
+    grads_a, updated_a = step()
+    grads_b, updated_b = step()
+    assert list(grads_a) == list(grads_b)
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+    assert_entries_equal(updated_a, updated_b)
 
 
 def test_attention_training_updates_all_parameters(mini_data, stage1):
