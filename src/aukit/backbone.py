@@ -6,7 +6,13 @@ feature map.  A region layer runs one full-map 3x3 convolution, then
 three chained per-patch convolution stages over successively coarser
 partition grids (8x8, 4x4, 2x2 patches), concatenates the three stage
 outputs along channels, and fuses them back with a 1x1 convolution;
-every convolution is followed by a tanh nonlinearity.
+every convolution is followed by a tanh nonlinearity.  A per-patch stage
+is one ``conv2d_per_patch`` node on the whole map: the op cuts the map into
+its grid and pastes the patch outputs back itself.
+
+Every layer works on a batch (b, C, H, W).  ``backbone_forward`` alone
+also takes a single frame (3, l, l), adding and removing the batch axis
+with one reshape each.
 
 On top of the shared feature map, one attention branch per label
 produces a sigmoid attention map, multiplies it into every channel,
@@ -126,90 +132,62 @@ def init_attention_branch(rng: Xoshiro256pp, c: int) -> AttentionBranchParams:
 # ---------------------------------------------------------------------------
 
 
-def _split_patches(x: T.Tensor, grid: int) -> T.Tensor:
-    """(..., C, H, W) -> (..., g*g, C, H/g, W/g), patches in row-major order."""
-    shape = x.shape
-    height, width = shape[-2], shape[-1]
-    if height % grid or width % grid:
-        raise ShapeError(f"spatial size {height}x{width} not divisible by grid {grid}")
-    ph, pw = height // grid, width // grid
-    if len(shape) == 3:
-        c = shape[0]
-        r = T.reshape(x, (c, grid, ph, grid, pw))
-        r = T.transpose(r, (1, 3, 0, 2, 4))
-        return T.reshape(r, (grid * grid, c, ph, pw))
-    b, c = shape[0], shape[1]
-    r = T.reshape(x, (b, c, grid, ph, grid, pw))
-    r = T.transpose(r, (0, 2, 4, 1, 3, 5))
-    return T.reshape(r, (b, grid * grid, c, ph, pw))
-
-
-def _merge_patches(x: T.Tensor, grid: int) -> T.Tensor:
-    """Inverse of :func:`_split_patches`."""
-    shape = x.shape
-    if len(shape) == 4:
-        _, c, ph, pw = shape
-        r = T.reshape(x, (grid, grid, c, ph, pw))
-        r = T.transpose(r, (2, 0, 3, 1, 4))
-        return T.reshape(r, (c, grid * ph, grid * pw))
-    b, _, c, ph, pw = shape
-    r = T.reshape(x, (b, grid, grid, c, ph, pw))
-    r = T.transpose(r, (0, 3, 1, 4, 2, 5))
-    return T.reshape(r, (b, c, grid * ph, grid * pw))
-
-
 def region_layer_forward(x: T.Tensor, params: RegionLayerParams) -> T.Tensor:
+    """One region layer over a batch of maps (b, C_in, H, W) -> (b, C_out, H, W)."""
     current = T.tanh(
         T.conv2d(x, params.input_conv.kernels, params.input_conv.bias, padding=(1, 1))
     )
     stage_outputs = []
-    for grid, bank in zip(GRIDS, params.stage_convs):
-        patches = _split_patches(current, grid)
-        convolved = T.conv2d_per_patch(patches, bank.kernels, bank.bias, padding=(1, 1))
-        current = T.tanh(_merge_patches(convolved, grid))
+    for bank in params.stage_convs:
+        current = T.tanh(T.conv2d_per_patch(current, bank.kernels, bank.bias, padding=(1, 1)))
         stage_outputs.append(current)
-    channel_axis = 0 if len(x.shape) == 3 else 1
-    stacked = T.concat(stage_outputs, axis=channel_axis)
+    stacked = T.concat(stage_outputs, axis=1)
     return T.tanh(
         T.conv2d(stacked, params.fusion_conv.kernels, params.fusion_conv.bias)
     )
 
 
 def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
+    """Frames (b, 3, l, l) -> feature maps (b, 8c, l/4, l/4).
+
+    One frame (3, l, l) gives one map (8c, l/4, l/4): this is the one place
+    in stage 1 that accepts unbatched input.
+    """
     shape = frames.shape
     if len(shape) not in (3, 4) or shape[-3] != 3 or shape[-2] != shape[-1]:
         raise ShapeError(f"frames must be (3, l, l) or (b, 3, l, l), got {shape}")
     l = shape[-1]
     if l % FRAME_MULTIPLE:
         raise ShapeError(f"frame size {l} must be divisible by {FRAME_MULTIPLE}")
-    h = region_layer_forward(frames, params.layer1)
+    unbatched = len(shape) == 3
+    h = T.reshape(frames, (1,) + shape) if unbatched else frames
+    h = region_layer_forward(h, params.layer1)
     h = T.maxpool2d(h)
     h = region_layer_forward(h, params.layer2)
-    return T.maxpool2d(h)
+    h = T.maxpool2d(h)
+    return T.reshape(h, h.shape[1:]) if unbatched else h
 
 
 def attention_branch_forward(
     feat: T.Tensor, branch: AttentionBranchParams
 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """One label's attention pass over a feature map (or batch of maps).
+    """One label's attention pass over a batch of feature maps (b, 8c, h, w).
 
-    Returns (attention map M, pooled feature f0, initial probability).
+    Returns attention maps M (b, h, w), pooled features f0 (b, 8c) and
+    initial probabilities (b,).
     """
-    batched = len(feat.shape) == 4
     logits = T.conv2d(feat, branch.att_conv.kernels, branch.att_conv.bias, padding=(1, 1))
-    m = T.sigmoid(logits)
-    spatial = m.shape[-2:]
-    m = T.reshape(m, (m.shape[0],) + spatial if batched else spatial)
+    b = feat.shape[0]
+    m = T.reshape(T.sigmoid(logits), (b,) + feat.shape[2:])
     weighted = T.broadcast_mul_channelwise(m, feat)
     refined = T.conv2d(
         weighted, branch.feat_conv.kernels, branch.feat_conv.bias, padding=(1, 1)
     )
     f0 = T.global_avg_pool(refined)
-    rows = T.reshape(f0, (1, f0.shape[0])) if not batched else f0
     logit = T.bias_add_row(
-        T.matmul(rows, T.transpose(branch.head_weight, (1, 0))), branch.head_bias
+        T.matmul(f0, T.transpose(branch.head_weight, (1, 0))), branch.head_bias
     )
-    p0 = T.sigmoid(T.reshape(logit, (logit.shape[0],) if batched else ()))
+    p0 = T.sigmoid(T.reshape(logit, (b,)))
     return m, f0, p0
 
 

@@ -56,11 +56,6 @@ def au_detection_loss(p_hat: T.Tensor, labels: np.ndarray, weights: np.ndarray) 
     return T.scalar_mul(total, -1.0 / frames)
 
 
-def attention_regularizer(attention_map: T.Tensor) -> T.Tensor:
-    """Mean response of one attention map (L1/count for positive entries)."""
-    return T.mean_all(attention_map)
-
-
 def attention_stage_loss(
     p_hat: T.Tensor,
     attention: T.Tensor,

@@ -26,6 +26,7 @@ write leaves the previous file, not a partial one.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 import uuid
@@ -49,9 +50,13 @@ class _Reader:
     def __init__(self, fp: BinaryIO, offset: int = 0):
         self._fp = fp
         self.offset = offset
+        self._left = os.fstat(fp.fileno()).st_size - fp.tell()
 
     def take(self, n: int, what: str) -> bytes:
-        data = self._fp.read(n)
+        # ``n`` may come from a header claiming any size: read no more than
+        # the file holds, so a huge claim is a FormatError, not a failed
+        # allocation.
+        data = self._fp.read(min(n, self._left))
         if len(data) != n:
             raise FormatError(
                 f"unexpected end of file while reading {what} "
@@ -59,6 +64,7 @@ class _Reader:
                 offset=self.offset,
             )
         self.offset += n
+        self._left -= n
         return data
 
     def u32(self, what: str) -> int:
@@ -132,10 +138,7 @@ def read_tensor(reader: _Reader) -> np.ndarray:
         raise FormatError(f"unsupported dtype code {dtype}", offset=start + 5)
     ndim = reader.u32("ndim")
     dims = tuple(reader.u32(f"dimension {i}") for i in range(ndim))
-    count = 1
-    for dim in dims:
-        count *= dim
-    payload = reader.take(8 * count, "payload")
+    payload = reader.take(8 * math.prod(dims), "payload")
     return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
 
 

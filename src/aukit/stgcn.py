@@ -88,6 +88,11 @@ def adaptive_edges(a_part, w: T.Tensor) -> T.Tensor:
 def gst_layer_forward(
     f_in: T.Tensor, graph: RelationGraph, params: StgcnLayerParams
 ) -> T.Tensor:
+    """One graph layer over (b, 8c, t, m) features.
+
+    One unbatched sequence (8c, t, m) is also accepted: this is the one
+    place in stage 2 that adds and removes the batch axis.
+    """
     shape = f_in.shape
     if len(shape) not in (3, 4):
         raise ShapeError(f"features must be (8c, t, m) or (b, 8c, t, m), got {shape}")
@@ -96,20 +101,21 @@ def gst_layer_forward(
         raise ConfigError(f"temporal kernel size must be odd, got {t_k}")
     if shape[-1] != graph.m:
         raise ShapeError(f"feature node axis {shape[-1]} != graph nodes {graph.m}")
+    unbatched = len(shape) == 3
+    x = T.reshape(f_in, (1,) + shape) if unbatched else f_in
 
     spatial = None
     for part, w, kernels, bias in zip(
         graph.parts, params.edge_weights, params.phi1_kernels, params.phi1_bias
     ):
-        h = T.conv2d(f_in, kernels, bias)
+        h = T.conv2d(x, kernels, bias)
         mixed = T.graph_matmul(adaptive_edges(part, w), h)
         spatial = mixed if spatial is None else T.add(spatial, mixed)
 
     reach = (t_k - 1) // 2
-    time_axis = len(shape) - 2
-    padded = T.pad_edge(spatial, time_axis, reach, reach) if reach else spatial
-    temporal = T.conv2d(padded, params.phi2_kernels, params.phi2_bias)
-    return T.add(temporal, f_in)
+    padded = T.pad_edge(spatial, 2, reach, reach) if reach else spatial
+    out = T.add(T.conv2d(padded, params.phi2_kernels, params.phi2_bias), x)
+    return T.reshape(out, shape) if unbatched else out
 
 
 def _stack_head(head: StgcnHead) -> tuple[T.Tensor, T.Tensor]:

@@ -14,6 +14,7 @@ the test suite.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -433,33 +434,18 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def broadcast_mul_channelwise(weight_map: Tensor, feat: Tensor) -> Tensor:
-    """Multiply every channel of ``feat`` by one spatial map.
-
-    Shapes: map (H, W) with feat (C, H, W), or batched map (B, H, W) with
-    feat (B, C, H, W).
-    """
-    if weight_map.data.ndim == 2 and feat.data.ndim == 3:
-        if weight_map.shape != feat.shape[1:]:
-            raise ShapeError(
-                f"channelwise mul: map {weight_map.shape} vs feat {feat.shape}"
-            )
-        m = weight_map.data[None, :, :]
-        sum_axis = 0
-    elif weight_map.data.ndim == 3 and feat.data.ndim == 4:
-        if weight_map.shape != (feat.shape[0],) + feat.shape[2:]:
-            raise ShapeError(
-                f"channelwise mul: map {weight_map.shape} vs feat {feat.shape}"
-            )
-        m = weight_map.data[:, None, :, :]
-        sum_axis = 1
-    else:
-        raise ShapeError(
-            f"channelwise mul: unsupported ranks {weight_map.shape} and {feat.shape}"
-        )
+    """Multiply every channel of ``feat`` (B, C, H, W) by its map (B, H, W)."""
+    if (
+        weight_map.data.ndim != 3
+        or feat.data.ndim != 4
+        or weight_map.shape != (feat.shape[0],) + feat.shape[2:]
+    ):
+        raise ShapeError(f"channelwise mul: map {weight_map.shape} vs feat {feat.shape}")
+    m = weight_map.data[:, None, :, :]
     out = Tensor._wrap(m * feat.data)
 
     def backward(g, acc):
-        acc(weight_map.id, (g * feat.data).sum(axis=sum_axis))
+        acc(weight_map.id, (g * feat.data).sum(axis=1))
         acc(feat.id, g * m)
 
     return _record(out, (weight_map, feat), backward)
@@ -530,44 +516,77 @@ def graph_matmul(matrix: Tensor, feat: Tensor) -> Tensor:
 def _grouped_conv(
     x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None, padding: tuple[int, int]
 ) -> tuple[np.ndarray, Callable]:
-    """Cross-correlation of P independent groups, each with its own kernel bank.
+    """Cross-correlation of a g x g grid of patches, each with its own kernel bank.
 
-    ``x`` is (B, P, C_in, H, W), ``kernels`` (P, C_out, C_in, k_h, k_w) and
-    ``bias`` (P, C_out) or None.  Returns the (B, P, C_out, oh, ow) output and
-    ``backward(g) -> (dx, dkernels, dbias)``.  Windows are channel-major,
-    (P, C_in*k_h*k_w, B*oh*ow): each copied run is one contiguous input row.
-    ``dx`` correlates ``g`` with the kernels flipped in both spatial axes and
-    C_in, C_out swapped, at padding k-1-p, so padding must lie in 0..k-1.
+    ``x`` is (B, C_in, H, W), cut row-major into P = g*g patches of H/g x W/g;
+    ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out) or None.
+    Each patch is zero-padded on its own.  Returns the (B, C_out, g*oh, g*ow)
+    map of patch outputs pasted back in place, and ``backward(g) -> (dx,
+    dkernels, dbias)``.  Cutting and padding are one copy, and so is pasting.
+    Windows are channel-major, (P, C_in*k_h*k_w, B*oh*ow): each copied run
+    is one contiguous input row.  ``dx`` correlates ``g`` with the kernels
+    flipped in both spatial axes and C_in, C_out swapped, at padding k-1-p,
+    so padding must lie in 0..k-1.
     """
     p, co, ci, kh, kw = kernels.shape
-    b, _, _, h, w = x.shape
+    b, _, hh, ww = x.shape
+    grid = math.isqrt(p)
+    if grid * grid != p or hh % grid or ww % grid:
+        raise ShapeError(f"conv2d: {p} kernel banks do not tile a {hh}x{ww} map as a square grid")
+    h, w = hh // grid, ww // grid
     ph, pw = padding
     if not (0 <= ph < kh and 0 <= pw < kw):
         raise ShapeError(f"conv2d: padding {padding} outside 0..k-1 for kernel {kh}x{kw}")
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
+    patches = x.reshape(b, ci, grid, h, grid, w).transpose(0, 2, 4, 1, 3, 5)
     if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros((b, p, ci, h + 2 * ph, w + 2 * pw))
-        xp[..., ph : ph + h, pw : pw + w] = x
+        xp = np.zeros((b, grid, grid, ci, h + 2 * ph, w + 2 * pw))
+        xp[..., ph : ph + h, pw : pw + w] = patches
     else:
-        xp = x
+        xp = patches
     s = xp.strides
-    win = as_strided(xp, (b, p, ci, oh, ow, kh, kw), s + s[-2:], writeable=False)
+    win = as_strided(xp, xp.shape[:4] + (oh, ow, kh, kw), s + s[-2:], writeable=False)
     k, n = ci * kh * kw, b * oh * ow
-    win2 = np.ascontiguousarray(win.transpose(1, 2, 5, 6, 0, 3, 4)).reshape(p, k, n)
+    win2 = np.ascontiguousarray(win.transpose(1, 2, 3, 6, 7, 0, 4, 5)).reshape(p, k, n)
     y2 = kernels.reshape(p, co, k) @ win2  # (P, C_out, B*oh*ow)
     if bias is not None:
         y2 += bias[:, :, None]
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(1, 2, 0, 3, 4)).reshape(p, co, n)
+        g_patches = g.reshape(b, co, grid, oh, grid, ow).transpose(2, 4, 1, 0, 3, 5)
+        g2 = np.ascontiguousarray(g_patches).reshape(p, co, n)
         dk = (g2 @ win2.transpose(0, 2, 1)).reshape(kernels.shape)
         flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)  # arXiv 1603.07285
         dx, _ = _grouped_conv(g, flipped, None, (kh - 1 - ph, kw - 1 - pw))
         return dx, dk, g2.sum(axis=2)
 
-    return y2.reshape(p, co, b, oh, ow).transpose(2, 0, 1, 3, 4), backward
+    y = y2.reshape(grid, grid, co, b, oh, ow).transpose(3, 2, 0, 4, 1, 5)
+    return y.reshape(b, co, grid * oh, grid * ow), backward
+
+
+def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Tensor:
+    """Shared node of both convolutions; ``kernels`` may lack the bank axis."""
+    if (
+        input.data.ndim != 4
+        or kernels.data.ndim != (4 if op == "conv2d" else 5)
+        or input.shape[1] != kernels.shape[-3]
+    ):
+        raise ShapeError(f"{op}: input {input.shape} vs kernels {kernels.shape}")
+    if bias.shape != kernels.shape[:-3]:
+        raise ShapeError(f"{op}: bias shape {bias.shape} != {kernels.shape[:-3]}")
+    banks = kernels.data.reshape((-1,) + kernels.shape[-4:])
+    y, grads = _grouped_conv(input.data, banks, bias.data.reshape(banks.shape[:2]), padding)
+    out = Tensor._wrap(y)
+
+    def backward(g, acc):
+        dx, dk, db = grads(g)
+        acc(bias.id, db.reshape(bias.shape))
+        acc(kernels.id, dk.reshape(kernels.shape))
+        acc(input.id, dx)
+
+    return _record(out, (input, kernels, bias), backward)
 
 
 def conv2d(
@@ -578,29 +597,11 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    ``input`` is (C_in, H, W) or batched (B, C_in, H, W); ``kernels`` is
-    (C_out, C_in, k_h, k_w); ``bias`` is (C_out,).  The output spatial size
-    is H + 2*pad - k + 1.  This is the one-group case of the per-patch kernel.
+    ``input`` is (B, C_in, H, W); ``kernels`` is (C_out, C_in, k_h, k_w);
+    ``bias`` is (C_out,).  The output spatial size is H + 2*pad - k + 1.
+    This is the one-patch case of :func:`conv2d_per_patch`.
     """
-    batched = input.data.ndim == 4
-    x = input.data if batched else input.data[None]
-    if x.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d: bad ranks input {input.shape} kernels {kernels.shape}")
-    co, ci = kernels.shape[:2]
-    if x.shape[1] != ci:
-        raise ShapeError(f"conv2d: input channels {x.shape[1]} != kernel channels {ci}")
-    if bias.shape != (co,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({co},)")
-    y, grads = _grouped_conv(x[:, None], kernels.data[None], bias.data[None], padding)
-    out = Tensor._wrap(y[:, 0] if batched else y[0, 0])
-
-    def backward(g, acc):
-        dx, dk, db = grads(g[:, None] if batched else g[None, None])
-        acc(bias.id, db[0])
-        acc(kernels.id, dk[0])
-        acc(input.id, dx[:, 0] if batched else dx[0, 0])
-
-    return _record(out, (input, kernels, bias), backward)
+    return _conv("conv2d", input, kernels, bias, padding)
 
 
 def conv2d_per_patch(
@@ -611,85 +612,54 @@ def conv2d_per_patch(
 ) -> Tensor:
     """Stride-1 cross-correlation with an independent kernel bank per patch.
 
-    ``input`` is (P, C_in, h, w) or batched (B, P, C_in, h, w); ``kernels``
-    is (P, C_out, C_in, k_h, k_w); ``bias`` is (P, C_out).  Each of the P
-    patches is padded and convolved independently with its own bank.
+    ``input`` is a whole map (B, C_in, H, W); ``kernels`` is (P, C_out,
+    C_in, k_h, k_w) with P = g*g, and ``bias`` is (P, C_out).  The map is cut
+    into a g x g grid of H/g x W/g patches, numbered row-major; each patch is
+    zero-padded and convolved on its own with its bank, and the results are
+    pasted back in place: (B, C_out, H, W) at padding (k-1)/2.
     """
-    batched = input.data.ndim == 5
-    x = input.data if batched else input.data[None]
-    if x.ndim != 5 or kernels.data.ndim != 5 or x.shape[1:3] != (kernels.shape[0], kernels.shape[2]):
-        raise ShapeError(
-            f"conv2d_per_patch: input {input.shape} vs kernels {kernels.shape}"
-        )
-    p, co = kernels.shape[:2]
-    if bias.shape != (p, co):
-        raise ShapeError(f"conv2d_per_patch: bias shape {bias.shape} != ({p}, {co})")
-    y, grads = _grouped_conv(x, kernels.data, bias.data, padding)
-    out = Tensor._wrap(y if batched else y[0])
-
-    def backward(g, acc):
-        dx, dk, db = grads(g if batched else g[None])
-        acc(bias.id, db)
-        acc(kernels.id, dk)
-        acc(input.id, dx if batched else dx[0])
-
-    return _record(out, (input, kernels, bias), backward)
+    return _conv("conv2d_per_patch", input, kernels, bias, padding)
 
 
 def maxpool2d(input: Tensor) -> Tensor:
-    """Max over non-overlapping 2x2 fields.
+    """Max over non-overlapping 2x2 fields of a (B, C, H, W) batch.
 
     On ties the first cell in row-major order within the field receives the
     whole gradient.
     """
-    batched = input.data.ndim == 4
-    x = input.data if batched else input.data[None]
-    if x.ndim != 4:
+    if input.data.ndim != 4:
         raise ShapeError(f"maxpool2d: bad rank for shape {input.shape}")
-    b, c, h, w = x.shape
+    b, c, h, w = input.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: spatial dims ({h}, {w}) must be even")
-    fields = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    fields = input.data.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = fields.reshape(b, c, h // 2, w // 2, 4)
     argmax = flat.argmax(axis=-1)  # first max in row-major field order
-    y = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    out = Tensor._wrap(y if batched else y[0])
+    out = Tensor._wrap(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
 
     def backward(g, acc):
-        gb = g if batched else g[None]
         dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, argmax[..., None], gb[..., None], axis=-1)
+        np.put_along_axis(dflat, argmax[..., None], g[..., None], axis=-1)
         dx = (
             dflat.reshape(b, c, h // 2, w // 2, 2, 2)
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(b, c, h, w)
         )
-        acc(input.id, dx if batched else dx[0])
+        acc(input.id, dx)
 
     return _record(out, (input,), backward)
 
 
 def global_avg_pool(input: Tensor) -> Tensor:
-    """Mean over the spatial axes: (C, H, W) -> (C,) or (B, C, H, W) -> (B, C)."""
-    if input.data.ndim == 3:
-        c, h, w = input.shape
-        out = Tensor._wrap(input.data.mean(axis=(1, 2)))
-
-        def backward(g, acc):
-            acc(input.id, np.broadcast_to(g[:, None, None] / (h * w), (c, h, w)).copy())
-
-    elif input.data.ndim == 4:
-        b, c, h, w = input.shape
-        out = Tensor._wrap(input.data.mean(axis=(2, 3)))
-
-        def backward(g, acc):
-            acc(
-                input.id,
-                np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy(),
-            )
-
-    else:
+    """Mean over the spatial axes: (B, C, H, W) -> (B, C)."""
+    if input.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: bad rank for shape {input.shape}")
+    b, c, h, w = input.shape
+    out = Tensor._wrap(input.data.mean(axis=(2, 3)))
+
+    def backward(g, acc):
+        acc(input.id, np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy())
+
     return _record(out, (input,), backward)
 
 

@@ -172,8 +172,8 @@ class TestPerOpGradients:
             assert T.grad_check(fn, [T.Tensor(a), T.Tensor(b)]) < 1e-6
 
     def test_broadcast_mul_channelwise(self):
-        for c, h, w in [(2, 3, 3), (4, 2, 5), (1, 4, 4)]:
-            m, f = rand((h, w), 9), rand((c, h, w), 10)
+        for b, c, h, w in [(1, 2, 3, 3), (2, 4, 2, 5), (3, 1, 4, 4)]:
+            m, f = rand((b, h, w), 9), rand((b, c, h, w), 10)
 
             def fn(mm, ff):
                 return T.sum_all(T.broadcast_mul_channelwise(T.sigmoid(mm), ff))
@@ -213,9 +213,10 @@ class TestPerOpGradients:
         assert err < 1e-6
 
     def test_conv2d_per_patch(self):
-        x = rand((3, 2, 4, 4), 20)
-        k = rand((3, 2, 2, 3, 3), 21)
-        b = rand((3, 2), 22)
+        # a 2x2 grid of 4x4 patches over two 8x8 maps
+        x = rand((2, 2, 8, 8), 20)
+        k = rand((4, 2, 2, 3, 3), 21)
+        b = rand((4, 2), 22)
 
         def fn(xx, kk, bb):
             return T.sum_all(T.tanh(T.conv2d_per_patch(xx, kk, bb)))
@@ -223,8 +224,8 @@ class TestPerOpGradients:
         assert T.grad_check(fn, [T.Tensor(x), T.Tensor(k), T.Tensor(b)]) < 1e-6
 
     def test_maxpool_away_from_ties(self):
-        # random 3x8x8: continuous random values are tie-free a.s.
-        x = rand((3, 8, 8), 23)
+        # random 1x3x8x8: continuous random values are tie-free a.s.
+        x = rand((1, 3, 8, 8), 23)
 
         def fn(t):
             return T.sum_all(T.sigmoid(T.maxpool2d(t)))
@@ -232,7 +233,7 @@ class TestPerOpGradients:
         assert T.grad_check(fn, T.Tensor(x)) < 1e-6
 
     def test_global_avg_pool_gradient_is_uniform(self):
-        x = T.Tensor(rand((3, 4, 4), 24), requires_grad=True)
+        x = T.Tensor(rand((2, 3, 4, 4), 24), requires_grad=True)
         with T.Tape() as tape:
             tape.backward(T.sum_all(T.global_avg_pool(x)))
         assert np.allclose(tape.grad(x), 1.0 / 16.0, atol=0, rtol=0)
@@ -241,7 +242,7 @@ class TestPerOpGradients:
     def test_composite_network(self):
         # conv -> pool -> channel attention -> gap -> matmul head: one loss
         # through many op kinds at once.
-        x = rand((2, 8, 8), 25)
+        x = rand((1, 2, 8, 8), 25)
         k = rand((4, 2, 3, 3), 26)
         b = rand((4,), 27)
         w = rand((4, 1), 28)
@@ -249,10 +250,10 @@ class TestPerOpGradients:
         def fn(xx, kk, bb, ww):
             h = T.conv2d(xx, kk, bb, padding=(1, 1))
             h = T.maxpool2d(h)
-            gate = T.sigmoid(T.slice_axis(h, 0, 0, 1))
-            gated = T.broadcast_mul_channelwise(T.reshape(gate, (4, 4)), h)
+            gate = T.sigmoid(T.slice_axis(h, 1, 0, 1))
+            gated = T.broadcast_mul_channelwise(T.reshape(gate, (1, 4, 4)), h)
             pooled = T.global_avg_pool(gated)
-            logit = T.matmul(T.reshape(pooled, (1, 4)), ww)
+            logit = T.matmul(pooled, ww)
             return T.sum_all(T.sigmoid(logit))
 
         err = T.grad_check(fn, [T.Tensor(x), T.Tensor(k), T.Tensor(b), T.Tensor(w)])

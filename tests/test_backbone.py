@@ -19,42 +19,50 @@ def tiled_bank(kernels, bias, patches):
     return B.PatchConvParams(T.Tensor(k), T.Tensor(b))
 
 
+def identity_bank(patches, channels, scales=None):
+    """1x1 per-patch kernels that copy every channel, patch p scaled by scales[p]."""
+    scales = np.ones(patches) if scales is None else np.asarray(scales, dtype=float)
+    k = scales[:, None, None] * np.eye(channels)[None]
+    return T.Tensor(k[..., None, None]), T.Tensor.zeros((patches, channels))
+
+
 class TestPatchSplitting:
+    """conv2d_per_patch cuts its map into a row-major grid and pastes back."""
+
     def test_round_trip(self):
-        x = T.Tensor(rand((5, 16, 16)))
-        merged = B._merge_patches(B._split_patches(x, 4), 4)
-        assert np.array_equal(merged.data, x.data)
+        x = T.Tensor(rand((1, 5, 16, 16)))
+        out = T.conv2d_per_patch(x, *identity_bank(16, 5), padding=(0, 0))
+        assert np.array_equal(out.data, x.data)
 
     def test_round_trip_batched(self):
         x = T.Tensor(rand((2, 5, 8, 8)))
-        merged = B._merge_patches(B._split_patches(x, 2), 2)
-        assert np.array_equal(merged.data, x.data)
+        out = T.conv2d_per_patch(x, *identity_bank(4, 5), padding=(0, 0))
+        assert np.array_equal(out.data, x.data)
 
     def test_patch_contents_row_major(self):
-        x = np.arange(16.0).reshape(1, 4, 4)
-        patches = B._split_patches(T.Tensor(x), 2).data
-        assert np.array_equal(patches[0, 0], [[0, 1], [4, 5]])
-        assert np.array_equal(patches[1, 0], [[2, 3], [6, 7]])
-        assert np.array_equal(patches[2, 0], [[8, 9], [12, 13]])
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        kernels, bias = identity_bank(4, 1, scales=[1.0, 10.0, 100.0, 1000.0])
+        out = T.conv2d_per_patch(T.Tensor(x), kernels, bias, padding=(0, 0)).data[0, 0]
+        assert np.array_equal(out[:2, :2], [[0, 1], [4, 5]])            # patch 0
+        assert np.array_equal(out[:2, 2:], [[20, 30], [60, 70]])        # patch 1
+        assert np.array_equal(out[2:, :2], [[800, 900], [1200, 1300]])  # patch 2
+        assert np.array_equal(out[2:, 2:], 1000 * x[0, 0, 2:, 2:])      # patch 3
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
-            B._split_patches(T.Tensor(rand((1, 6, 6))), 4)
+            T.conv2d_per_patch(T.Tensor(rand((1, 1, 6, 6))), *identity_bank(16, 1), padding=(0, 0))
 
 
 class TestRegionLayerStage:
     def test_identical_kernels_match_full_map_conv_on_interiors(self):
         grid, size = 4, 16
-        x = T.Tensor(rand((3, size, size), seed=1))
+        x = T.Tensor(rand((1, 3, size, size), seed=1))
         kernels = rand((5, 3, 3, 3), seed=2)
         bias = rand((5,), seed=3)
 
         bank = tiled_bank(kernels, bias, grid * grid)
-        per_patch = B._merge_patches(
-            T.conv2d_per_patch(B._split_patches(x, grid), bank.kernels, bank.bias),
-            grid,
-        ).data
-        full = T.conv2d(x, T.Tensor(kernels), T.Tensor(bias), padding=(1, 1)).data
+        per_patch = T.conv2d_per_patch(x, bank.kernels, bank.bias).data[0]
+        full = T.conv2d(x, T.Tensor(kernels), T.Tensor(bias), padding=(1, 1)).data[0]
 
         patch = size // grid
         interior = np.zeros((size, size), dtype=bool)
@@ -70,16 +78,13 @@ class TestRegionLayerStage:
 
     def test_single_pixel_perturbation_stays_in_patch(self):
         grid, size = 4, 16
-        base = rand((2, size, size), seed=4)
+        base = rand((1, 2, size, size), seed=4)
         poked = base.copy()
-        poked[1, 5, 6] += 1.0  # inside patch cell (1, 1)
+        poked[0, 1, 5, 6] += 1.0  # inside patch cell (1, 1)
         bank = B.init_patch_conv(Xoshiro256pp(5), grid * grid, 2, 3, 3)
 
         def stage(x):
-            return B._merge_patches(
-                T.conv2d_per_patch(B._split_patches(T.Tensor(x), grid), bank.kernels, bank.bias),
-                grid,
-            ).data
+            return T.conv2d_per_patch(T.Tensor(x), bank.kernels, bank.bias).data[0]
 
         before, after = stage(base), stage(poked)
         patch = size // grid
@@ -92,8 +97,8 @@ class TestRegionLayerStage:
 class TestRegionLayer:
     def test_output_shape(self):
         layer = B.init_region_layer(Xoshiro256pp(6), 3, 8)
-        out = B.region_layer_forward(T.Tensor(rand((3, 16, 16))), layer)
-        assert out.shape == (8, 16, 16)
+        out = B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
+        assert out.shape == (1, 8, 16, 16)
 
     def test_zero_fusion_gives_zero_output(self):
         layer = B.init_region_layer(Xoshiro256pp(7), 3, 8)
@@ -101,7 +106,7 @@ class TestRegionLayer:
             T.Tensor.zeros(layer.fusion_conv.kernels.shape),
             T.Tensor.zeros(layer.fusion_conv.bias.shape),
         )
-        out = B.region_layer_forward(T.Tensor(rand((3, 16, 16))), layer)
+        out = B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
         assert not out.data.any()
 
     def test_batched_matches_per_frame(self):
@@ -109,8 +114,20 @@ class TestRegionLayer:
         frames = rand((3, 3, 16, 16), seed=9)
         batched = B.region_layer_forward(T.Tensor(frames), layer).data
         for i in range(3):
-            single = B.region_layer_forward(T.Tensor(frames[i]), layer).data
-            assert np.abs(batched[i] - single).max() < 1e-12
+            single = B.region_layer_forward(T.Tensor(frames[i : i + 1]), layer).data
+            assert np.abs(batched[i] - single[0]).max() < 1e-12
+
+    def test_unbatched_input_rejected(self):
+        layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
+        with pytest.raises(ShapeError):
+            B.region_layer_forward(T.Tensor(rand((3, 16, 16))), layer)
+
+    def test_one_node_per_patch_stage(self):
+        layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
+        with T.Tape() as tape:
+            B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
+        # input conv + tanh, three (per-patch conv + tanh), concat, fusion conv + tanh
+        assert len(tape._nodes) == 2 + 3 * 2 + 1 + 2
 
 
 class TestBackbone:
@@ -143,6 +160,24 @@ class TestBackbone:
         out = B.backbone_forward(T.Tensor(rand((3, 48, 48))), params)
         assert out.shape == (8, 12, 12)
 
+    def test_unbatched_frame_equals_batch_of_one(self):
+        params = B.init_backbone(Xoshiro256pp(15), c=1)
+        frame = rand((3, 32, 32), seed=16)
+        x1 = T.Tensor(frame, requires_grad=True)
+        xb = T.Tensor(frame[None], requires_grad=True)
+        with T.Tape() as single_tape:
+            single = B.backbone_forward(x1, params)
+            single_tape.backward(T.sum_all(T.tanh(single)))
+        with T.Tape() as batch_tape:
+            batched = B.backbone_forward(xb, params)
+            batch_tape.backward(T.sum_all(T.tanh(batched)))
+        assert single.data.tobytes() == batched.data[0].tobytes()
+        assert single_tape.grad(x1).tobytes() == batch_tape.grad(xb)[0].tobytes()
+        for name, tensor in B.backbone_entries(params):
+            assert single_tape.grad(tensor).tobytes() == batch_tape.grad(tensor).tobytes(), name
+        # the batch axis goes on and comes off with one reshape each
+        assert len(single_tape._nodes) == len(batch_tape._nodes) + 2
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_resolves(self, name):
         hp = resolve(name)
@@ -161,9 +196,8 @@ class TestBackbone:
 
 
 class TestAttentionBranch:
-    def make_feat(self, c=2, batch=None, seed=20):
-        shape = (8 * c, 8, 8) if batch is None else (batch, 8 * c, 8, 8)
-        return T.Tensor(rand(shape, seed=seed))
+    def make_feat(self, c=2, batch=1, seed=20):
+        return T.Tensor(rand((batch, 8 * c, 8, 8), seed=seed))
 
     def test_zero_att_conv_gives_half_maps(self):
         branch = B.init_attention_branch(Xoshiro256pp(21), c=2)
@@ -172,21 +206,21 @@ class TestAttentionBranch:
             T.Tensor.zeros(branch.att_conv.bias.shape),
         )
         m, _, _ = B.attention_branch_forward(self.make_feat(), branch)
-        assert np.array_equal(m.data, np.full((8, 8), 0.5))
+        assert np.array_equal(m.data, np.full((1, 8, 8), 0.5))
 
     def test_zero_feature_map_isolates_biases(self):
         branch = B.init_attention_branch(Xoshiro256pp(22), c=2)
-        feat = T.Tensor.zeros((16, 8, 8))
+        feat = T.Tensor.zeros((1, 16, 8, 8))
         m, f0, _ = B.attention_branch_forward(feat, branch)
         # att bias is zero -> M is exactly 0.5; weighted input is zero, so
         # f0 collapses to the feat_conv bias.
-        assert np.array_equal(m.data, np.full((8, 8), 0.5))
-        assert np.abs(f0.data - branch.feat_conv.bias.data).max() < 1e-15
+        assert np.array_equal(m.data, np.full((1, 8, 8), 0.5))
+        assert np.abs(f0.data[0] - branch.feat_conv.bias.data).max() < 1e-15
 
     def test_outputs_in_open_unit_interval(self):
         branch = B.init_attention_branch(Xoshiro256pp(23), c=2)
         m, f0, p0 = B.attention_branch_forward(self.make_feat(seed=24), branch)
-        assert m.shape == (8, 8) and f0.shape == (16,) and p0.shape == ()
+        assert m.shape == (1, 8, 8) and f0.shape == (1, 16) and p0.shape == (1,)
         assert 0.0 < m.data.min() and m.data.max() < 1.0
         assert 0.0 < p0.item() < 1.0
 
@@ -196,14 +230,19 @@ class TestAttentionBranch:
         m_b, f_b, p_b = B.attention_branch_forward(feat, branch)
         assert m_b.shape == (3, 8, 8) and f_b.shape == (3, 16) and p_b.shape == (3,)
         for i in range(3):
-            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[i]), branch)
-            assert np.abs(m_b.data[i] - m.data).max() < 1e-12
-            assert np.abs(f_b.data[i] - f0.data).max() < 1e-12
+            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[i : i + 1]), branch)
+            assert np.abs(m_b.data[i] - m.data[0]).max() < 1e-12
+            assert np.abs(f_b.data[i] - f0.data[0]).max() < 1e-12
             assert abs(p_b.data[i] - p0.item()) < 1e-12
+
+    def test_unbatched_input_rejected(self):
+        branch = B.init_attention_branch(Xoshiro256pp(25), c=2)
+        with pytest.raises(ShapeError):
+            B.attention_branch_forward(T.Tensor(rand((16, 8, 8))), branch)
 
     def test_gradient_matches_finite_differences(self):
         branch = B.init_attention_branch(Xoshiro256pp(27), c=1)
-        feat = rand((8, 8, 8), seed=28)
+        feat = rand((1, 8, 8, 8), seed=28)
 
         def f(kernels):
             probe = B.AttentionBranchParams(
@@ -213,7 +252,7 @@ class TestAttentionBranch:
                 head_bias=branch.head_bias,
             )
             _, _, p0 = B.attention_branch_forward(T.Tensor(feat), probe)
-            return p0
+            return T.reshape(p0, ())
 
         err = T.grad_check(f, [branch.att_conv.kernels], max_coords=20, seed=1)
         assert err < 1e-6

@@ -97,24 +97,6 @@ class TestDetectionLoss:
         assert err < 1e-6
 
 
-class TestRegularizer:
-    def test_extremes(self):
-        assert losses.attention_regularizer(T.Tensor.zeros((4, 4))).item() == 0.0
-        assert losses.attention_regularizer(T.Tensor.ones((4, 4))).item() == 1.0
-
-    def test_quarter(self):
-        m = T.Tensor([[1.0, 0.0], [0.0, 0.0]])
-        assert losses.attention_regularizer(m).item() == 0.25
-
-    def test_strictly_increasing_in_any_entry(self):
-        base = np.full((3, 3), 0.5)
-        bumped = base.copy()
-        bumped[1, 2] += 0.01
-        low = losses.attention_regularizer(T.Tensor(base)).item()
-        high = losses.attention_regularizer(T.Tensor(bumped)).item()
-        assert high > low
-
-
 class TestStageLoss:
     def setup_method(self):
         rng = np.random.default_rng(4)

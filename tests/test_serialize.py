@@ -1,8 +1,27 @@
+import struct
+
 import numpy as np
 import pytest
 
-from aukit import serialize
+from aukit import cli, serialize
 from aukit.errors import FormatError, IoError
+
+#: Headers whose element count the file cannot hold: 8 * count overflows an
+#: index (four dims of 2**32 - 1) or asks for 8 TiB (2**20 x 2**20).
+OVERSIZED_DIMS = [[2**32 - 1] * 4, [2**20, 2**20]]
+
+
+def tensor_header(dims):
+    return b"STNT" + bytes((1, 1)) + struct.pack("<I", len(dims)) + b"".join(
+        struct.pack("<I", d) for d in dims
+    )
+
+
+def oversized_checkpoint(dims):
+    """A 60-byte checkpoint whose one entry claims ``dims``."""
+    raw = b"STCK" + bytes((1,)) + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+    raw += tensor_header(dims)
+    return raw + b"\0" * (60 - len(raw))
 
 
 def rand(shape, seed=0):
@@ -59,6 +78,15 @@ class TestTensorContainer:
         with pytest.raises(IoError):
             serialize.load_tensor(tmp_path / "absent.stnt")
 
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS)
+    def test_header_count_beyond_file_rejected(self, tmp_path, dims):
+        path = tmp_path / "t.stnt"
+        header = tensor_header(dims)
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(FormatError, match=r"payload \(16 of \d+ bytes\)") as err:
+            serialize.load_tensor(path)
+        assert err.value.offset == len(header)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -97,6 +125,33 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(FormatError, match="end of file"):
             serialize.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS)
+    def test_header_count_beyond_file_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.stck"
+        path.write_bytes(oversized_checkpoint(dims))
+        with pytest.raises(FormatError, match="end of file") as err:
+            serialize.load_checkpoint(path)
+        assert err.value.offset == 14 + len(tensor_header(dims))
+
+    def test_name_length_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "model.stck"
+        path.write_bytes(b"STCK" + bytes((1,)) + struct.pack("<I", 1)
+                         + struct.pack("<I", 2**32 - 1) + b"w" * 20)
+        with pytest.raises(FormatError, match=r"name of entry 0 \(20 of") as err:
+            serialize.load_checkpoint(path)
+        assert err.value.offset == 13
+
+    @pytest.mark.parametrize("dims", OVERSIZED_DIMS)
+    def test_cli_exits_2_on_oversized_header(self, tmp_path, capsys, dims):
+        path = tmp_path / "bad.stck"
+        path.write_bytes(oversized_checkpoint(dims))
+        frames = tmp_path / "frames.stnt"
+        serialize.save_tensor(frames, np.zeros((1, 3, 32, 32)))
+        code = cli.main(["infer", "--ckpt", str(path), "--frames", str(frames),
+                         "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "end of file" in capsys.readouterr().err
 
     def test_empty_checkpoint(self, tmp_path):
         path = tmp_path / "model.stck"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +105,36 @@ class TestLayerForward:
         layer = S.init_stgcn_layer(Xoshiro256pp(10), c=1, m=3, t_k=t_k)
         out = S.gst_layer_forward(T.Tensor(rand((8, t, 3), seed=11)), graph, layer)
         assert out.shape == (8, t, 3)
+
+    def test_unbatched_adds_only_two_reshapes(self, monkeypatch):
+        # One sequence (8c, t, m) runs as a batch of one: the same ops and
+        # bytes as the batched call, plus one reshape on entry and one on exit.
+        graph = toy_graph()
+        layer = S.init_stgcn_layer(Xoshiro256pp(14), c=1, m=3, t_k=3)
+        layer.phi2_kernels = T.Tensor(rand((8, 8, 3, 1), seed=15), requires_grad=True)
+        f_in = rand((8, 4, 3), seed=16)
+        calls = Counter()
+        traced_fns = [(T, name) for name in dir(T) if not name.startswith("_")]
+        for module, name in traced_fns + [(S, "gst_layer_forward")]:
+            fn = getattr(module, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+
+        def traced(x):
+            calls.clear()
+            with T.Tape() as tape:
+                out = S.gst_layer_forward(T.Tensor(x, requires_grad=True), graph, layer)
+            return out.data, Counter(calls), len(tape._nodes)
+
+        out_1, calls_1, nodes_1 = traced(f_in)
+        out_b, calls_b, nodes_b = traced(f_in[None])
+        assert out_1.tobytes() == out_b[0].tobytes()
+        assert calls_1["gst_layer_forward"] == 1  # no recursion into a batched call
+        assert calls_1 - calls_b == Counter(reshape=2) and not calls_b - calls_1
+        assert nodes_1 == nodes_b + 2
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,8 @@ Expected values here are either counted by hand or checked against plain
 numpy on inputs small enough to audit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,32 +121,32 @@ class TestStructural:
 
 class TestBroadcastMulChannelwise:
     def test_ones_map_is_identity(self):
-        feat = T.Tensor(rand((4, 3, 3)))
-        ones = T.Tensor.ones((3, 3))
+        feat = T.Tensor(rand((2, 4, 3, 3)))
+        ones = T.Tensor.ones((2, 3, 3))
         assert np.array_equal(T.broadcast_mul_channelwise(ones, feat).data, feat.data)
 
     def test_scales_every_channel(self):
-        feat = T.Tensor(np.ones((2, 2, 2)))
-        m = T.Tensor([[0.5, 1.0], [2.0, 0.0]])
+        feat = T.Tensor(np.ones((1, 2, 2, 2)))
+        m = T.Tensor([[[0.5, 1.0], [2.0, 0.0]]])
         out = T.broadcast_mul_channelwise(m, feat).data
         for c in range(2):
-            assert np.array_equal(out[c], m.data)
+            assert np.array_equal(out[0, c], m.data[0])
 
 
 class TestConv2d:
     def test_overlap_counting_all_ones(self):
         # 3x3 all-ones input and kernel, pad 1: center sees the full 3x3
         # overlap (9 ones), corners see a 2x2 overlap (4 ones).
-        x = T.Tensor(np.ones((1, 3, 3)))
+        x = T.Tensor(np.ones((1, 1, 3, 3)))
         k = T.Tensor(np.ones((1, 1, 3, 3)))
         b = T.Tensor.zeros((1,))
-        y = T.conv2d(x, k, b, padding=(1, 1)).data[0]
+        y = T.conv2d(x, k, b, padding=(1, 1)).data[0, 0]
         assert y[1, 1] == 9.0
         assert y[0, 0] == 4.0 and y[2, 2] == 4.0
         assert y[0, 1] == 6.0
 
     def test_identity_kernel(self):
-        x = T.Tensor(rand((3, 5, 5)))
+        x = T.Tensor(rand((1, 3, 5, 5)))
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
@@ -152,14 +154,14 @@ class TestConv2d:
         assert np.array_equal(y.data, x.data)
 
     def test_kernel_larger_than_input(self):
-        x = T.Tensor(rand((1, 2, 2)))
+        x = T.Tensor(rand((1, 1, 2, 2)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d(x, k, T.Tensor.zeros((1,)))
 
     @pytest.mark.parametrize("padding", [(3, 0), (0, 3), (-1, 0), (0, -1)])
     def test_padding_outside_kernel_rejected(self, padding):
-        x = T.Tensor(rand((1, 8, 8)))
+        x = T.Tensor(rand((1, 1, 8, 8)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d(x, k, T.Tensor.zeros((1,)), padding=padding)
@@ -170,14 +172,14 @@ class TestConv2d:
         b = T.Tensor(rand((3,), seed=2))
         batched = T.conv2d(T.Tensor(xs), k, b, padding=(1, 1)).data
         for i in range(4):
-            single = T.conv2d(T.Tensor(xs[i]), k, b, padding=(1, 1)).data
-            assert np.abs(batched[i] - single).max() < 1e-12
+            single = T.conv2d(T.Tensor(xs[i : i + 1]), k, b, padding=(1, 1)).data
+            assert np.abs(batched[i] - single[0]).max() < 1e-12
 
     def test_linearity(self):
         k = T.Tensor(rand((2, 3, 3, 3), seed=4))
         zero_b = T.Tensor.zeros((2,))
-        x = rand((3, 6, 6), seed=5)
-        y = rand((3, 6, 6), seed=6)
+        x = rand((1, 3, 6, 6), seed=5)
+        y = rand((1, 3, 6, 6), seed=6)
         lhs = T.conv2d(T.Tensor(2.5 * x - 1.5 * y), k, zero_b, padding=(1, 1)).data
         rhs = 2.5 * T.conv2d(T.Tensor(x), k, zero_b, padding=(1, 1)).data - 1.5 * T.conv2d(
             T.Tensor(y), k, zero_b, padding=(1, 1)
@@ -187,36 +189,84 @@ class TestConv2d:
 
 class TestConv2dPerPatch:
     def test_matches_independent_conv_calls(self):
-        p, ci, co = 4, 2, 3
-        x = rand((p, ci, 4, 4))
+        grid, ci, co, size = 2, 2, 3, 4
+        p = grid * grid
+        x = rand((2, ci, grid * size, grid * size))
         k = rand((p, co, ci, 3, 3), seed=1)
         b = rand((p, co), seed=2)
-        up = rand((p, co, 4, 4), seed=3)  # upstream gradient of a linear loss
+        up = rand((2, co, grid * size, grid * size), seed=3)  # upstream gradient
         xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
         with T.Tape() as tape:
             got = T.conv2d_per_patch(xs, ks, bs)
             tape.backward(T.sum_all(T.mul(got, T.Tensor(up))))
         for i in range(p):
-            xi, ki, bi = (T.Tensor(a[i], requires_grad=True) for a in (x, k, b))
+            cell = (slice(None), slice(None),
+                    slice(i // grid * size, (i // grid + 1) * size),
+                    slice(i % grid * size, (i % grid + 1) * size))
+            xi, ki, bi = (T.Tensor(a, requires_grad=True) for a in (x[cell], k[i], b[i]))
             with T.Tape() as single_tape:
                 single = T.conv2d(xi, ki, bi, padding=(1, 1))
-                single_tape.backward(T.sum_all(T.mul(single, T.Tensor(up[i]))))
-            assert np.abs(got.data[i] - single.data).max() < 1e-12
-            for whole, part in ((xs, xi), (ks, ki), (bs, bi)):
-                diff = tape.grad(whole)[i] - single_tape.grad(part)
-                assert np.abs(diff).max() < 1e-12
+                single_tape.backward(T.sum_all(T.mul(single, T.Tensor(up[cell]))))
+            assert np.abs(got.data[cell] - single.data).max() < 1e-12
+            pairs = ((tape.grad(xs)[cell], xi), (tape.grad(ks)[i], ki), (tape.grad(bs)[i], bi))
+            for whole, part in pairs:
+                assert np.abs(whole - single_tape.grad(part)).max() < 1e-12
 
     def test_kernel_rank_rejected(self):
-        x = T.Tensor(rand((2, 3, 4, 4)))
+        x = T.Tensor(rand((1, 3, 4, 4)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor.zeros((2, 3)))
 
-
     def test_padding_outside_kernel_rejected(self):
-        x = T.Tensor(rand((2, 3, 4, 4)))
-        k = T.Tensor(rand((2, 3, 3, 1, 1)))
+        x = T.Tensor(rand((1, 3, 4, 4)))
+        k = T.Tensor(rand((4, 3, 3, 1, 1)))
         with pytest.raises(ShapeError):  # a 1x1 kernel admits no padding
-            T.conv2d_per_patch(x, k, T.Tensor.zeros((2, 3)))
+            T.conv2d_per_patch(x, k, T.Tensor.zeros((4, 3)))
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_patch_count_not_square_rejected(self, p):
+        x = T.Tensor(rand((1, 2, 24, 24)))
+        k = T.Tensor(rand((p, 3, 2, 3, 3)))
+        with pytest.raises(ShapeError):
+            T.conv2d_per_patch(x, k, T.Tensor.zeros((p, 3)))
+
+    @pytest.mark.parametrize("h, w", [(6, 8), (8, 6), (6, 6)])
+    def test_map_not_divisible_by_grid_rejected(self, h, w):
+        x = T.Tensor(rand((1, 2, h, w)))
+        k = T.Tensor(rand((16, 3, 2, 1, 1)))
+        with pytest.raises(ShapeError):
+            T.conv2d_per_patch(x, k, T.Tensor.zeros((16, 3)), padding=(0, 0))
+
+    def test_bias_shape_rejected(self):
+        x = T.Tensor(rand((1, 2, 4, 4)))
+        k = T.Tensor(rand((4, 3, 2, 3, 3)))
+        with pytest.raises(ShapeError):
+            T.conv2d_per_patch(x, k, T.Tensor.zeros((3,)))
+
+
+class TestBatchOnly:
+    """The convolution, pooling and gating ops take a leading batch axis only."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: T.conv2d(x, T.Tensor(rand((3, 2, 3, 3))), T.Tensor.zeros((3,))),
+            lambda x: T.conv2d_per_patch(x, T.Tensor(rand((4, 3, 2, 3, 3))), T.Tensor.zeros((4, 3))),
+            T.maxpool2d,
+            T.global_avg_pool,
+            lambda x: T.broadcast_mul_channelwise(T.Tensor.ones((4, 4)), x),
+        ],
+        ids=["conv2d", "conv2d_per_patch", "maxpool2d", "global_avg_pool",
+             "broadcast_mul_channelwise"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 1, 2, 4, 4)])
+    def test_other_ranks_rejected(self, call, shape):
+        with pytest.raises(ShapeError):
+            call(T.Tensor(rand(shape)))
+
+    def test_channelwise_map_needs_batch_axis(self):
+        with pytest.raises(ShapeError):
+            T.broadcast_mul_channelwise(T.Tensor.ones((4, 4)), T.Tensor(rand((1, 2, 4, 4))))
 
 
 def reference_conv(x, k, b, padding, up):
@@ -242,8 +292,23 @@ def reference_conv(x, k, b, padding, up):
     return y, dxp[..., ph:ph + h, pw:pw + w], dk, up.sum(axis=(0, 3, 4))
 
 
+def paste(patches, grid):
+    """(B, P, C, h, w) patches -> the (B, C, grid*h, grid*w) map they tile, row-major."""
+    bsz, _, c, h, w = patches.shape
+    out = np.zeros((bsz, c, grid * h, grid * w))
+    for i in range(grid):
+        for j in range(grid):
+            out[:, :, i * h:(i + 1) * h, j * w:(j + 1) * w] = patches[:, i * grid + j]
+    return out
+
+
 class TestConvOracle:
-    """Both public convolutions against the direct-loop reference."""
+    """Both public convolutions against the direct-loop reference.
+
+    Patches are 5x6, so every map is non-square: 5x6 at P = 1, 10x12 at
+    P = 4 and 20x24 at P = 16.  ``batch=None`` is the unbatched form, which
+    the ops reject.
+    """
 
     @pytest.mark.parametrize(
         "kernel, padding",
@@ -251,7 +316,9 @@ class TestConvOracle:
     )
     @pytest.mark.parametrize("batch", [None, 1, 3])
     @pytest.mark.parametrize(
-        "op, p", [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4)]
+        "op, p",
+        [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4),
+         ("conv2d_per_patch", 16)],
     )
     def test_values_and_gradients(self, kernel, padding, batch, op, p):
         ci, co, h, w = 2, 3, 5, 6
@@ -261,55 +328,56 @@ class TestConvOracle:
         b = rand((p, co), seed=2)
         oh, ow = h + 2 * padding[0] - kernel[0] + 1, w + 2 * padding[1] - kernel[1] + 1
         up = rand((bsz, p, co, oh, ow), seed=3)
-        want = reference_conv(x, k, b, padding, up)
+        y, dx, dk, db = reference_conv(x, k, b, padding, up)
 
-        # Map the grouped layout onto the op's own: conv2d drops P, and the
-        # unbatched forms drop B.
+        # The ops take whole maps: paste the reference's patches into them.
+        grid = math.isqrt(p)
+        x, up, y, dx = (paste(a, grid) for a in (x, up, y, dx))
         if op == "conv2d":
-            x, k, b, up = x[:, 0], k[0], b[0], up[:, 0]
-            want = (want[0][:, 0], want[1][:, 0], want[2][0], want[3][0])
+            k, b, dk, db = k[0], b[0], dk[0], db[0]
         if batch is None:
-            x, up = x[0], up[0]
-            want = (want[0][0], want[1][0]) + want[2:]
+            with pytest.raises(ShapeError):
+                getattr(T, op)(T.Tensor(x[0]), T.Tensor(k), T.Tensor(b), padding=padding)
+            return
         xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
         with T.Tape() as tape:
-            y = getattr(T, op)(xs, ks, bs, padding=padding)
-            tape.backward(T.sum_all(T.mul(y, T.Tensor(up))))
-        got = (y.data, tape.grad(xs), tape.grad(ks), tape.grad(bs))
-        for g, expected in zip(got, want):
+            out = getattr(T, op)(xs, ks, bs, padding=padding)
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(up))))
+        got = (out.data, tape.grad(xs), tape.grad(ks), tape.grad(bs))
+        for g, expected in zip(got, (y, dx, dk, db)):
             assert g.shape == expected.shape
             assert np.abs(g - expected).max() < 1e-12
 
 
 class TestMaxPool:
     def test_two_by_two(self):
-        y = T.maxpool2d(T.Tensor([[[1.0, 2.0], [3.0, 4.0]]]))
-        assert y.data.tolist() == [[[4.0]]]
+        y = T.maxpool2d(T.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        assert y.data.tolist() == [[[[4.0]]]]
 
     def test_constant_input_tie_gradient_goes_to_first_cell(self):
-        x = T.Tensor(np.ones((1, 4, 4)), requires_grad=True)
+        x = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
         with T.Tape() as tape:
             y = T.maxpool2d(x)
             loss = T.sum_all(y)
             tape.backward(loss)
         g = tape.grad(x)
-        expected = np.zeros((1, 4, 4))
-        expected[0, ::2, ::2] = 1.0  # first element of each 2x2 field
+        expected = np.zeros((1, 1, 4, 4))
+        expected[0, 0, ::2, ::2] = 1.0  # first element of each 2x2 field
         assert np.array_equal(g, expected)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            T.maxpool2d(T.Tensor(rand((1, 3, 4))))
+            T.maxpool2d(T.Tensor(rand((1, 1, 3, 4))))
 
 
 class TestGlobalAvgPool:
     def test_all_ones(self):
-        y = T.global_avg_pool(T.Tensor(np.ones((4, 2, 2))))
-        assert np.array_equal(y.data, np.ones(4))
+        y = T.global_avg_pool(T.Tensor(np.ones((1, 4, 2, 2))))
+        assert np.array_equal(y.data, np.ones((1, 4)))
 
     def test_channel_mean(self):
-        y = T.global_avg_pool(T.Tensor([[[0.0, 2.0], [4.0, 6.0]]]))
-        assert y.data.tolist() == [3.0]
+        y = T.global_avg_pool(T.Tensor([[[[0.0, 2.0], [4.0, 6.0]]]]))
+        assert y.data.tolist() == [[3.0]]
 
 
 class TestPurity:
