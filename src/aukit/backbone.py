@@ -17,12 +17,17 @@ with one reshape each.
 On top of the shared feature map, one attention branch per label
 produces a sigmoid attention map, multiplies it into every channel,
 and reduces the result to a feature vector and an initial probability.
+The m branches run as one pass: one ``conv2d`` with m output maps gives
+all attention logits, and each branch's feature is the spatial mean of a
+3x3 convolution of its gated map, which ``attention_pool`` computes as
+the kernels applied to masked window sums, without the convolution's
+output map.  Heads are applied together with ``per_node_head``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -169,26 +174,33 @@ def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
 
 
 def attention_branch_forward(
-    feat: T.Tensor, branch: AttentionBranchParams
+    feat: T.Tensor, branches: Sequence[AttentionBranchParams]
 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """One label's attention pass over a batch of feature maps (b, 8c, h, w).
+    """All m attention branches in one pass over feature maps (b, 8c, h, w).
 
-    Returns attention maps M (b, h, w), pooled features f0 (b, 8c) and
-    initial probabilities (b,).
+    Returns attention maps M (b, m, h, w), pooled features f0 (b, m, 8c)
+    and initial probabilities (b, m).  The branches' parameters are joined
+    by ``concat`` nodes, so each branch entry still gets its own gradient.
     """
-    logits = T.conv2d(feat, branch.att_conv.kernels, branch.att_conv.bias, padding=(1, 1))
-    b = feat.shape[0]
-    m = T.reshape(T.sigmoid(logits), (b,) + feat.shape[2:])
-    weighted = T.broadcast_mul_channelwise(m, feat)
-    refined = T.conv2d(
-        weighted, branch.feat_conv.kernels, branch.feat_conv.bias, padding=(1, 1)
+    if len(feat.shape) != 4:
+        raise ShapeError(f"expected a batch of feature maps, got shape {feat.shape}")
+    m, ch = len(branches), feat.shape[1]
+    att_kernels = T.concat([br.att_conv.kernels for br in branches], axis=0)
+    att_bias = T.concat([br.att_conv.bias for br in branches], axis=0)
+    maps = T.sigmoid(T.conv2d(feat, att_kernels, att_bias, padding=(1, 1)))
+    feat_kernels = T.concat([br.feat_conv.kernels for br in branches], axis=0)
+    feat_bias = T.concat([br.feat_conv.bias for br in branches], axis=0)
+    f0 = T.attention_pool(
+        maps,
+        feat,
+        T.reshape(feat_kernels, (m, ch) + feat_kernels.shape[1:]),
+        T.reshape(feat_bias, (m, ch)),
+        padding=(1, 1),
     )
-    f0 = T.global_avg_pool(refined)
-    logit = T.bias_add_row(
-        T.matmul(f0, T.transpose(branch.head_weight, (1, 0))), branch.head_bias
-    )
-    p0 = T.sigmoid(T.reshape(logit, (b,)))
-    return m, f0, p0
+    head_weight = T.concat([br.head_weight for br in branches], axis=0)  # (m, 8c)
+    head_bias = T.concat([br.head_bias for br in branches], axis=0)      # (m,)
+    logits = T.per_node_head(T.transpose(f0, (2, 0, 1)), head_weight, head_bias)
+    return maps, f0, T.sigmoid(logits)
 
 
 def attention_stage_forward(
@@ -202,19 +214,7 @@ def attention_stage_forward(
     """
     if len(frames.shape) != 4:
         raise ShapeError(f"expected a batch of frames, got shape {frames.shape}")
-    feat = backbone_forward(frames, backbone)
-    b = feat.shape[0]
-    maps, feats, probs = [], [], []
-    for branch in branches:
-        m, f0, p0 = attention_branch_forward(feat, branch)
-        maps.append(T.reshape(m, (b, 1) + m.shape[1:]))
-        feats.append(T.reshape(f0, (b, 1, f0.shape[1])))
-        probs.append(T.reshape(p0, (b, 1)))
-    return (
-        T.concat(maps, axis=1),
-        T.concat(feats, axis=1),
-        T.concat(probs, axis=1),
-    )
+    return attention_branch_forward(backbone_forward(frames, backbone), branches)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import (
+    GRIDS,
     attention_stage_forward,
     backbone_entries,
     backbone_from,
@@ -32,6 +33,7 @@ from .graph import RelationGraph, graph_from_pcc
 from .rng import Xoshiro256pp, derive_seed
 from .serialize import load_checkpoint, save_checkpoint
 from .stgcn import (
+    PARTITIONS,
     head_entries,
     head_from,
     init_head,
@@ -79,8 +81,27 @@ def save_model(path, entries: Entries) -> None:
 
 
 def load_model(path) -> Entries:
+    """Read a checkpoint and check it against the architecture it implies.
+
+    Every entry that the sizes from ``model_dims`` call for must be present
+    with its shape, and no other entry may be, apart from ``graph.*``
+    constants (checked by ``extract_graph``); anything else is a FormatError
+    naming the entry.
+    """
     arrays = load_checkpoint(path)
-    return {name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+    entries = {name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+    expected = entry_shapes(model_dims(entries))
+    for name in entries:
+        if name not in expected and not name.startswith(GRAPH_PREFIX):
+            raise FormatError(f"checkpoint holds unknown entry {name!r}")
+    for name, shape in expected.items():
+        if name not in entries:
+            raise FormatError(f"checkpoint lacks entry {name!r}")
+        if entries[name].shape != shape:
+            raise FormatError(
+                f"checkpoint entry {name!r} has shape {entries[name].shape}, expected {shape}"
+            )
+    return entries
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,8 @@ def model_dims(entries: Entries) -> ModelDims:
     key = "backbone.layer1.input.kernels"
     if key not in entries:
         raise FormatError(f"checkpoint lacks entry {key!r}")
+    if len(entries[key].shape) != 4:
+        raise FormatError(f"checkpoint entry {key!r} has shape {entries[key].shape}")
     out_ch = entries[key].shape[0]
     if out_ch % 4:
         raise FormatError(f"first-layer channel count {out_ch} is not 4*c")
@@ -110,8 +133,51 @@ def model_dims(entries: Entries) -> ModelDims:
     depth = 0
     while f"gst.{depth + 1}.phi2.kernels" in entries:
         depth += 1
-    t_k = entries["gst.1.phi2.kernels"].shape[2] if depth else None
+    t_k = None
+    if depth:
+        shape = entries["gst.1.phi2.kernels"].shape
+        if len(shape) != 4:
+            raise FormatError(f"checkpoint entry 'gst.1.phi2.kernels' has shape {shape}")
+        t_k = shape[2]
     return ModelDims(c=c, m=m, depth=depth, t_k=t_k)
+
+
+def entry_shapes(dims: ModelDims) -> Dict[str, tuple]:
+    """Name -> shape of every parameter entry of a model of these sizes.
+
+    Derived from the sizes alone, in ``init_attention_entries`` and
+    ``init_relation_entries`` order; graph constants are not included.
+    """
+    ch = 8 * dims.c
+    shapes: Dict[str, tuple] = {}
+    for layer, in_ch, out_ch in ((1, 3, 4 * dims.c), (2, 4 * dims.c, ch)):
+        prefix = f"backbone.layer{layer}"
+        shapes[f"{prefix}.input.kernels"] = (out_ch, in_ch, 3, 3)
+        shapes[f"{prefix}.input.bias"] = (out_ch,)
+        for s, grid in enumerate(GRIDS, start=1):
+            shapes[f"{prefix}.stage{s}.kernels"] = (grid * grid, out_ch, out_ch, 3, 3)
+            shapes[f"{prefix}.stage{s}.bias"] = (grid * grid, out_ch)
+        shapes[f"{prefix}.fusion.kernels"] = (out_ch, 3 * out_ch, 1, 1)
+        shapes[f"{prefix}.fusion.bias"] = (out_ch,)
+    for j in range(1, dims.m + 1):
+        shapes[f"branch.{j}.att.kernels"] = (1, ch, 3, 3)
+        shapes[f"branch.{j}.att.bias"] = (1,)
+        shapes[f"branch.{j}.feat.kernels"] = (ch, ch, 3, 3)
+        shapes[f"branch.{j}.feat.bias"] = (ch,)
+        shapes[f"branch.{j}.head.weight"] = (1, ch)
+        shapes[f"branch.{j}.head.bias"] = (1,)
+    for i in range(1, dims.depth + 1):
+        for q in range(1, PARTITIONS + 1):
+            shapes[f"gst.{i}.edge.{q}"] = (dims.m, dims.m)
+        for q in range(1, PARTITIONS + 1):
+            shapes[f"gst.{i}.phi1.{q}.kernels"] = (ch, ch, 1, 1)
+            shapes[f"gst.{i}.phi1.{q}.bias"] = (ch,)
+        shapes[f"gst.{i}.phi2.kernels"] = (ch, ch, dims.t_k, 1)
+        shapes[f"gst.{i}.phi2.bias"] = (ch,)
+    for j in range(1, dims.m + 1 if dims.depth else 1):
+        shapes[f"head.{j}.weight"] = (ch,)
+        shapes[f"head.{j}.bias"] = (1,)
+    return shapes
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,11 @@ class Tape:
         return self.gradients.get(tensor.id)
 
 
+def _tracked(tape: "Tape | None", tensor: Tensor) -> bool:
+    """Whether gradients can flow to ``tensor`` on ``tape``."""
+    return tape is not None and (tensor.requires_grad or tensor.id in tape._watched)
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     """Record ``out = op(inputs)`` on the active tape if gradients can flow.
 
@@ -184,8 +189,7 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor
     tape = _active_tape()
     if tape is None:
         return out
-    tracked = any(t.requires_grad or t.id in tape._watched for t in inputs)
-    if tracked:
+    if any(_tracked(tape, t) for t in inputs):
         tape._watched.add(out.id)
         tape._nodes.append(_Node(out.id, backward))
     return out
@@ -521,10 +525,11 @@ def _grouped_conv(
     ``x`` is (B, C_in, H, W), cut row-major into P = g*g patches of H/g x W/g;
     ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out) or None.
     Each patch is zero-padded on its own.  Returns the (B, C_out, g*oh, g*ow)
-    map of patch outputs pasted back in place, and ``backward(g) -> (dx,
-    dkernels, dbias)``.  Cutting and padding are one copy, and so is pasting.
-    Windows are channel-major, (P, C_in*k_h*k_w, B*oh*ow): each copied run
-    is one contiguous input row.  ``dx`` correlates ``g`` with the kernels
+    map of patch outputs pasted back in place, and ``backward(g, need_dx) ->
+    (dx, dkernels, dbias)``, where ``dx`` is None unless ``need_dx``.
+    Cutting and padding are one copy, and so is pasting.  Windows are
+    channel-major, (P, C_in*k_h*k_w, B*oh*ow): each copied run is one
+    contiguous input row.  ``dx`` correlates ``g`` with the kernels
     flipped in both spatial axes and C_in, C_out swapped, at padding k-1-p,
     so padding must lie in 0..k-1.
     """
@@ -554,12 +559,14 @@ def _grouped_conv(
     if bias is not None:
         y2 += bias[:, :, None]
 
-    def backward(g):
+    def backward(g, need_dx):
         g_patches = g.reshape(b, co, grid, oh, grid, ow).transpose(2, 4, 1, 0, 3, 5)
         g2 = np.ascontiguousarray(g_patches).reshape(p, co, n)
         dk = (g2 @ win2.transpose(0, 2, 1)).reshape(kernels.shape)
-        flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)  # arXiv 1603.07285
-        dx, _ = _grouped_conv(g, flipped, None, (kh - 1 - ph, kw - 1 - pw))
+        dx = None
+        if need_dx:
+            flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)  # arXiv 1603.07285
+            dx, _ = _grouped_conv(g, flipped, None, (kh - 1 - ph, kw - 1 - pw))
         return dx, dk, g2.sum(axis=2)
 
     y = y2.reshape(grid, grid, co, b, oh, ow).transpose(3, 2, 0, 4, 1, 5)
@@ -579,12 +586,16 @@ def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Ten
     banks = kernels.data.reshape((-1,) + kernels.shape[-4:])
     y, grads = _grouped_conv(input.data, banks, bias.data.reshape(banks.shape[:2]), padding)
     out = Tensor._wrap(y)
+    # Frames, or the features of a frozen stage, need no gradient: skip
+    # the input-gradient convolution for an input the tape does not track.
+    need_dx = _tracked(_active_tape(), input)
 
     def backward(g, acc):
-        dx, dk, db = grads(g)
+        dx, dk, db = grads(g, need_dx)
         acc(bias.id, db.reshape(bias.shape))
         acc(kernels.id, dk.reshape(kernels.shape))
-        acc(input.id, dx)
+        if need_dx:
+            acc(input.id, dx)
 
     return _record(out, (input, kernels, bias), backward)
 
@@ -661,6 +672,73 @@ def global_avg_pool(input: Tensor) -> Tensor:
         acc(input.id, np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy())
 
     return _record(out, (input,), backward)
+
+
+def _read_mask(n: int, k: int, pad: int, out: int) -> np.ndarray:
+    """(k, n) 0/1 matrix: 1 where kernel offset d reads input index y for some output."""
+    y = np.arange(n)[None, :] - np.arange(k)[:, None] + pad
+    return ((y >= 0) & (y < out)).astype(np.float64)
+
+
+def attention_pool(
+    maps: Tensor,
+    feat: Tensor,
+    kernels: Tensor,
+    bias: Tensor,
+    padding: tuple[int, int],
+) -> Tensor:
+    """Spatial mean of one convolution of each gated feature map, all at once.
+
+    ``maps`` is (B, M, H, W), ``feat`` (B, C, H, W), ``kernels`` (M, C_out,
+    C, k_h, k_w) and ``bias`` (M, C_out).  Returns (B, M, C_out) with
+    ``out[:, j] = global_avg_pool(conv2d(maps[:, j] * feat, kernels[j],
+    bias[j], padding))``, padding in 0..k-1 as for :func:`conv2d`.
+
+    The mean is linear, so it moves ahead of the convolution (as CAM swaps
+    pool and classifier, arXiv 1512.04150): the mean output is the kernels
+    applied to window sums ``S[b, j, d, e, c] = sum_{y,x} E[d, e, y, x]
+    maps[b, j, y, x] feat[b, c, y, x]``, where E marks the inputs that kernel
+    offset (d, e) reads for some output.  S is one (M*k_h*k_w, H*W) @ (H*W,
+    C) product per frame, and the backward is two more of that size.
+    """
+    if maps.data.ndim != 4 or feat.data.ndim != 4 or kernels.data.ndim != 5:
+        raise ShapeError(
+            f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
+        )
+    b, m, hh, ww = maps.shape
+    _, co, c, kh, kw = kernels.shape
+    if feat.shape != (b, c, hh, ww) or kernels.shape[0] != m:
+        raise ShapeError(
+            f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
+        )
+    if bias.shape != (m, co):
+        raise ShapeError(f"attention_pool: bias shape {bias.shape} != {(m, co)}")
+    ph, pw = padding
+    if not (0 <= ph < kh and 0 <= pw < kw):
+        raise ShapeError(f"attention_pool: padding {padding} outside 0..k-1 for kernel {kh}x{kw}")
+    oh, ow = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"attention_pool: kernel {kh}x{kw} exceeds input {hh}x{ww}")
+    taps, hw, scale = kh * kw, hh * ww, 1.0 / (oh * ow)
+    reads = (_read_mask(hh, kh, ph, oh)[:, None, :, None]
+             * _read_mask(ww, kw, pw, ow)[None, :, None, :]).reshape(taps, hw)
+    f2 = feat.data.reshape(b, c, hw)
+    gated = (maps.data.reshape(b, m, 1, hw) * reads).reshape(b, m * taps, hw)
+    sums = gated @ f2.transpose(0, 2, 1)  # (B, M*k_h*k_w, C)
+    s2 = sums.reshape(b, m, taps, c).transpose(1, 3, 2, 0).reshape(m, c * taps, b)
+    k2 = kernels.data.reshape(m, co, c * taps)
+    out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias.data)
+
+    def backward(g, acc):
+        gs = g.transpose(1, 0, 2) * scale  # (M, B, C_out)
+        acc(bias.id, g.sum(axis=0))
+        acc(kernels.id, (gs.transpose(0, 2, 1) @ s2.transpose(0, 2, 1)).reshape(kernels.shape))
+        dsums = (gs @ k2).reshape(m, b, c, taps).transpose(1, 0, 3, 2).reshape(b, m * taps, c)
+        dmaps = np.einsum("bjtp,tp->bjp", (dsums @ f2).reshape(b, m, taps, hw), reads)
+        acc(maps.id, dmaps.reshape(maps.shape))
+        acc(feat.id, (dsums.transpose(0, 2, 1) @ gated).reshape(feat.shape))
+
+    return _record(out, (maps, feat, kernels, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,28 @@ class TestTape:
         assert np.array_equal(tape.grad(b), np.ones(3))
         assert np.array_equal(tape.grad(a), np.full(3, 3.0))
 
+    @pytest.mark.parametrize(
+        "op, kernel_shape, bias_shape",
+        [("conv2d", (3, 2, 3, 3), (3,)), ("conv2d_per_patch", (4, 3, 2, 3, 3), (4, 3))],
+    )
+    def test_untracked_conv_input_gets_no_gradient(self, op, kernel_shape, bias_shape):
+        x = rand((2, 2, 8, 8))
+        k = T.Tensor(rand(kernel_shape, 1), requires_grad=True)
+        b = T.Tensor(rand(bias_shape, 2), requires_grad=True)
+
+        def step(track):
+            xs = T.Tensor(x, requires_grad=track)
+            with T.Tape() as tape:
+                tape.backward(T.sum_all(T.tanh(getattr(T, op)(xs, k, b, padding=(1, 1)))))
+            return tape, xs
+
+        untracked, x_off = step(False)
+        tracked, x_on = step(True)
+        assert x_off.id not in untracked.gradients
+        assert tracked.grad(x_on).shape == x.shape
+        for param in (k, b):
+            assert untracked.grad(param).tobytes() == tracked.grad(param).tobytes()
+
     def test_independent_tapes_do_not_interfere(self):
         x = T.Tensor(rand((3,)), requires_grad=True)
         with T.Tape() as t1:
@@ -222,6 +244,20 @@ class TestPerOpGradients:
             return T.sum_all(T.tanh(T.conv2d_per_patch(xx, kk, bb)))
 
         assert T.grad_check(fn, [T.Tensor(x), T.Tensor(k), T.Tensor(b)]) < 1e-6
+
+    def test_attention_pool(self):
+        # two 3x4 gated maps over a batch of two, 3x3 kernels at padding 1
+        maps = rand((2, 2, 3, 4), 29)
+        feat = rand((2, 3, 3, 4), 30)
+        k = rand((2, 2, 3, 3, 3), 31)
+        b = rand((2, 2), 32)
+
+        def fn(mm, ff, kk, bb):
+            pooled = T.attention_pool(T.sigmoid(mm), ff, kk, bb, padding=(1, 1))
+            return T.sum_all(T.tanh(pooled))
+
+        tensors = [T.Tensor(a) for a in (maps, feat, k, b)]
+        assert T.grad_check(fn, tensors) < 1e-6
 
     def test_maxpool_away_from_ties(self):
         # random 1x3x8x8: continuous random values are tie-free a.s.

@@ -5,6 +5,8 @@ from aukit import backbone as B
 from aukit import tensor as T
 from aukit.config import PRESETS, resolve
 from aukit.errors import ShapeError
+from aukit.losses import attention_stage_loss
+from aukit.model import init_attention_entries
 from aukit.rng import Xoshiro256pp
 
 
@@ -199,63 +201,148 @@ class TestAttentionBranch:
     def make_feat(self, c=2, batch=1, seed=20):
         return T.Tensor(rand((batch, 8 * c, 8, 8), seed=seed))
 
+    def make_branches(self, seed, c=2, m=3):
+        rng = Xoshiro256pp(seed)
+        return [B.init_attention_branch(rng.fork(j), c) for j in range(m)]
+
     def test_zero_att_conv_gives_half_maps(self):
-        branch = B.init_attention_branch(Xoshiro256pp(21), c=2)
-        branch.att_conv = B.ConvParams(
-            T.Tensor.zeros(branch.att_conv.kernels.shape),
-            T.Tensor.zeros(branch.att_conv.bias.shape),
-        )
-        m, _, _ = B.attention_branch_forward(self.make_feat(), branch)
-        assert np.array_equal(m.data, np.full((1, 8, 8), 0.5))
+        branches = self.make_branches(21)
+        for branch in branches:
+            branch.att_conv = B.ConvParams(
+                T.Tensor.zeros(branch.att_conv.kernels.shape),
+                T.Tensor.zeros(branch.att_conv.bias.shape),
+            )
+        m, _, _ = B.attention_branch_forward(self.make_feat(), branches)
+        assert np.array_equal(m.data, np.full((1, 3, 8, 8), 0.5))
 
     def test_zero_feature_map_isolates_biases(self):
-        branch = B.init_attention_branch(Xoshiro256pp(22), c=2)
+        branches = self.make_branches(22)
+        for j, branch in enumerate(branches):
+            branch.feat_conv.bias = T.Tensor(rand((16,), seed=j))
         feat = T.Tensor.zeros((1, 16, 8, 8))
-        m, f0, _ = B.attention_branch_forward(feat, branch)
+        m, f0, _ = B.attention_branch_forward(feat, branches)
         # att bias is zero -> M is exactly 0.5; weighted input is zero, so
-        # f0 collapses to the feat_conv bias.
-        assert np.array_equal(m.data, np.full((1, 8, 8), 0.5))
-        assert np.abs(f0.data[0] - branch.feat_conv.bias.data).max() < 1e-15
+        # each f0 row collapses to its own branch's feat_conv bias.
+        assert np.array_equal(m.data, np.full((1, 3, 8, 8), 0.5))
+        for j, branch in enumerate(branches):
+            assert np.abs(f0.data[0, j] - branch.feat_conv.bias.data).max() < 1e-15
 
     def test_outputs_in_open_unit_interval(self):
-        branch = B.init_attention_branch(Xoshiro256pp(23), c=2)
-        m, f0, p0 = B.attention_branch_forward(self.make_feat(seed=24), branch)
-        assert m.shape == (1, 8, 8) and f0.shape == (1, 16) and p0.shape == (1,)
+        branches = self.make_branches(23)
+        m, f0, p0 = B.attention_branch_forward(self.make_feat(seed=24), branches)
+        assert m.shape == (1, 3, 8, 8) and f0.shape == (1, 3, 16) and p0.shape == (1, 3)
         assert 0.0 < m.data.min() and m.data.max() < 1.0
-        assert 0.0 < p0.item() < 1.0
+        assert 0.0 < p0.data.min() and p0.data.max() < 1.0
 
     def test_batched_matches_per_frame(self):
-        branch = B.init_attention_branch(Xoshiro256pp(25), c=2)
+        branches = self.make_branches(25)
         feat = self.make_feat(batch=3, seed=26)
-        m_b, f_b, p_b = B.attention_branch_forward(feat, branch)
-        assert m_b.shape == (3, 8, 8) and f_b.shape == (3, 16) and p_b.shape == (3,)
+        m_b, f_b, p_b = B.attention_branch_forward(feat, branches)
+        assert m_b.shape == (3, 3, 8, 8) and f_b.shape == (3, 3, 16) and p_b.shape == (3, 3)
         for i in range(3):
-            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[i : i + 1]), branch)
+            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[i : i + 1]), branches)
             assert np.abs(m_b.data[i] - m.data[0]).max() < 1e-12
             assert np.abs(f_b.data[i] - f0.data[0]).max() < 1e-12
-            assert abs(p_b.data[i] - p0.item()) < 1e-12
+            assert np.abs(p_b.data[i] - p0.data[0]).max() < 1e-12
 
     def test_unbatched_input_rejected(self):
-        branch = B.init_attention_branch(Xoshiro256pp(25), c=2)
+        branches = self.make_branches(25)
         with pytest.raises(ShapeError):
-            B.attention_branch_forward(T.Tensor(rand((16, 8, 8))), branch)
+            B.attention_branch_forward(T.Tensor(rand((16, 8, 8))), branches)
 
     def test_gradient_matches_finite_differences(self):
-        branch = B.init_attention_branch(Xoshiro256pp(27), c=1)
+        branches = self.make_branches(27, c=1, m=2)
         feat = rand((1, 8, 8, 8), seed=28)
 
-        def f(kernels):
-            probe = B.AttentionBranchParams(
-                att_conv=B.ConvParams(kernels, branch.att_conv.bias),
-                feat_conv=branch.feat_conv,
-                head_weight=branch.head_weight,
-                head_bias=branch.head_bias,
+        def f(att_kernels, feat_kernels):
+            probe = list(branches)
+            probe[1] = B.AttentionBranchParams(
+                att_conv=B.ConvParams(att_kernels, branches[1].att_conv.bias),
+                feat_conv=B.ConvParams(feat_kernels, branches[1].feat_conv.bias),
+                head_weight=branches[1].head_weight,
+                head_bias=branches[1].head_bias,
             )
             _, _, p0 = B.attention_branch_forward(T.Tensor(feat), probe)
-            return T.reshape(p0, ())
+            return T.sum_all(p0)
 
-        err = T.grad_check(f, [branch.att_conv.kernels], max_coords=20, seed=1)
+        params = [branches[1].att_conv.kernels, branches[1].feat_conv.kernels]
+        err = T.grad_check(f, params, max_coords=20, seed=1)
         assert err < 1e-6
+
+
+def per_branch_oracle(feat, branches):
+    """One branch at a time, as the attention stage was composed before the
+    branches ran as one pass: the reference the fused pass must match."""
+    b = feat.shape[0]
+    maps, feats, probs = [], [], []
+    for branch in branches:
+        logits = T.conv2d(feat, branch.att_conv.kernels, branch.att_conv.bias, padding=(1, 1))
+        m = T.reshape(T.sigmoid(logits), (b,) + feat.shape[2:])
+        weighted = T.broadcast_mul_channelwise(m, feat)
+        refined = T.conv2d(
+            weighted, branch.feat_conv.kernels, branch.feat_conv.bias, padding=(1, 1)
+        )
+        f0 = T.global_avg_pool(refined)
+        logit = T.bias_add_row(
+            T.matmul(f0, T.transpose(branch.head_weight, (1, 0))), branch.head_bias
+        )
+        p0 = T.sigmoid(T.reshape(logit, (b,)))
+        maps.append(T.reshape(m, (b, 1) + m.shape[1:]))
+        feats.append(T.reshape(f0, (b, 1, f0.shape[1])))
+        probs.append(T.reshape(p0, (b, 1)))
+    return T.concat(maps, axis=1), T.concat(feats, axis=1), T.concat(probs, axis=1)
+
+
+def attention_step_nodes(c, m, frames):
+    """Tape nodes of one attention step's forward and loss."""
+    entries = init_attention_entries(c, m, seed=0)
+    labels = np.zeros((frames.shape[0], m))
+    with T.Tape() as tape:
+        maps, _, probs = B.attention_stage_forward(
+            T.Tensor(frames), B.backbone_from(entries),
+            [B.branch_from(entries, j) for j in range(1, m + 1)])
+        attention_stage_loss(probs, maps, labels, np.full(m, 0.5), 0.1)
+    return len(tape._nodes)
+
+
+class TestFusedBranches:
+    """The one-pass branches against the per-branch composition."""
+
+    @pytest.mark.parametrize("m", [4, 1])
+    def test_matches_per_branch_composition(self, m):
+        hp = resolve("toy")
+        entries = init_attention_entries(hp.c, m, seed=50)
+        frames = T.Tensor(rand((3, 3, hp.l, hp.l), seed=51))
+        h = hp.l // 4
+        ups = [T.Tensor(rand(shape, seed=52 + i))
+               for i, shape in enumerate(((3, m, h, h), (3, m, 8 * hp.c), (3, m)))]
+        results = []
+        for branch_pass in (B.attention_branch_forward, per_branch_oracle):
+            with T.Tape() as tape:
+                feat = B.backbone_forward(frames, B.backbone_from(entries))
+                outputs = branch_pass(feat, [B.branch_from(entries, j) for j in range(1, m + 1)])
+                loss = T.add(T.add(T.sum_all(T.mul(outputs[0], ups[0])),
+                                   T.sum_all(T.mul(outputs[1], ups[1]))),
+                             T.sum_all(T.mul(outputs[2], ups[2])))
+            tape.backward(loss)
+            results.append(([o.data for o in outputs],
+                            {name: tape.grad(t) for name, t in entries.items()}))
+        (fused, fused_grads), (oracle, oracle_grads) = results
+        for got, expected in zip(fused, oracle):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() < 1e-12
+        assert all(name.startswith(("backbone.", "branch.")) for name in entries)
+        for name, expected in oracle_grads.items():
+            assert fused_grads[name].shape == expected.shape, name
+            assert np.abs(fused_grads[name] - expected).max() < 1e-12, name
+
+    def test_paper_size_step_node_count(self):
+        # Node counts do not depend on the frame size: 32 px keeps this cheap.
+        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) <= 80
+
+    def test_toy_step_node_count(self):
+        hp = resolve("toy")
+        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) <= 60
 
 
 class TestAttentionStage:

@@ -259,6 +259,26 @@ def test_infer_rejects_bad_frames_shape(ws, tmp_path, capsys):
     assert "(t, 3, h, w)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("branch.2.feat.kernels", lambda arrays: arrays.pop("branch.2.feat.kernels")),
+        ("backbone.layer2.stage2.bias", lambda arrays: arrays.pop("backbone.layer2.stage2.bias")),
+        ("branch.2.feat.kernels",
+         lambda arrays: arrays.update({"branch.2.feat.kernels": np.zeros((8, 8, 3, 5))})),
+    ],
+    ids=["missing-branch-entry", "missing-backbone-entry", "narrow-feat-kernels"],
+)
+def test_infer_rejects_checkpoint_unlike_its_architecture(ws, tmp_path, capsys, name, edit):
+    arrays = serialize.load_checkpoint(ws.rel)
+    edit(arrays)
+    bad = str(tmp_path / "bad.stck")
+    serialize.save_checkpoint(bad, arrays)
+    assert run("infer", "--ckpt", bad, "--frames", ws.video,
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_infer_missing_checkpoint_is_io_error(ws, tmp_path):
     assert run("infer", "--ckpt", str(tmp_path / "none.stck"),
                "--frames", ws.video, "--out", str(tmp_path / "p.csv")) == 3

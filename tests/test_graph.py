@@ -327,7 +327,9 @@ class TestGraphFile:
     def test_edited_checkpoint_partition_rejected(self, tmp_path):
         graph = self.build()
         path = tmp_path / "model.stck"
-        model.save_model(path, model.embed_graph({}, graph))
+        # load_model checks the model entries too, so embed in a real model.
+        stage1 = model.init_attention_entries(1, graph.m, seed=0)
+        model.save_model(path, model.embed_graph(stage1, graph))
         loaded = model.extract_graph(model.load_model(path))
         for got_part, want_part in zip(loaded.parts, graph.parts):
             assert np.array_equal(got_part, want_part)

@@ -349,6 +349,75 @@ class TestConvOracle:
             assert np.abs(g - expected).max() < 1e-12
 
 
+def attention_pool_oracle(maps, feat, kernels, bias, padding):
+    """Per map j: gate, convolve and average with the existing ops."""
+    b, m, h, w = maps.shape
+    pooled = []
+    for j in range(m):
+        gate = T.reshape(T.slice_axis(maps, 1, j, j + 1), (b, h, w))
+        k = T.reshape(T.slice_axis(kernels, 0, j, j + 1), kernels.shape[1:])
+        bias_j = T.reshape(T.slice_axis(bias, 0, j, j + 1), bias.shape[1:])
+        refined = T.conv2d(T.broadcast_mul_channelwise(gate, feat), k, bias_j, padding=padding)
+        pooled.append(T.reshape(T.global_avg_pool(refined), (b, 1, -1)))
+    return T.concat(pooled, axis=1)
+
+
+class TestAttentionPool:
+    """attention_pool equals gate -> conv2d -> global_avg_pool for every map."""
+
+    @pytest.mark.parametrize(
+        "kernel, padding",
+        [((3, 3), (1, 1)), ((3, 3), (0, 0)), ((1, 1), (0, 0)), ((1, 3), (0, 1))],
+    )
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_matches_gated_conv_then_pool(self, kernel, padding, batch, m):
+        c, co, h, w = 3, 2, 5, 7
+        arrays = (
+            rand((batch, m, h, w)),
+            rand((batch, c, h, w), seed=1),
+            rand((m, co, c) + kernel, seed=2),
+            rand((m, co), seed=3),
+        )
+        up = T.Tensor(rand((batch, m, co), seed=4))
+        results = []
+        for op in (T.attention_pool, attention_pool_oracle):
+            inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+            with T.Tape() as tape:
+                out = op(*inputs, padding=padding)
+                tape.backward(T.sum_all(T.mul(out, up)))
+            results.append([out.data] + [tape.grad(t) for t in inputs])
+        for got, expected in zip(*results):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() < 1e-12
+
+    def make(self, maps=(2, 3, 4, 5), feat=(2, 6, 4, 5), kernels=(3, 2, 6, 3, 3), bias=(3, 2)):
+        return [T.Tensor(rand(shape, seed=i)) for i, shape in enumerate((maps, feat, kernels, bias))]
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            {"feat": (1, 6, 4, 5)},                                     # batch
+            {"feat": (2, 6, 4, 6)},                                     # map size
+            {"maps": (2, 2, 4, 5)},                                     # map count
+            {"kernels": (3, 2, 5, 3, 3)},                               # kernel C
+            {"bias": (3, 3)},
+            {"bias": (2,)},
+            {"maps": (3, 4, 5)},                                        # ranks
+            {"feat": (6, 4, 5)},
+            {"kernels": (2, 6, 3, 3)},
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, shapes):
+        with pytest.raises(ShapeError):
+            T.attention_pool(*self.make(**shapes), padding=(1, 1))
+
+    @pytest.mark.parametrize("padding", [(3, 1), (1, 3), (-1, 0)])
+    def test_padding_outside_kernel_rejected(self, padding):
+        with pytest.raises(ShapeError):
+            T.attention_pool(*self.make(), padding=padding)
+
+
 class TestMaxPool:
     def test_two_by_two(self):
         y = T.maxpool2d(T.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
