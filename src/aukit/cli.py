@@ -173,7 +173,7 @@ def _cmd_train(args, log: _Logger) -> int:
         stage1 = load_model(args.stage1)
         result = train_relation_stage(
             sequences, graph, stage1, hp, args.seed,
-            init_entries=resume, epochs=args.epochs, freeze=args.freeze,
+            init_entries=resume, epochs=args.epochs,
         )
         entries = embed_graph(result.entries, graph)
 
@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-checkpoint", help="resume from this checkpoint")
     p.add_argument("--epochs", type=int, default=None,
                    help="train this many epochs instead of the preset budget")
-    p.add_argument("--freeze", type=_parse_bool, default=None, metavar="BOOL",
-                   help="freeze first-stage parameters in the relation stage "
-                        "(default: per config)")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="training log CSV (default <out>.log.csv)")
     _add_hyperparam_flags(p)

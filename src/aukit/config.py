@@ -96,11 +96,14 @@ def resolve(
     for key, value in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown hyperparameter {key!r}")
+        # bool subclasses int, so it is told apart; an int is also a valid float.
         field_type = type(getattr(hp, key))
-        try:
-            setattr(hp, key, field_type(value))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+        allowed = (int, float) if field_type is float else field_type
+        if isinstance(value, bool) != (field_type is bool) or not isinstance(value, allowed):
+            raise ConfigError(
+                f"bad value for {key!r}: expected {field_type.__name__}, got {value!r}"
+            )
+        setattr(hp, key, field_type(value))
     hp.validate()
     return hp
 

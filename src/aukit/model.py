@@ -4,7 +4,8 @@ The canonical form of a model is an ordered ``dict[str, Tensor]`` mapping
 stable entry names (``backbone.layer1.input.kernels``, ``branch.3.att.bias``,
 ``gst.2.phi2.kernels``, ...) to parameters.  Structured views over that dict
 are rebuilt on demand, so functional parameter updates (training steps)
-amount to replacing dict values.
+amount to replacing dict values; ``stage1_forward`` and ``stage2_forward``
+are the only code that turns entries into a forward pass.
 
 A relation checkpoint embeds the frozen first-stage parameters, so a single
 file is enough to run sequence-level inference.
@@ -62,10 +63,11 @@ def init_attention_entries(c: int, m: int, seed: int) -> Entries:
 def init_relation_entries(
     stage1: Entries, t_k: int, depth: int, seed: int
 ) -> Entries:
-    """Graph-stack and head parameters appended to stage-1 entries."""
+    """Fresh graph-stack and head parameters after the stage-1 entries of ``stage1``."""
     dims = model_dims(stage1)
     rng = Xoshiro256pp(derive_seed(seed, _RELATION_STREAM))
-    entries: Entries = dict(stage1)
+    entries: Entries = {name: param for name, param in stage1.items()
+                        if name.startswith(("backbone.", "branch."))}
     entries.update(stgcn_entries(init_stgcn(rng.fork(0), dims.c, dims.m, t_k, depth)))
     entries.update(head_entries(init_head(rng.fork(1), dims.c, dims.m)))
     return entries
@@ -181,7 +183,7 @@ def entry_shapes(dims: ModelDims) -> Dict[str, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Inference (plain arrays in, plain arrays out; nothing is recorded)
+# Forward passes from entries; inference (plain arrays in and out, unrecorded)
 # ---------------------------------------------------------------------------
 
 
@@ -239,6 +241,20 @@ def extract_graph(entries: Entries) -> Optional[RelationGraph]:
     return graph
 
 
+def stage1_forward(entries: Entries, frames: T.Tensor) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+    """Backbone and branches: frames (b, 3, h, w) -> maps, features (b, m, 8c), probs (b, m)."""
+    m = model_dims(entries).m
+    branches = [branch_from(entries, j) for j in range(1, m + 1)]
+    return attention_stage_forward(frames, backbone_from(entries), branches)
+
+
+def stage2_forward(entries: Entries, graph: RelationGraph, f0: T.Tensor) -> T.Tensor:
+    """Graph stack, at the depth ``entries`` hold, and heads: (.., 8c, t, m) -> (.., t, m)."""
+    dims = model_dims(entries)
+    return stgcn_forward(f0, graph, stgcn_from(entries, dims.depth),
+                         head_from(entries, dims.m), expected_layers=dims.depth)
+
+
 def attention_predict(
     entries: Entries, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,12 +263,8 @@ def attention_predict(
     frames (t, 3, h, w) -> maps (t, m, h/4, w/4), features (t, m, 8c),
     probabilities (t, m).
     """
-    dims = model_dims(entries)
-    backbone = backbone_from(entries)
-    branches = [branch_from(entries, j) for j in range(1, dims.m + 1)]
-    maps, feats, probs = attention_stage_forward(
-        T.Tensor(np.asarray(frames, dtype=np.float64)), backbone, branches
-    )
+    maps, feats, probs = stage1_forward(
+        entries, T.Tensor(np.asarray(frames, dtype=np.float64)))
     return maps.data, feats.data, probs.data
 
 
@@ -271,7 +283,5 @@ def relation_predict(
         raise FormatError("checkpoint holds no graph-stack entries")
     if graph.m != dims.m:
         raise ShapeError(f"graph has {graph.m} nodes but model has {dims.m} branches")
-    layers = stgcn_from(entries, dims.depth)
-    head = head_from(entries, dims.m)
     f0 = T.Tensor(sequence_features(entries, frames))
-    return stgcn_forward(f0, graph, layers, head, expected_layers=dims.depth).data
+    return stage2_forward(entries, graph, f0).data

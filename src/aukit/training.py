@@ -1,13 +1,16 @@
-"""Two-stage optimization: momentum SGD, step schedules, training loops.
+"""Two-stage optimization: momentum SGD, step schedules, one step loop.
 
 Stage one fits the backbone and per-label attention branches on single
 frames.  Stage two freezes those parameters (by default), caches the
 per-sequence feature tensors they produce, and fits the graph stack plus
-per-node heads on fixed-length windows.
+per-node heads on fixed-length windows.  Both stages run ``_fit``, the one
+step loop; a stage supplies only its set-up and a ``batch_loss`` callback.
 
-Determinism: every random choice (epoch shuffles, crop offsets, mirror
-flips) is drawn from generators derived from the training seed, so a fixed
-seed and dataset reproduce checkpoints bit for bit.
+Determinism: every random choice is drawn from generators derived from the
+training seed, so a fixed seed and dataset reproduce checkpoints bit for
+bit.  Each epoch's generator draws the shuffle and is then passed to the
+callback, which may draw more from it (stage one's crop offsets and mirror
+flips, in window order).
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import attention_stage_forward, backbone_from, branch_from
 from .config import HyperParams
 from .dataset import VideoSequence, iter_windows
 from .errors import ConfigError, DataError, IoError, NumericalError
@@ -32,10 +34,11 @@ from .model import (
     init_relation_entries,
     model_dims,
     sequence_features,
+    stage1_forward,
+    stage2_forward,
 )
 from .rng import Xoshiro256pp, derive_seed
 from .serialize import atomic_write
-from .stgcn import head_from, stgcn_forward, stgcn_from
 
 # Stream tags, one per consumer of the training seed.
 _ATTENTION_EPOCH_STREAM = 21
@@ -207,6 +210,44 @@ class TrainResult:
     log: List[LogRow]
 
 
+def _fit(
+    entries: Entries, trainable: Sequence[str], windows: Sequence[Tuple[VideoSequence, int]],
+    hp: HyperParams, schedule: LrSchedule, epochs: Optional[int], seed: int, stream: int,
+    stage: str, batch_loss: Callable[..., T.Tensor],
+) -> TrainResult:
+    """The one step loop: momentum SGD on ``trainable`` over shuffled window batches.
+
+    ``batch_loss(entries, batch, rng)`` records the loss of a batch of
+    ``(sequence, start)`` windows on the active tape.
+    """
+    total = schedule.max_epochs if epochs is None else epochs
+    if total > schedule.max_epochs:
+        raise ConfigError(
+            f"{total} epochs exceeds schedule maximum {schedule.max_epochs}"
+        )
+    state = OptimizerState(hp.momentum, hp.weight_decay)
+    log: List[LogRow] = []
+    for epoch in range(total):
+        lr = lr_at(schedule, epoch)
+        rng = Xoshiro256pp(derive_seed(seed, stream, epoch))
+        order = list(windows)
+        rng.shuffle(order)
+        for step_idx, batch_start in enumerate(range(0, len(order), hp.batch_size)):
+            batch = order[batch_start:batch_start + hp.batch_size]
+            with T.Tape() as tape:
+                loss = batch_loss(entries, batch, rng)
+            value = float(loss.data)
+            if math.isnan(value):
+                raise NumericalError(
+                    f"NaN loss in {stage} stage at epoch {epoch} step {step_idx}"
+                )
+            tape.backward(loss)
+            entries = sgd_step(entries, _collect_grads(tape, entries, trainable),
+                               lr, state)
+            log.append((stage, epoch, step_idx, lr, value))
+    return TrainResult(entries, log)
+
+
 # ---------------------------------------------------------------------------
 # Stage one: backbone and attention branches
 # ---------------------------------------------------------------------------
@@ -232,64 +273,22 @@ def train_attention_stage(
             f"checkpoint sizes (c={dims.c}, m={dims.m}) do not match "
             f"config (c={hp.c}, m={hp.m})"
         )
-    names = [n for n in entries
-             if n.startswith("backbone.") or n.startswith("branch.")]
-    schedule = attention_schedule(hp)
-    state = OptimizerState(hp.momentum, hp.weight_decay)
-    total = hp.attention_epochs if epochs is None else epochs
-    if total > schedule.max_epochs:
-        raise ConfigError(
-            f"{total} epochs exceeds schedule maximum {schedule.max_epochs}"
-        )
+    trainable = [n for n in entries if n.startswith(("backbone.", "branch."))]
 
-    log: List[LogRow] = []
-    for epoch in range(total):
-        lr = lr_at(schedule, epoch)
-        rng = Xoshiro256pp(derive_seed(seed, _ATTENTION_EPOCH_STREAM, epoch))
-        order = list(windows)
-        rng.shuffle(order)
-        for step_idx, batch_start in enumerate(range(0, len(order), hp.batch_size)):
-            batch = order[batch_start:batch_start + hp.batch_size]
-            clips, labels = [], []
-            for seq, start in batch:
-                clips.append(_augmented_window(
-                    seq.frames, start, hp.t, hp.l, rng, "attention stage"))
-                labels.append(seq.labels[start:start + hp.t])
-            frames = np.concatenate(clips, axis=0)          # (s*t, 3, l, l)
-            targets = np.concatenate(labels, axis=0)        # (s*t, m)
+    def batch_loss(entries, batch, rng):
+        clips = [_augmented_window(seq.frames, start, hp.t, hp.l, rng, "attention stage")
+                 for seq, start in batch]
+        targets = np.concatenate([seq.labels[start:start + hp.t] for seq, start in batch])
+        maps, _, probs = stage1_forward(entries, T.Tensor(np.concatenate(clips)))
+        return attention_stage_loss(probs, maps, targets, weights, hp.lambda_r)
 
-            with T.Tape() as tape:
-                backbone = backbone_from(entries)
-                branches = [branch_from(entries, j) for j in range(1, hp.m + 1)]
-                maps, _, probs = attention_stage_forward(
-                    T.Tensor(frames), backbone, branches)
-                loss = attention_stage_loss(probs, maps, targets, weights,
-                                            hp.lambda_r)
-            value = float(loss.data)
-            if math.isnan(value):
-                raise NumericalError(
-                    f"NaN loss in attention stage at epoch {epoch} step {step_idx}"
-                )
-            tape.backward(loss)
-            entries = sgd_step(entries, _collect_grads(tape, entries, names),
-                               lr, state)
-            log.append(("attention", epoch, step_idx, lr, value))
-    return TrainResult(entries, log)
+    return _fit(entries, trainable, windows, hp, attention_schedule(hp), epochs,
+                seed, _ATTENTION_EPOCH_STREAM, "attention", batch_loss)
 
 
 # ---------------------------------------------------------------------------
 # Stage two: graph stack and per-node heads
 # ---------------------------------------------------------------------------
-
-
-def _stage2_features(
-    entries: Entries, sequences: Sequence[VideoSequence], l: int
-) -> List[np.ndarray]:
-    """Per-sequence feature tensors (8c, t_i, m) from the frozen stage."""
-    return [
-        sequence_features(entries, _center_window(seq.frames, l, "relation stage"))
-        for seq in sequences
-    ]
 
 
 def train_relation_stage(
@@ -300,11 +299,12 @@ def train_relation_stage(
     seed: int,
     init_entries: Optional[Entries] = None,
     epochs: Optional[int] = None,
-    freeze: Optional[bool] = None,
 ) -> TrainResult:
-    """Fit the sequence-level model on top of a trained frame-level stage."""
+    """Fit the sequence-level model on top of a trained frame-level stage.
+
+    ``hp.freeze_backbone`` (the default) trains only ``gst.*`` and ``head.*``.
+    """
     hp.validate()
-    frozen = hp.freeze_backbone if freeze is None else freeze
     dims = model_dims(stage1)
     if graph.m != dims.m:
         raise ConfigError(
@@ -320,73 +320,30 @@ def train_relation_stage(
             raise ConfigError("resume checkpoint holds no graph-stack entries")
         if (resumed.c, resumed.m) != (dims.c, dims.m):
             raise ConfigError("resume checkpoint does not match stage-1 sizes")
-        depth, t_k = resumed.depth, resumed.t_k
     else:
         entries = init_relation_entries(stage1, hp.t_k, hp.depth, seed)
-        depth, t_k = hp.depth, hp.t_k
-    del t_k  # recorded in the entries themselves
 
-    trainable = [n for n in entries
-                 if n.startswith("gst.") or n.startswith("head.")]
-    if not frozen:
-        # Everything except embedded graph constants.
+    if hp.freeze_backbone:
+        trainable = [n for n in entries if n.startswith(("gst.", "head."))]
+        cached = {id(seq): sequence_features(
+                      entries, _center_window(seq.frames, hp.l, "relation stage"))
+                  for seq in sequences}
+    else:
         trainable = [n for n in entries if not n.startswith("graph.")]
 
-    index_of = {id(seq): i for i, seq in enumerate(sequences)}
-    cached = _stage2_features(entries, sequences, hp.l) if frozen else None
+    def batch_loss(entries, batch, rng):
+        if hp.freeze_backbone:
+            f0 = T.Tensor(np.stack([cached[id(seq)][:, start:start + hp.t]
+                                    for seq, start in batch]))
+        else:
+            clips = np.concatenate([
+                _center_window(seq.frames[start:start + hp.t], hp.l, "relation stage")
+                for seq, start in batch])
+            _, flat, _ = stage1_forward(entries, T.Tensor(clips))
+            per_seq = T.reshape(flat, (len(batch), hp.t, dims.m, flat.shape[-1]))
+            f0 = T.transpose(per_seq, (0, 3, 1, 2))  # (s, 8c, t, m)
+        targets = np.stack([seq.labels[start:start + hp.t] for seq, start in batch])
+        return au_detection_loss(stage2_forward(entries, graph, f0), targets, weights)
 
-    schedule = relation_schedule(hp)
-    state = OptimizerState(hp.momentum, hp.weight_decay)
-    total = hp.relation_epochs if epochs is None else epochs
-    if total > schedule.max_epochs:
-        raise ConfigError(
-            f"{total} epochs exceeds schedule maximum {schedule.max_epochs}"
-        )
-
-    log: List[LogRow] = []
-    for epoch in range(total):
-        lr = lr_at(schedule, epoch)
-        rng = Xoshiro256pp(derive_seed(seed, _RELATION_EPOCH_STREAM, epoch))
-        order = list(windows)
-        rng.shuffle(order)
-        for step_idx, batch_start in enumerate(range(0, len(order), hp.batch_size)):
-            batch = order[batch_start:batch_start + hp.batch_size]
-            targets = np.stack(
-                [seq.labels[start:start + hp.t] for seq, start in batch])
-
-            with T.Tape() as tape:
-                if frozen:
-                    feats = np.stack([
-                        cached[index_of[id(seq)]][:, start:start + hp.t, :]
-                        for seq, start in batch
-                    ])
-                    f0 = T.Tensor(feats)                     # (s, 8c, t, m)
-                else:
-                    clips = np.concatenate([
-                        _center_window(seq.frames, hp.l, "relation stage")
-                        [start:start + hp.t]
-                        for seq, start in batch
-                    ], axis=0)
-                    backbone = backbone_from(entries)
-                    branches = [branch_from(entries, j)
-                                for j in range(1, dims.m + 1)]
-                    _, flat, _ = attention_stage_forward(
-                        T.Tensor(clips), backbone, branches)
-                    per_seq = T.reshape(
-                        flat, (len(batch), hp.t, dims.m, flat.shape[-1]))
-                    f0 = T.transpose(per_seq, (0, 3, 1, 2))  # (s, 8c, t, m)
-                layers = stgcn_from(entries, depth)
-                head = head_from(entries, dims.m)
-                p_hat = stgcn_forward(f0, graph, layers, head,
-                                      expected_layers=depth)
-                loss = au_detection_loss(p_hat, targets, weights)
-            value = float(loss.data)
-            if math.isnan(value):
-                raise NumericalError(
-                    f"NaN loss in relation stage at epoch {epoch} step {step_idx}"
-                )
-            tape.backward(loss)
-            entries = sgd_step(entries, _collect_grads(tape, entries, trainable),
-                               lr, state)
-            log.append(("relation", epoch, step_idx, lr, value))
-    return TrainResult(entries, log)
+    return _fit(entries, trainable, windows, hp, relation_schedule(hp), epochs,
+                seed, _RELATION_EPOCH_STREAM, "relation", batch_loss)

@@ -14,7 +14,11 @@ from aukit import cli
 from aukit import dataset as D
 from aukit import graph as G
 from aukit import serialize
-from aukit.errors import AukitError, IoError, NumericalError, ShapeError
+from aukit import tensor as T
+from aukit import training
+from aukit.config import load_config
+from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
+from aukit.model import load_model, model_dims
 
 
 def run(*argv):
@@ -174,6 +178,25 @@ def test_train_config_file_runs(ws, tmp_path):
                "--out", str(tmp_path / "cfg.stck")) == 0
 
 
+@pytest.mark.parametrize("key, value", [("freeze_backbone", "false"), ("t", 8.6),
+                                        ("batch_size", True)])
+def test_train_config_value_of_wrong_type_rejected(ws, tmp_path, capsys, key, value):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"c": 1, "t": 4, "m": 2, key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+    assert run("train", "--stage", "attention", "--data", ws.data,
+               "--config", str(config), "--out", str(tmp_path / "x.stck")) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_config_int_accepted_for_float_field(tmp_path):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"lambda_r": 0}))
+    hp = load_config(config)
+    assert hp.lambda_r == 0.0 and isinstance(hp.lambda_r, float)
+
+
 def test_train_config_and_preset_conflict(ws, tmp_path, capsys):
     config = tmp_path / "hp.json"
     config.write_text(json.dumps({"m": 2}))
@@ -193,6 +216,46 @@ def test_train_epochs_beyond_schedule(ws, tmp_path):
     assert run("train", "--stage", "attention", "--data", ws.data,
                "--out", str(tmp_path / "x.stck"),
                "--c", "1", "--t", "4", "--m", "2", "--epochs", "99") == 2
+
+
+def _stage1_entries(path):
+    entries = load_model(path)
+    return {n: t.data for n, t in entries.items() if n.startswith(("backbone.", "branch."))}
+
+
+def test_train_relation_freeze_backbone_flag(ws, tmp_path):
+    stage1 = _stage1_entries(ws.att)
+    frozen = _stage1_entries(ws.rel)  # trained with the default
+    assert list(frozen) == list(stage1)
+    assert all(frozen[n].tobytes() == stage1[n].tobytes() for n in stage1)
+    out = str(tmp_path / "unfrozen.stck")
+    assert run("train", "--stage", "relation", "--data", ws.data, "--graph", ws.graph,
+               "--stage1", ws.att, "--out", out, *TRAIN_FLAGS,
+               "--freeze-backbone", "false") == 0
+    unfrozen = _stage1_entries(out)
+    changed = [n for n in stage1 if not np.array_equal(unfrozen[n], stage1[n])]
+    assert any(n.startswith("backbone.") for n in changed)
+    assert any(n.startswith("branch.") for n in changed)
+
+
+def test_train_relation_on_a_relation_checkpoint(ws, tmp_path):
+    # The given model's graph stack is dropped, not carried into the output.
+    out = str(tmp_path / "again.stck")
+    assert run("train", "--stage", "relation", "--data", ws.data, "--graph", ws.graph,
+               "--stage1", ws.rel, "--out", out, *TRAIN_FLAGS,
+               "--depth", "1", "--t-k", "5") == 0
+    dims = model_dims(load_model(out))
+    assert (dims.depth, dims.t_k) == (1, 5)
+
+
+@pytest.mark.parametrize("stage, loss_name", [("attention", "attention_stage_loss"),
+                                              ("relation", "au_detection_loss")])
+def test_train_nan_loss_exits_4(ws, tmp_path, monkeypatch, capsys, stage, loss_name):
+    monkeypatch.setattr(training, loss_name,
+                        lambda *args: T.Tensor._wrap(np.asarray(np.nan)))
+    assert run("train", "--stage", stage, "--data", ws.data, "--graph", ws.graph,
+               "--stage1", ws.att, "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 4
+    assert f"NaN loss in {stage} stage at epoch 0 step 0" in capsys.readouterr().err
 
 
 def test_eval_metrics_csv(ws, tmp_path, capsys):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from aukit import model
+from aukit import tensor as T
+from aukit.backbone import attention_stage_forward, backbone_from, branch_from
 from aukit.config import resolve
 from aukit.errors import FormatError
 from aukit.graph import build_graph
 from aukit.serialize import load_checkpoint, save_checkpoint
+from aukit.stgcn import head_from, stgcn_forward, stgcn_from
 
 
 def toy_relation_entries(seed=0):
@@ -81,3 +84,27 @@ class TestLoadModel:
             path = edited(toy_ckpt, tmp_path, lambda arrays: arrays.update({name: np.zeros(3)}))
             with pytest.raises(FormatError, match=name):
                 model.load_model(path)
+
+
+class TestStageForwards:
+    """The entry-built forwards equal the passes assembled by hand, bitwise."""
+
+    def test_stage1_forward(self):
+        entries = toy_relation_entries()
+        frames = T.Tensor(np.random.default_rng(1).standard_normal((3, 3, 32, 32)))
+        branches = [branch_from(entries, j) for j in range(1, 5)]
+        expected = attention_stage_forward(frames, backbone_from(entries), branches)
+        for got, want in zip(model.stage1_forward(entries, frames), expected):
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_stage2_forward(self):
+        entries = toy_relation_entries()
+        for name in entries:  # a fresh stack is the identity; move it off
+            if name.startswith("gst."):
+                entries[name] = T.Tensor(entries[name].data + 0.01)
+        labels = (np.random.default_rng(0).random((40, 4)) < 0.5).astype(float)
+        graph = build_graph(labels, 0.1)
+        f0 = T.Tensor(np.random.default_rng(2).standard_normal((2, 16, 8, 4)))
+        expected = stgcn_forward(f0, graph, stgcn_from(entries, 2), head_from(entries, 4),
+                                 expected_layers=2)
+        assert model.stage2_forward(entries, graph, f0).data.tobytes() == expected.data.tobytes()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from aukit import tensor as T
+from aukit import training
 from aukit.backbone import attention_stage_forward, backbone_from, branch_from
 from aukit.config import HyperParams, resolve
 from aukit.dataset import VideoSequence, default_spec, generate_labels, render_video
@@ -21,7 +22,9 @@ from aukit.losses import attention_stage_loss
 from aukit.model import (
     init_attention_entries,
     init_relation_entries,
+    load_model,
     model_dims,
+    save_model,
 )
 from aukit.training import (
     LrSchedule,
@@ -377,7 +380,7 @@ def test_relation_node_count_mismatch(mini_data, stage1):
 
 def test_relation_unfrozen_mode_updates_backbone(mini_data, mini_graph, stage1):
     result = train_relation_stage(mini_data, mini_graph, stage1.entries,
-                                  default_hp(), seed=3, freeze=False, epochs=1)
+                                  default_hp(freeze_backbone=False), seed=3, epochs=1)
     changed = [
         n for n in stage1.entries
         if not np.array_equal(result.entries[n].data, stage1.entries[n].data)
@@ -405,6 +408,39 @@ def test_relation_resume_continues(mini_data, mini_graph, stage1):
         not np.array_equal(resumed.entries[n].data, first.entries[n].data)
         for n in first.entries if n.startswith("gst.")
     )
+
+
+def test_relation_stage1_from_a_relation_checkpoint_drops_its_stack(
+        tmp_path, mini_data, mini_graph, stage1):
+    # A relation model given as stage 1 contributes only its stage-1 entries:
+    # the result has the configured depth and t_k, and its file loads.
+    deep = train_relation_stage(mini_data, mini_graph, stage1.entries,
+                                default_hp(depth=3), seed=3, epochs=1)
+    result = train_relation_stage(mini_data, mini_graph, deep.entries,
+                                  default_hp(depth=2, t_k=5), seed=4, epochs=1)
+    dims = model_dims(result.entries)
+    assert (dims.depth, dims.t_k) == (2, 5)
+    path = tmp_path / "retrained.stck"
+    save_model(path, result.entries)
+    assert list(load_model(path)) == list(result.entries)
+    for name in deep.entries:
+        if name.startswith(("backbone.", "branch.")):
+            assert np.array_equal(result.entries[name].data, deep.entries[name].data)
+
+
+@pytest.mark.parametrize("stage, loss_name", [("attention", "attention_stage_loss"),
+                                              ("relation", "au_detection_loss")])
+def test_nan_loss_stops_training(monkeypatch, mini_data, mini_graph, stage1,
+                                 stage, loss_name):
+    monkeypatch.setattr(training, loss_name,
+                        lambda *args: T.Tensor._wrap(np.asarray(np.nan)))
+    with pytest.raises(NumericalError,
+                       match=f"NaN loss in {stage} stage at epoch 0 step 0"):
+        if stage == "attention":
+            train_attention_stage(mini_data, default_hp(), seed=3)
+        else:
+            train_relation_stage(mini_data, mini_graph, stage1.entries,
+                                 default_hp(), seed=3)
 
 
 def test_training_log_round_trip(tmp_path, stage1):
