@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, InternalInvariantError, NumericalError, ShapeError
 
 # When True, every operation validates that its output is finite.  Off by
 # default: the constructor always validates, so non-finite values can only
@@ -127,12 +127,15 @@ class Tape:
 
     Nodes are recorded in execution order, so reverse iteration is a valid
     reverse-topological traversal.  ``gradients`` maps value ids to
-    accumulated gradient arrays after ``backward``.
+    accumulated gradient arrays after ``backward``.  ``backward`` consumes
+    the tape: it drops each node once it has run, so the arrays a backward
+    closure holds are freed during the pass, and it runs once per tape.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._watched: set[int] = set()
+        self._consumed = False
         self.gradients: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
@@ -150,6 +153,11 @@ class Tape:
         """Populate gradients for everything reachable from ``loss``."""
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._consumed:
+            raise InternalInvariantError(
+                "backward already ran on this tape and freed its nodes; record a new tape"
+            )
+        self._consumed = True
         grads = self.gradients = {loss.id: np.ones((), dtype=np.float64)}
         owned: set[int] = set()
 
@@ -165,7 +173,9 @@ class Tape:
                 grads[tensor_id] = existing + value
                 owned.add(tensor_id)
 
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             grad_out = grads.get(node.out_id)
             if grad_out is not None:
                 node.backward(grad_out, accumulate)
@@ -184,7 +194,11 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable) -> Tensor
 
     ``backward(grad_out, accumulate)`` must push gradients to the inputs via
     ``accumulate(tensor_id, array)``; the tape may keep the array, so neither
-    it nor ``grad_out`` may be written to.
+    it nor ``grad_out`` may be written to.  The tape keeps the closure, and
+    all it closes over, until the backward reaches it: a closure holds an
+    input's ``id``, not the tensor, unless it reads the input's values, and
+    holds no array it can rebuild from what it keeps (the convolutions keep
+    no window matrix).
     """
     tape = _active_tape()
     if tape is None:
@@ -208,10 +222,11 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
+    a_id, b_id = a.id, b.id
 
     def backward(g, acc):
-        acc(a.id, g)
-        acc(b.id, g)
+        acc(a_id, g)
+        acc(b_id, g)
 
     return _record(out, (a, b), backward)
 
@@ -219,10 +234,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     out = Tensor._wrap(a.data - b.data)
+    a_id, b_id = a.id, b.id
 
     def backward(g, acc):
-        acc(a.id, g)
-        acc(b.id, -g)
+        acc(a_id, g)
+        acc(b_id, -g)
 
     return _record(out, (a, b), backward)
 
@@ -241,9 +257,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scalar_mul(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor._wrap(a.data * s)
+    a_id = a.id
 
     def backward(g, acc):
-        acc(a.id, g * s)
+        acc(a_id, g * s)
 
     return _record(out, (a,), backward)
 
@@ -251,9 +268,10 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
 def scalar_add(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor._wrap(a.data + s)
+    a_id = a.id
 
     def backward(g, acc):
-        acc(a.id, g)
+        acc(a_id, g)
 
     return _record(out, (a,), backward)
 
@@ -267,20 +285,20 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
     out = Tensor._wrap(y)
-    y_saved = out.data
+    y_saved, a_id = out.data, a.id
 
     def backward(g, acc):
-        acc(a.id, g * y_saved * (1.0 - y_saved))
+        acc(a_id, g * y_saved * (1.0 - y_saved))
 
     return _record(out, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.tanh(a.data))
-    y_saved = out.data
+    y_saved, a_id = out.data, a.id
 
     def backward(g, acc):
-        acc(a.id, g * (1.0 - y_saved * y_saved))
+        acc(a_id, g * (1.0 - y_saved * y_saved))
 
     return _record(out, (a,), backward)
 
@@ -300,9 +318,10 @@ def clamp(a: Tensor, low: float, high: float) -> Tensor:
     """Clip to [low, high]; gradient is 1 strictly inside, 0 outside."""
     out = Tensor._wrap(np.clip(a.data, low, high))
     interior = (a.data > low) & (a.data < high)
+    a_id = a.id
 
     def backward(g, acc):
-        acc(a.id, g * interior)
+        acc(a_id, g * interior)
 
     return _record(out, (a,), backward)
 
@@ -332,12 +351,12 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice [{start}, {stop}) out of range for axis of size {dim}")
     index = tuple(slice(None) if d != axis else slice(start, stop) for d in range(a.data.ndim))
     out = Tensor._wrap(a.data[index])
-    in_shape = a.shape
+    in_shape, a_id = a.shape, a.id
 
     def backward(g, acc):
         full = np.zeros(in_shape)
         full[index] = g
-        acc(a.id, full)
+        acc(a_id, full)
 
     return _record(out, (a,), backward)
 
@@ -347,10 +366,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = Tensor._wrap(a.data.reshape(shape))
     except ValueError as e:
         raise ShapeError(f"reshape: {e}") from None
-    in_shape = a.shape
+    in_shape, a_id = a.shape, a.id
 
     def backward(g, acc):
-        acc(a.id, g.reshape(in_shape))
+        acc(a_id, g.reshape(in_shape))
 
     return _record(out, (a,), backward)
 
@@ -358,9 +377,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor._wrap(np.transpose(a.data, axes))
     inverse = tuple(int(i) for i in np.argsort(axes))
+    a_id = a.id
 
     def backward(g, acc):
-        acc(a.id, np.transpose(g, inverse))
+        acc(a_id, np.transpose(g, inverse))
 
     return _record(out, (a,), backward)
 
@@ -408,20 +428,21 @@ def bias_add_row(a: Tensor, bias: Tensor) -> Tensor:
     if a.data.ndim != 2 or bias.data.ndim != 1 or a.shape[1] != bias.shape[0]:
         raise ShapeError(f"bias_add_row: shapes {a.shape} and {bias.shape}")
     out = Tensor._wrap(a.data + bias.data[None, :])
+    a_id, bias_id = a.id, bias.id
 
     def backward(g, acc):
-        acc(a.id, g)
-        acc(bias.id, g.sum(axis=0))
+        acc(a_id, g)
+        acc(bias_id, g.sum(axis=0))
 
     return _record(out, (a, bias), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor._wrap(np.asarray(a.data.sum()))
-    in_shape = a.shape
+    in_shape, a_id = a.shape, a.id
 
     def backward(g, acc):
-        acc(a.id, np.broadcast_to(g, in_shape).copy())
+        acc(a_id, np.broadcast_to(g, in_shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -429,10 +450,10 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.size
     out = Tensor._wrap(np.asarray(a.data.mean()))
-    in_shape = a.shape
+    in_shape, a_id = a.shape, a.id
 
     def backward(g, acc):
-        acc(a.id, np.broadcast_to(g / n, in_shape).copy())
+        acc(a_id, np.broadcast_to(g / n, in_shape).copy())
 
     return _record(out, (a,), backward)
 
@@ -462,7 +483,7 @@ def pad_edge(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     widths = [(0, 0)] * a.data.ndim
     widths[axis] = (before, after)
     out = Tensor._wrap(np.pad(a.data, widths, mode="edge"))
-    dim = a.shape[axis]
+    dim, a_id = a.shape[axis], a.id
 
     def backward(g, acc):
         idx_interior = tuple(
@@ -487,7 +508,7 @@ def pad_edge(a: Tensor, axis: int, before: int, after: int) -> Tensor:
                 slice(dim - 1, dim) if d == axis else slice(None) for d in range(g.ndim)
             )
             grad[last] += g[idx_hi].sum(axis=axis, keepdims=True)
-        acc(a.id, grad)
+        acc(a_id, grad)
 
     return _record(out, (a,), backward)
 
@@ -517,21 +538,87 @@ def graph_matmul(matrix: Tensor, feat: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """This thread's reusable buffer of ``n`` float64 values.
+
+    It holds one window matrix at a time and keeps the size of the largest
+    one the thread has built, so a convolution writes its windows into
+    pages that are already mapped instead of faulting in fresh ones each
+    call.  A caller is done with it before the next call.
+    """
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < n:
+        _SCRATCH.buf = None  # free the old buffer before mapping a larger one
+        buf = _SCRATCH.buf = np.empty(n)
+    return buf[:n]
+
+
+def _windows(
+    x: np.ndarray, grid: int, kh: int, kw: int, ph: int, pw: int, scratch: bool = False
+) -> np.ndarray:
+    """Channel-major im2col of a g x g grid of zero-padded patches.
+
+    ``x`` is (B, C, H, W), cut row-major into P = g*g patches of h x w =
+    H/g x W/g, each padded by (ph, pw) on its own.  Returns the (P,
+    C*k_h*k_w, B*oh*ow) window matrix, oh = h + 2*ph - k_h + 1 and likewise
+    ow: cutting and padding are one copy, and laying the windows out is one
+    more, in which every copied run is one contiguous input row.  With
+    ``scratch`` the matrix is written into the :func:`_scratch` buffer.
+    """
+    b, c, hh, ww = x.shape
+    h, w = hh // grid, ww // grid
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    patches = x.reshape(b, c, grid, h, grid, w).transpose(0, 2, 4, 1, 3, 5)
+    if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
+        xp = np.zeros((b, grid, grid, c, h + 2 * ph, w + 2 * pw))
+        xp[..., ph : ph + h, pw : pw + w] = patches
+    else:
+        xp = patches
+    s = xp.strides
+    win = as_strided(xp, xp.shape[:4] + (oh, ow, kh, kw), s + s[-2:], writeable=False)
+    win = win.transpose(1, 2, 3, 6, 7, 0, 4, 5)
+    if scratch:
+        win2 = _scratch(win.size).reshape(win.shape)
+        np.copyto(win2, win)
+    else:
+        win2 = np.ascontiguousarray(win)
+    return win2.reshape(grid * grid, c * kh * kw, b * oh * ow)
+
+
+def _paste(y2: np.ndarray, b: int, grid: int, oh: int, ow: int) -> np.ndarray:
+    """(P, C, B*oh*ow) patch outputs pasted back in place: (B, C, g*oh, g*ow)."""
+    c = y2.shape[1]
+    y = y2.reshape(grid, grid, c, b, oh, ow).transpose(3, 2, 0, 4, 1, 5)
+    return y.reshape(b, c, grid * oh, grid * ow)
+
+
 def _grouped_conv(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray | None, padding: tuple[int, int]
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: tuple[int, int]
 ) -> tuple[np.ndarray, Callable]:
     """Cross-correlation of a g x g grid of patches, each with its own kernel bank.
 
     ``x`` is (B, C_in, H, W), cut row-major into P = g*g patches of H/g x W/g;
-    ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out) or None.
-    Each patch is zero-padded on its own.  Returns the (B, C_out, g*oh, g*ow)
-    map of patch outputs pasted back in place, and ``backward(g, need_dx) ->
+    ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out).  Each
+    patch is zero-padded on its own.  Returns the (B, C_out, g*oh, g*ow) map
+    of patch outputs pasted back in place, and ``backward(g, need_dx) ->
     (dx, dkernels, dbias)``, where ``dx`` is None unless ``need_dx``.
-    Cutting and padding are one copy, and so is pasting.  Windows are
-    channel-major, (P, C_in*k_h*k_w, B*oh*ow): each copied run is one
-    contiguous input row.  ``dx`` correlates ``g`` with the kernels
-    flipped in both spatial axes and C_in, C_out swapped, at padding k-1-p,
-    so padding must lie in 0..k-1.
+
+    The forward keeps no window matrix: ``backward`` closes over ``x`` and
+    the kernels only, which the caller holds anyway.  Large window matrices
+    are built one at a time in the thread's scratch buffer.  ``dx =
+    flipped @ Wg`` correlates ``g`` with the kernels flipped in both spatial
+    axes and C_in, C_out swapped (arXiv 1603.07285), where ``Wg`` are the
+    windows of ``g`` at padding k-1-p, so padding must lie in 0..k-1.  The
+    kernel gradient comes from whichever windows are smaller by channels:
+    ``g2 @ windows(x)ᵀ`` when C_in < C_out (the frame layer, a widening
+    layer), else ``Wg @ x_patchesᵀ`` flipped back, which reuses ``Wg``.
+    The choice follows the shapes, not whether ``dx`` is needed: the two
+    products sum the same terms at other positions of the reduction, and
+    BLAS groups a sum by position, so the kernel gradient would otherwise
+    depend in its last bits on whether the input is tracked.
     """
     p, co, ci, kh, kw = kernels.shape
     b, _, hh, ww = x.shape
@@ -545,32 +632,28 @@ def _grouped_conv(
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
-    patches = x.reshape(b, ci, grid, h, grid, w).transpose(0, 2, 4, 1, 3, 5)
-    if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros((b, grid, grid, ci, h + 2 * ph, w + 2 * pw))
-        xp[..., ph : ph + h, pw : pw + w] = patches
-    else:
-        xp = patches
-    s = xp.strides
-    win = as_strided(xp, xp.shape[:4] + (oh, ow, kh, kw), s + s[-2:], writeable=False)
-    k, n = ci * kh * kw, b * oh * ow
-    win2 = np.ascontiguousarray(win.transpose(1, 2, 3, 6, 7, 0, 4, 5)).reshape(p, k, n)
-    y2 = kernels.reshape(p, co, k) @ win2  # (P, C_out, B*oh*ow)
-    if bias is not None:
-        y2 += bias[:, :, None]
+    y2 = kernels.reshape(p, co, ci * kh * kw) @ _windows(x, grid, kh, kw, ph, pw, scratch=True)
+    y2 += bias[:, :, None]
 
     def backward(g, need_dx):
-        g_patches = g.reshape(b, co, grid, oh, grid, ow).transpose(2, 4, 1, 0, 3, 5)
-        g2 = np.ascontiguousarray(g_patches).reshape(p, co, n)
-        dk = (g2 @ win2.transpose(0, 2, 1)).reshape(kernels.shape)
-        dx = None
+        g2 = _windows(g, grid, 1, 1, 0, 0)  # (P, C_out, B*oh*ow): the 1x1 windows
+        dx = wg = None
+        if need_dx or ci >= co:  # (P, C_out*k_h*k_w, B*h*w)
+            wg = g2 if kh == kw == 1 else _windows(
+                g, grid, kh, kw, kh - 1 - ph, kw - 1 - pw, scratch=True)
         if need_dx:
-            flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4)  # arXiv 1603.07285
-            dx, _ = _grouped_conv(g, flipped, None, (kh - 1 - ph, kw - 1 - pw))
+            flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(p, ci, -1)
+            dx = _paste(flipped @ wg, b, grid, h, w)
+        if ci < co:  # after dx: these windows take over the scratch buffer from Wg
+            dk = g2 @ _windows(x, grid, kh, kw, ph, pw, scratch=True).transpose(0, 2, 1)
+            dk = dk.reshape(kernels.shape)
+        else:
+            x_patches = _windows(x, grid, 1, 1, 0, 0)  # (P, C_in, B*h*w)
+            dk = (wg @ x_patches.transpose(0, 2, 1)).reshape(p, co, kh, kw, ci)
+            dk = np.ascontiguousarray(dk[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3))
         return dx, dk, g2.sum(axis=2)
 
-    y = y2.reshape(grid, grid, co, b, oh, ow).transpose(3, 2, 0, 4, 1, 5)
-    return y.reshape(b, co, grid * oh, grid * ow), backward
+    return _paste(y2, b, grid, oh, ow), backward
 
 
 def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Tensor:
@@ -647,16 +730,17 @@ def maxpool2d(input: Tensor) -> Tensor:
     flat = fields.reshape(b, c, h // 2, w // 2, 4)
     argmax = flat.argmax(axis=-1)  # first max in row-major field order
     out = Tensor._wrap(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
+    flat_shape, input_id = flat.shape, input.id
 
     def backward(g, acc):
-        dflat = np.zeros_like(flat)
+        dflat = np.zeros(flat_shape)
         np.put_along_axis(dflat, argmax[..., None], g[..., None], axis=-1)
         dx = (
             dflat.reshape(b, c, h // 2, w // 2, 2, 2)
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(b, c, h, w)
         )
-        acc(input.id, dx)
+        acc(input_id, dx)
 
     return _record(out, (input,), backward)
 
@@ -667,9 +751,10 @@ def global_avg_pool(input: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool: bad rank for shape {input.shape}")
     b, c, h, w = input.shape
     out = Tensor._wrap(input.data.mean(axis=(2, 3)))
+    input_id = input.id
 
     def backward(g, acc):
-        acc(input.id, np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy())
+        acc(input_id, np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy())
 
     return _record(out, (input,), backward)
 
@@ -728,6 +813,7 @@ def attention_pool(
     s2 = sums.reshape(b, m, taps, c).transpose(1, 3, 2, 0).reshape(m, c * taps, b)
     k2 = kernels.data.reshape(m, co, c * taps)
     out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias.data)
+    maps_id = maps.id
 
     def backward(g, acc):
         gs = g.transpose(1, 0, 2) * scale  # (M, B, C_out)
@@ -735,7 +821,7 @@ def attention_pool(
         acc(kernels.id, (gs.transpose(0, 2, 1) @ s2.transpose(0, 2, 1)).reshape(kernels.shape))
         dsums = (gs @ k2).reshape(m, b, c, taps).transpose(1, 0, 3, 2).reshape(b, m * taps, c)
         dmaps = np.einsum("bjtp,tp->bjp", (dsums @ f2).reshape(b, m, taps, hw), reads)
-        acc(maps.id, dmaps.reshape(maps.shape))
+        acc(maps_id, dmaps.reshape(b, m, hh, ww))
         acc(feat.id, (dsums.transpose(0, 2, 1) @ gated).reshape(feat.shape))
 
     return _record(out, (maps, feat, kernels, bias), backward)

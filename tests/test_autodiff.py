@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aukit import tensor as T
-from aukit.errors import DomainError, ShapeError
+from aukit.errors import DomainError, InternalInvariantError, ShapeError
 
 
 def rand(shape, seed=0):
@@ -87,6 +87,19 @@ class TestTape:
         assert tracked.grad(x_on).shape == x.shape
         for param in (k, b):
             assert untracked.grad(param).tobytes() == tracked.grad(param).tobytes()
+
+    def test_second_backward_on_a_consumed_tape_is_refused(self):
+        # backward frees the nodes it runs: a second pass would find none
+        # and return the loss gradient alone.
+        x = T.Tensor(rand((3,)), requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum_all(T.tanh(x))
+            tape.backward(loss)
+            first = tape.grad(x)
+            with pytest.raises(InternalInvariantError, match="already ran"):
+                tape.backward(loss)
+        assert tape._nodes == []
+        assert tape.grad(x) is first
 
     def test_independent_tapes_do_not_interfere(self):
         x = T.Tensor(rand((3,)), requires_grad=True)

@@ -5,6 +5,7 @@ numpy on inputs small enough to audit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,24 +303,23 @@ def paste(patches, grid):
     return out
 
 
+# Geometries of the convolution oracle: patches are 5x6, so every map is
+# non-square: 5x6 at P = 1, 10x12 at P = 4 and 20x24 at P = 16.
+CONV_KERNELS = [((1, 1), (0, 0)), ((3, 3), (0, 0)), ((3, 3), (1, 1)), ((1, 3), (0, 1)),
+                ((3, 1), (1, 0))]
+CONV_OPS = [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4),
+            ("conv2d_per_patch", 16)]
+
+
 class TestConvOracle:
     """Both public convolutions against the direct-loop reference.
 
-    Patches are 5x6, so every map is non-square: 5x6 at P = 1, 10x12 at
-    P = 4 and 20x24 at P = 16.  ``batch=None`` is the unbatched form, which
-    the ops reject.
+    ``batch=None`` is the unbatched form, which the ops reject.
     """
 
-    @pytest.mark.parametrize(
-        "kernel, padding",
-        [((1, 1), (0, 0)), ((3, 3), (0, 0)), ((3, 3), (1, 1)), ((1, 3), (0, 1)), ((3, 1), (1, 0))],
-    )
+    @pytest.mark.parametrize("kernel, padding", CONV_KERNELS)
     @pytest.mark.parametrize("batch", [None, 1, 3])
-    @pytest.mark.parametrize(
-        "op, p",
-        [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4),
-         ("conv2d_per_patch", 16)],
-    )
+    @pytest.mark.parametrize("op, p", CONV_OPS)
     def test_values_and_gradients(self, kernel, padding, batch, op, p):
         ci, co, h, w = 2, 3, 5, 6
         bsz = 1 if batch is None else batch
@@ -347,6 +347,74 @@ class TestConvOracle:
         for g, expected in zip(got, (y, dx, dk, db)):
             assert g.shape == expected.shape
             assert np.abs(g - expected).max() < 1e-12
+
+
+class TestConvBackward:
+    """What the convolution backward computes and keeps, beyond its values."""
+
+    @pytest.mark.parametrize("kernel, padding", CONV_KERNELS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("op, p", CONV_OPS)
+    @pytest.mark.parametrize("ci, co", [(2, 3), (3, 2)])
+    def test_kernel_gradients_do_not_depend_on_tracking_the_input(
+        self, ci, co, op, p, batch, kernel, padding
+    ):
+        # The kernel gradient comes from the input's windows when C_in < C_out
+        # and from the output gradient's otherwise.  Either way a frame or a
+        # frozen feature, which gets no input gradient, gets the kernel and
+        # bias gradients of a tracked input bit for bit.
+        h, w = 5, 6
+        oh, ow = h + 2 * padding[0] - kernel[0] + 1, w + 2 * padding[1] - kernel[1] + 1
+        x = rand((batch, p, ci, h, w))
+        k = rand((p, co, ci) + kernel, seed=1)
+        b = rand((p, co), seed=2)
+        up = rand((batch, p, co, oh, ow), seed=3)
+        _, _, dk, db = reference_conv(x, k, b, padding, up)
+        grid = math.isqrt(p)
+        x, up = paste(x, grid), T.Tensor(paste(up, grid))
+        if op == "conv2d":
+            k, b, dk, db = k[0], b[0], dk[0], db[0]
+        grads = []
+        for track in (False, True):
+            xs = T.Tensor(x, requires_grad=track)
+            ks, bs = T.Tensor(k, requires_grad=True), T.Tensor(b, requires_grad=True)
+            with T.Tape() as tape:
+                out = getattr(T, op)(xs, ks, bs, padding=padding)
+                tape.backward(T.sum_all(T.mul(out, up)))
+            assert (tape.grad(xs) is not None) == track
+            assert np.abs(tape.grad(ks) - dk).max() < 1e-12
+            assert np.abs(tape.grad(bs) - db).max() < 1e-12
+            grads.append((tape.grad(ks).tobytes(), tape.grad(bs).tobytes()))
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize(
+        "op, kernel_shape, bias_shape",
+        [("conv2d", (8, 8, 3, 3), (8,)), ("conv2d_per_patch", (16, 8, 8, 3, 3), (16, 8))],
+    )
+    def test_recorded_forward_keeps_no_window_matrix(self, op, kernel_shape, bias_shape):
+        # The 3x3 window matrix is 9x the padded input (1,179,648 B here);
+        # the node may keep little beyond its output.
+        conv = getattr(T, op)
+        x = T.Tensor(rand((2, 8, 32, 32)), requires_grad=True)
+        k = T.Tensor(rand(kernel_shape, 1), requires_grad=True)
+        b = T.Tensor(rand(bias_shape, 2), requires_grad=True)
+        with T.Tape():
+            # First-call allocations, the thread's window buffer among
+            # them, are not the node's.
+            conv(x, k, b, padding=(1, 1))
+        with T.Tape() as tape:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv(x, k, b, padding=(1, 1))
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(tape._nodes) == 1
+            assert retained < 2 * out.data.nbytes
+            tape.backward(T.sum_all(out))
+        assert tape._nodes == []
+        assert tape.grad(x).shape == x.shape
 
 
 def attention_pool_oracle(maps, feat, kernels, bias, padding):
