@@ -9,7 +9,9 @@ where A_q are the three partitions of the normalized relation graph,
 W_q are learnable edge re-weightings, phi1_q are 1x1 convolutions and
 phi2 is a temporal convolution (kernel t_k x 1, odd t_k).  Time padding
 replicates the edge frames, so a constant-repeated input stays constant
-and one set of weights serves any sequence length.
+and one set of weights serves any sequence length.  A layer records four
+tape nodes: ``partition_mix`` (all three partitions), ``pad_edge``, the
+temporal ``conv2d`` and the residual ``add``.
 
 phi2 starts at zero, making every freshly initialized layer an exact
 identity; W_q starts at all-ones (effective edge weight tanh(1)).
@@ -77,14 +79,6 @@ def init_head(rng: Xoshiro256pp, c: int, m: int) -> StgcnHead:
     )
 
 
-def adaptive_edges(a_part, w: T.Tensor) -> T.Tensor:
-    """Learnable re-weighting of one adjacency partition: tanh(W) * A_q."""
-    part = T.as_tensor(a_part)
-    if part.shape != w.shape or len(w.shape) != 2:
-        raise ShapeError(f"adaptive_edges: shapes {part.shape} vs {w.shape}")
-    return T.mul(T.tanh(w), part)
-
-
 def gst_layer_forward(
     f_in: T.Tensor, graph: RelationGraph, params: StgcnLayerParams
 ) -> T.Tensor:
@@ -104,14 +98,9 @@ def gst_layer_forward(
     unbatched = len(shape) == 3
     x = T.reshape(f_in, (1,) + shape) if unbatched else f_in
 
-    spatial = None
-    for part, w, kernels, bias in zip(
-        graph.parts, params.edge_weights, params.phi1_kernels, params.phi1_bias
-    ):
-        h = T.conv2d(x, kernels, bias)
-        mixed = T.graph_matmul(adaptive_edges(part, w), h)
-        spatial = mixed if spatial is None else T.add(spatial, mixed)
-
+    spatial = T.partition_mix(
+        x, graph.parts, params.edge_weights, params.phi1_kernels, params.phi1_bias
+    )
     reach = (t_k - 1) // 2
     padded = T.pad_edge(spatial, 2, reach, reach) if reach else spatial
     out = T.add(T.conv2d(padded, params.phi2_kernels, params.phi2_bias), x)

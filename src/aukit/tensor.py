@@ -98,10 +98,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{grad})"
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
@@ -480,10 +476,10 @@ def pad_edge(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     """Replicate the first/last slice along ``axis`` (edge padding)."""
     if before < 0 or after < 0:
         raise ShapeError("pad amounts must be non-negative")
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (before, after)
-    out = Tensor._wrap(np.pad(a.data, widths, mode="edge"))
     dim, a_id = a.shape[axis], a.id
+    # One gather of clipped indices: much cheaper per call than np.pad.
+    out = Tensor._wrap(np.take(a.data, np.clip(np.arange(-before, dim + after), 0, dim - 1),
+                               axis=axis))
 
     def backward(g, acc):
         idx_interior = tuple(
@@ -531,6 +527,74 @@ def graph_matmul(matrix: Tensor, feat: Tensor) -> Tensor:
         acc(feat.id, np.einsum("jk,...j->...k", matrix.data, g))
 
     return _record(out, (matrix, feat), backward)
+
+
+def partition_mix(
+    x: Tensor,
+    parts: Sequence[np.ndarray],
+    edge_weights: Sequence[Tensor],
+    kernels: Sequence[Tensor],
+    biases: Sequence[Tensor],
+) -> Tensor:
+    """Node mixing of 1x1-convolved features over weighted graph partitions.
+
+    ``x`` is (B, C, T, N).  Partition q has a constant (N, N) matrix
+    ``parts[q]`` = A_q, learnable (N, N) ``edge_weights[q]`` = W_q, 1x1
+    ``kernels[q]`` = K_q of shape (C_out, C, 1, 1) and ``biases[q]`` = b_q
+    of shape (C_out,).  Returns (B, C_out, T, N)::
+
+        out = sum_q graph_matmul(tanh(W_q) * A_q, conv2d(x, K_q, b_q))
+
+    as one node.  A 1x1 kernel is a plain product with ``x`` viewed as
+    (B, C, T*N), so no windows are built, and the partitions run as one
+    batched product.  ``x`` gets a gradient only when the tape tracks it.
+    """
+    q = len(parts)
+    if not (q == len(edge_weights) == len(kernels) == len(biases)) or q == 0:
+        raise ShapeError(
+            f"partition_mix: {q} parts, {len(edge_weights)} edge weights, "
+            f"{len(kernels)} kernels, {len(biases)} biases"
+        )
+    if x.data.ndim != 4:
+        raise ShapeError(f"partition_mix: input must be (B, C, T, N), got {x.shape}")
+    b, c, t, n = x.shape
+    co = kernels[0].shape[0]
+    for part, w, k, bias in zip(parts, edge_weights, kernels, biases):
+        if np.shape(part) != (n, n) or w.shape != (n, n):
+            raise ShapeError(f"partition_mix: part {np.shape(part)}, edge weights "
+                             f"{w.shape} vs {n} nodes")
+        if k.shape != (co, c, 1, 1) or bias.shape != (co,):
+            raise ShapeError(f"partition_mix: kernels {k.shape}, bias {bias.shape} "
+                             f"vs input {x.shape}")
+    k_all = np.concatenate([k.data.reshape(co, c) for k in kernels])  # (Q*C_out, C)
+    x2 = x.data.reshape(b, c, t * n)
+    h = k_all @ x2
+    h += np.concatenate([bias.data for bias in biases])[:, None]
+    h = h.reshape(b, q, co * t, n)
+    tanh_w = np.tanh(np.stack([w.data for w in edge_weights]))
+    parts_arr = np.stack([np.asarray(part, dtype=np.float64) for part in parts])
+    mix = tanh_w * parts_arr  # (Q, N, N)
+    out = Tensor._wrap((h @ mix.transpose(0, 2, 1)).sum(axis=1).reshape(b, co, t, n))
+    need_dx = _tracked(_active_tape(), x)
+    x_id = x.id
+    param_ids = [(w.id, k.id, bias.id) for w, k, bias in zip(edge_weights, kernels, biases)]
+
+    def backward(g, acc):
+        g3 = g.reshape(b, 1, co * t, n)
+        dmix = (h.transpose(0, 1, 3, 2) @ g3).sum(axis=0).transpose(0, 2, 1)
+        dw = dmix * parts_arr * (1.0 - tanh_w * tanh_w)
+        dh = (g3 @ mix).reshape(b, q * co, t * n)
+        dk = (dh @ x2.transpose(0, 2, 1)).sum(axis=0)
+        db = dh.sum(axis=(0, 2))
+        for i, (w_id, k_id, bias_id) in enumerate(param_ids):
+            rows = slice(i * co, (i + 1) * co)
+            acc(w_id, dw[i])
+            acc(k_id, dk[rows].reshape(co, c, 1, 1))
+            acc(bias_id, db[rows])
+        if need_dx:
+            acc(x_id, (k_all.T @ dh).reshape(b, c, t, n))
+
+    return _record(out, (x, *edge_weights, *kernels, *biases), backward)
 
 
 # ---------------------------------------------------------------------------

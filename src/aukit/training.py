@@ -87,11 +87,61 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Largest number of values updated as one flat array; a larger parameter
+#: is a chunk of its own.  It bounds the extra memory of the flat copies.
+_CHUNK = 1 << 17
+
+
 @dataclass
 class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     velocity: Dict[str, np.ndarray] = field(default_factory=dict)
+    # The flat velocity of each chunk of the last step, by its names, with
+    # the per-name views handed out in ``velocity``.
+    _flat: Dict[Tuple[str, ...], Tuple[np.ndarray, List[np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _chunks(names: Sequence[str], entries: Entries, velocity) -> List[List[str]]:
+    """Runs of consecutive names of at most ``_CHUNK`` values in all.
+
+    A run also ends where a name's velocity starts or stops existing, so a
+    chunk is updated by one rule.
+    """
+    chunks: List[List[str]] = []
+    run: List[str] = []
+    size, run_has_v = 0, False
+    for name in names:
+        n, has_v = entries[name].size, name in velocity
+        if run and (size + n > _CHUNK or has_v != run_has_v):
+            chunks.append(run)
+            run, size = [], 0
+        run.append(name)
+        size += n
+        run_has_v = has_v
+    if run:
+        chunks.append(run)
+    return chunks
+
+
+def _joined(arrays: Sequence) -> np.ndarray:
+    """The arrays as one flat float64 array; a lone array is not copied."""
+    if len(arrays) == 1:
+        return np.asarray(arrays[0], dtype=np.float64).reshape(-1)
+    return np.concatenate(arrays, axis=None, dtype=np.float64)
+
+
+def _check_finite(names: Sequence[str], entries: Entries, problem: str, *flats) -> None:
+    """Raise ``NumericalError`` naming the first parameter whose span is not finite."""
+    if all(np.isfinite(flat).all() for flat in flats):
+        return
+    offset = 0
+    for name in names:
+        n = entries[name].size
+        if not all(np.isfinite(flat[offset:offset + n]).all() for flat in flats):
+            raise NumericalError(f"{problem} for parameter {name!r}")
+        offset += n
 
 
 def sgd_step(
@@ -105,26 +155,60 @@ def sgd_step(
     For each named parameter: g' = g + wd * theta, v <- mu * v + g',
     theta <- theta - lr * (g' + mu * v).  Parameters without a gradient
     entry are left untouched.  Velocities live in ``state``.
+
+    The rule is elementwise, so it runs once per chunk of consecutive
+    parameters joined into one flat array, with the bytes of a per-name
+    update.  The new parameters and ``state.velocity`` are views of the
+    chunks.  A non-finite gradient or update raises ``NumericalError``
+    naming the parameter, and leaves ``state`` as it was.
     """
-    updated = dict(entries)
     for name, grad in grads.items():
         if name not in entries:
             raise ConfigError(f"gradient for unknown parameter {name!r}")
-        theta = entries[name].data
-        g = np.asarray(grad, dtype=np.float64)
-        if g.shape != theta.shape:
+        if np.shape(grad) != entries[name].shape:
             raise ConfigError(
-                f"gradient shape {g.shape} != parameter shape {theta.shape} "
-                f"for {name!r}"
+                f"gradient shape {np.shape(grad)} != parameter shape "
+                f"{entries[name].shape} for {name!r}"
             )
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        g = g + state.weight_decay * theta
-        v = state.velocity.get(name)
-        v = g if v is None else state.momentum * v + g
-        state.velocity[name] = v
-        updated[name] = T.Tensor(theta - lr * (g + state.momentum * v),
-                                 requires_grad=True)
+    mu, wd = state.momentum, state.weight_decay
+    done = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for names in _chunks(grads, entries, state.velocity):
+            g = _joined([grads[n] for n in names])
+            _check_finite(names, entries, "non-finite gradient", g)
+            theta = _joined([entries[n].data for n in names])
+            g = g + wd * theta
+            if names[0] in state.velocity:
+                # Reuse last step's flat velocity unless a view was replaced.
+                cached = state._flat.get(tuple(names))
+                if cached and all(state.velocity[n] is view
+                                  for n, view in zip(names, cached[1])):
+                    flat = cached[0]
+                else:
+                    flat = _joined([state.velocity[n] for n in names])
+                v = mu * flat + g
+            else:
+                v = g
+            new = theta - lr * (g + mu * v)
+            _check_finite(names, entries, "update overflowed", new, v)
+            done.append((names, new, v))
+
+    updated = dict(entries)
+    flats = {}
+    for names, new, v in done:
+        new.setflags(write=False)
+        offset, views = 0, []
+        for name in names:
+            shape = entries[name].shape
+            n = entries[name].size
+            tensor = T.Tensor._wrap(new[offset:offset + n].reshape(shape))
+            tensor.requires_grad = True
+            updated[name] = tensor
+            views.append(v[offset:offset + n].reshape(shape))
+            state.velocity[name] = views[-1]
+            offset += n
+        flats[tuple(names)] = (v, views)
+    state._flat = flats
     return updated
 
 

@@ -225,6 +225,18 @@ class TestPerOpGradients:
 
             assert T.grad_check(fn, T.Tensor(x)) < 1e-6
 
+    def test_partition_mix(self):
+        parts = [rand((4, 4), 20 + q) for q in range(3)]
+        x = rand((2, 3, 3, 4), 23)
+        params = ([rand((4, 4), 24 + q) for q in range(3)]
+                  + [rand((2, 3, 1, 1), 27 + q) for q in range(3)]
+                  + [rand((2,), 30 + q) for q in range(3)])
+
+        def fn(xx, *ps):
+            return T.sum_all(T.tanh(T.partition_mix(xx, parts, ps[0:3], ps[3:6], ps[6:9])))
+
+        assert T.grad_check(fn, [T.Tensor(a) for a in [x] + params]) < 1e-6
+
     def test_graph_matmul(self):
         for m, extra in [(3, (2, 4)), (4, (1, 2)), (5, (2, 2))]:
             a = rand((m, m), 12)

@@ -35,25 +35,42 @@ def identity_phi2(layer, ch, t_k):
     layer.phi2_bias = T.Tensor(np.zeros(ch), requires_grad=True)
 
 
+def mixed_edges(part, w):
+    """The edge matrix tanh(W) * A that ``partition_mix`` mixes nodes by.
+
+    With one partition, a 1x1 identity kernel and frame t holding the
+    one-hot node t, the output at frame t is column t of the matrix.
+    """
+    n = part.shape[0]
+    one_hot = T.Tensor(np.eye(n)[None, None])  # (B, C, T, N) = (1, 1, n, n)
+    out = T.partition_mix(one_hot, [part], [w], [T.Tensor.ones((1, 1, 1, 1))],
+                          [T.Tensor.zeros((1,))])
+    return out.data[0, 0].T
+
+
 class TestAdaptiveEdges:
+    """The learnable re-weighting tanh(W_q) * A_q inside ``partition_mix``."""
+
     def test_zero_weights_zero_edges(self):
         part = rand((4, 4), seed=1)
-        out = S.adaptive_edges(part, T.Tensor.zeros((4, 4)))
-        assert not out.data.any()
+        out = mixed_edges(part, T.Tensor.zeros((4, 4)))
+        assert not out.any()
 
     def test_saturated_weights_recover_partition(self):
         part = rand((4, 4), seed=2)
-        out = S.adaptive_edges(part, T.Tensor.full((4, 4), 50.0))
-        assert np.abs(out.data - part).max() < 1e-12
+        out = mixed_edges(part, T.Tensor.full((4, 4), 50.0))
+        assert np.abs(out - part).max() < 1e-12
 
     def test_all_ones_initialization_scale(self):
         part = rand((3, 3), seed=3)
-        out = S.adaptive_edges(part, T.Tensor.ones((3, 3)))
-        assert np.abs(out.data - math.tanh(1.0) * part).max() < 1e-15
+        out = mixed_edges(part, T.Tensor.ones((3, 3)))
+        assert np.abs(out - math.tanh(1.0) * part).max() < 1e-15
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            S.adaptive_edges(np.ones((3, 3)), T.Tensor.ones((4, 4)))
+            T.partition_mix(T.Tensor.zeros((1, 1, 2, 4)), [np.ones((3, 3))],
+                            [T.Tensor.ones((4, 4))], [T.Tensor.ones((1, 1, 1, 1))],
+                            [T.Tensor.zeros((1,))])
 
 
 class TestLayerForward:
@@ -135,6 +152,16 @@ class TestLayerForward:
         assert calls_1["gst_layer_forward"] == 1  # no recursion into a batched call
         assert calls_1 - calls_b == Counter(reshape=2) and not calls_b - calls_1
         assert nodes_1 == nodes_b + 2
+
+    @pytest.mark.parametrize("track_input", [True, False])
+    def test_layer_records_four_tape_nodes(self, track_input):
+        # partition_mix, pad_edge, the temporal conv2d and the residual add.
+        graph = toy_graph()
+        layer = S.init_stgcn_layer(Xoshiro256pp(17), c=1, m=3, t_k=3)
+        f_in = T.Tensor(rand((2, 8, 4, 3), seed=18), requires_grad=track_input)
+        with T.Tape() as tape:
+            S.gst_layer_forward(f_in, graph, layer)
+        assert len(tape._nodes) == 4
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):

@@ -486,6 +486,76 @@ class TestAttentionPool:
             T.attention_pool(*self.make(), padding=padding)
 
 
+def partition_mix_oracle(x, parts, edge_weights, kernels, biases):
+    """Per partition: 1x1 conv2d, tanh edge mask, mul and graph_matmul, then add."""
+    out = None
+    for part, w, k, bias in zip(parts, edge_weights, kernels, biases):
+        mixed = T.graph_matmul(T.mul(T.tanh(w), T.Tensor(part)), T.conv2d(x, k, bias))
+        out = mixed if out is None else T.add(out, mixed)
+    return out
+
+
+class TestPartitionMix:
+    """partition_mix equals the composed per-partition ops, as one node."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("track_x", [True, False])
+    def test_matches_composed_ops(self, batch, track_x):
+        c, co, t, n = 3, 4, 5, 4
+        parts = [rand((n, n), seed=10 + q) for q in range(3)]
+        x = rand((batch, c, t, n))
+        params = ([rand((n, n), seed=1 + q) for q in range(3)]
+                  + [rand((co, c, 1, 1), seed=4 + q) for q in range(3)]
+                  + [rand((co,), seed=7 + q) for q in range(3)])
+        up = T.Tensor(rand((batch, co, t, n), seed=13))
+        results = []
+        for op in (T.partition_mix, partition_mix_oracle):
+            xs = T.Tensor(x, requires_grad=track_x)
+            ps = [T.Tensor(a, requires_grad=True) for a in params]
+            with T.Tape() as tape:
+                out = op(xs, parts, ps[0:3], ps[3:6], ps[6:9])
+                tape.backward(T.sum_all(T.mul(out, up)))
+            results.append([out.data] + [tape.grad(p) for p in ps])
+            dx = tape.grad(xs)
+            assert (dx is not None) == track_x
+            results[-1].append(dx if track_x else np.zeros(x.shape))
+        for got, expected in zip(*results):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() < 1e-12
+
+    def test_is_one_tape_node(self):
+        x = T.Tensor(rand((2, 3, 4, 5)), requires_grad=True)
+        ps = [T.Tensor(rand(s, seed=1), requires_grad=True)
+              for s in [(5, 5)] * 3 + [(2, 3, 1, 1)] * 3 + [(2,)] * 3]
+        with T.Tape() as tape:
+            T.partition_mix(x, [np.eye(5)] * 3, ps[0:3], ps[3:6], ps[6:9])
+        assert len(tape._nodes) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"x": (3, 4, 5)},                                    # rank
+            {"kernel": (2, 4, 1, 1)},                            # kernel C_in
+            {"kernel": (2, 3, 3, 1)},                            # not 1x1
+            {"bias": (3,)},
+            {"edge": (4, 4)},
+            {"part": (5, 4)},
+            {"count": 2},                                        # lists disagree
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, change):
+        shapes = {"x": (2, 3, 4, 5), "kernel": (2, 3, 1, 1), "bias": (2,), "edge": (5, 5),
+                  "part": (5, 5), **change}
+        parts = [np.ones(shapes["part"])] * 3
+        edges = [T.Tensor.ones(shapes["edge"])] * 3
+        kernels = [T.Tensor.ones((2, 3, 1, 1)), T.Tensor.ones(shapes["kernel"]),
+                   T.Tensor.ones((2, 3, 1, 1))]
+        biases = [T.Tensor.zeros(shapes["bias"])] * 3
+        with pytest.raises(ShapeError):
+            T.partition_mix(T.Tensor.zeros(shapes["x"]), parts, edges,
+                            kernels[:change.get("count", 3)], biases)
+
+
 class TestMaxPool:
     def test_two_by_two(self):
         y = T.maxpool2d(T.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))

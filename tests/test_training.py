@@ -18,13 +18,14 @@ from aukit.config import HyperParams, resolve
 from aukit.dataset import VideoSequence, default_spec, generate_labels, render_video
 from aukit.errors import ConfigError, DataError, NumericalError
 from aukit.graph import build_graph
-from aukit.losses import attention_stage_loss
+from aukit.losses import attention_stage_loss, au_detection_loss
 from aukit.model import (
     init_attention_entries,
     init_relation_entries,
     load_model,
     model_dims,
     save_model,
+    stage2_forward,
 )
 from aukit.training import (
     LrSchedule,
@@ -153,8 +154,66 @@ def test_sgd_leaves_unlisted_parameters_alone():
 
 def test_sgd_rejects_nan_gradient():
     entries = {"w": T.Tensor(np.asarray(1.0))}
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="'w'"):
         sgd_step(entries, {"w": np.asarray(float("nan"))}, 0.1, OptimizerState())
+
+
+def test_sgd_overflow_names_the_parameter_and_keeps_velocity(recwarn):
+    entries = {"a": T.Tensor(np.ones(3)), "w": T.Tensor(np.full(2, 1e300))}
+    state = OptimizerState()
+    sgd_step(entries, {"a": np.ones(3), "w": np.zeros(2)}, 1e-3, state)
+    before = {name: v.copy() for name, v in state.velocity.items()}
+    with pytest.raises(NumericalError, match="'w'"):
+        sgd_step(entries, {"a": np.ones(3), "w": np.full(2, 1e300)}, 1e10, state)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert list(state.velocity) == list(before)
+    for name, v in before.items():
+        assert state.velocity[name].tobytes() == v.tobytes(), name
+
+
+def sgd_per_name(entries, grads, lr, state):
+    """The momentum rule one parameter at a time, in plain numpy."""
+    updated = dict(entries)
+    for name, grad in grads.items():
+        theta = entries[name].data
+        g = grad + state.weight_decay * theta
+        v = state.velocity.get(name)
+        v = g if v is None else state.momentum * v + g
+        state.velocity[name] = v
+        updated[name] = T.Tensor(theta - lr * (g + state.momentum * v), requires_grad=True)
+    return updated
+
+
+def test_sgd_chunks_equal_the_per_name_rule_bytewise():
+    # Sizes around the chunk bound: a parameter larger than a chunk, names
+    # that straddle a chunk boundary, and many small ones.
+    chunk = training._CHUNK
+    shapes = {"s1": (3,), "big": (chunk + 5,), "s2": (2, 2), "half1": (chunk // 2 + 1,),
+              "half2": (chunk // 2 + 1,), "one": (), "exact": (chunk,), "tail": (7, 3)}
+    rng = np.random.default_rng(11)
+    entries = {n: T.Tensor(rng.standard_normal(s), requires_grad=True)
+               for n, s in shapes.items()}
+    ref_entries = dict(entries)
+    state, ref_state = OptimizerState(0.9, 5e-4), OptimizerState(0.9, 5e-4)
+    for step in range(3):
+        grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        if step == 0:  # then s2 alone starts without a velocity
+            del grads["s2"]
+        if step == 2:  # a velocity set from outside is read, not the stale flat copy
+            state.velocity["s2"] = state.velocity["s2"] + 1.0
+            ref_state.velocity["s2"] = ref_state.velocity["s2"] + 1.0
+        entries = sgd_step(entries, grads, 0.05, state)
+        ref_entries = sgd_per_name(ref_entries, grads, 0.05, ref_state)
+        assert list(state.velocity) == list(ref_state.velocity)
+        for name in shapes:
+            assert entries[name].shape == shapes[name]
+            assert entries[name].data.tobytes() == ref_entries[name].data.tobytes(), (step, name)
+            if name not in grads:
+                continue
+            assert entries[name].requires_grad
+            assert not entries[name].data.flags.writeable
+            v, ref_v = state.velocity[name], ref_state.velocity[name]
+            assert v.shape == ref_v.shape and v.tobytes() == ref_v.tobytes(), (step, name)
 
 
 def test_sgd_rejects_unknown_name_and_bad_shape():
@@ -288,6 +347,41 @@ def test_toy_attention_step_is_bytewise_repeatable():
     for name in grads_a:
         assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
     assert_entries_equal(updated_a, updated_b)
+
+
+def test_toy_relation_step_is_bytewise_repeatable():
+    # One frozen toy-preset relation step (graph stack and heads on fixed
+    # features) run twice: gradients and updated entries agree to the byte.
+    hp = resolve("toy")
+    rng = np.random.default_rng(9)
+    labels = (rng.random((hp.batch_size, hp.t, hp.m)) < 0.5).astype(np.float64)
+    graph = build_graph(labels.reshape(-1, hp.m), hp.tau)
+    stage1 = init_attention_entries(hp.c, hp.m, seed=9)
+    entries = init_relation_entries(stage1, hp.t_k, hp.depth, seed=9)
+    for name in entries:  # non-zero phi2, so gradients reach every layer's edges
+        if name.endswith("phi2.kernels"):
+            entries[name] = T.Tensor(0.1 * rng.standard_normal(entries[name].shape),
+                                     requires_grad=True)
+    features = np.tanh(rng.standard_normal((hp.batch_size, 8 * hp.c, hp.t, hp.m)))
+    trainable = [n for n in entries if n.startswith(("gst.", "head."))]
+
+    def step():
+        with T.Tape() as tape:
+            probs = stage2_forward(entries, graph, T.Tensor(features))
+            loss = au_detection_loss(probs, labels, np.full(hp.m, 0.5))
+        tape.backward(loss)
+        grads = {name: tape.grad(entries[name]) for name in trainable}
+        state = OptimizerState(hp.momentum, hp.weight_decay)
+        return grads, sgd_step(entries, grads, hp.relation_lr, state)
+
+    grads_a, updated_a = step()
+    grads_b, updated_b = step()
+    assert list(grads_a) == list(grads_b)
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+    assert list(updated_a) == list(updated_b)
+    for name in updated_a:
+        assert updated_a[name].data.tobytes() == updated_b[name].data.tobytes(), name
 
 
 def test_attention_training_updates_all_parameters(mini_data, stage1):
