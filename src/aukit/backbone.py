@@ -45,20 +45,14 @@ FRAME_MULTIPLE = 2 * max(GRIDS)
 
 @dataclass
 class ConvParams:
-    kernels: T.Tensor  # (C_out, C_in, k, k)
-    bias: T.Tensor     # (C_out,)
-
-
-@dataclass
-class PatchConvParams:
-    kernels: T.Tensor  # (P, C_out, C_in, k, k)
-    bias: T.Tensor     # (P, C_out)
+    kernels: T.Tensor  # (C_out, C_in, k, k); a per-patch bank (P, C_out, C_in, k, k)
+    bias: T.Tensor     # (C_out,); a per-patch bank (P, C_out)
 
 
 @dataclass
 class RegionLayerParams:
     input_conv: ConvParams
-    stage_convs: Tuple[PatchConvParams, PatchConvParams, PatchConvParams]
+    stage_convs: Tuple[ConvParams, ConvParams, ConvParams]  # per-patch banks
     fusion_conv: ConvParams
 
 
@@ -97,8 +91,8 @@ def init_conv(rng: Xoshiro256pp, in_ch: int, out_ch: int, k: int) -> ConvParams:
 
 def init_patch_conv(
     rng: Xoshiro256pp, patches: int, in_ch: int, out_ch: int, k: int
-) -> PatchConvParams:
-    return PatchConvParams(
+) -> ConvParams:
+    return ConvParams(
         kernels=_uniform(rng, (patches, out_ch, in_ch, k, k), in_ch * k * k),
         bias=T.Tensor(np.zeros((patches, out_ch)), requires_grad=True),
     )
@@ -184,19 +178,12 @@ def attention_branch_forward(
     """
     if len(feat.shape) != 4:
         raise ShapeError(f"expected a batch of feature maps, got shape {feat.shape}")
-    m, ch = len(branches), feat.shape[1]
     att_kernels = T.concat([br.att_conv.kernels for br in branches], axis=0)
     att_bias = T.concat([br.att_conv.bias for br in branches], axis=0)
     maps = T.sigmoid(T.conv2d(feat, att_kernels, att_bias, padding=(1, 1)))
     feat_kernels = T.concat([br.feat_conv.kernels for br in branches], axis=0)
     feat_bias = T.concat([br.feat_conv.bias for br in branches], axis=0)
-    f0 = T.attention_pool(
-        maps,
-        feat,
-        T.reshape(feat_kernels, (m, ch) + feat_kernels.shape[1:]),
-        T.reshape(feat_bias, (m, ch)),
-        padding=(1, 1),
-    )
+    f0 = T.attention_pool(maps, feat, feat_kernels, feat_bias, padding=(1, 1))
     head_weight = T.concat([br.head_weight for br in branches], axis=0)  # (m, 8c)
     head_bias = T.concat([br.head_bias for br in branches], axis=0)      # (m,)
     logits = T.per_node_head(T.transpose(f0, (2, 0, 1)), head_weight, head_bias)
@@ -222,7 +209,7 @@ def attention_stage_forward(
 # ---------------------------------------------------------------------------
 
 
-def _conv_entries(prefix: str, conv: ConvParams | PatchConvParams):
+def _conv_entries(prefix: str, conv: ConvParams):
     yield f"{prefix}.kernels", conv.kernels
     yield f"{prefix}.bias", conv.bias
 
@@ -251,15 +238,11 @@ def _conv_from(entries: Dict[str, T.Tensor], prefix: str) -> ConvParams:
     return ConvParams(entries[f"{prefix}.kernels"], entries[f"{prefix}.bias"])
 
 
-def _patch_conv_from(entries: Dict[str, T.Tensor], prefix: str) -> PatchConvParams:
-    return PatchConvParams(entries[f"{prefix}.kernels"], entries[f"{prefix}.bias"])
-
-
 def region_layer_from(entries: Dict[str, T.Tensor], prefix: str) -> RegionLayerParams:
     return RegionLayerParams(
         input_conv=_conv_from(entries, f"{prefix}.input"),
         stage_convs=tuple(
-            _patch_conv_from(entries, f"{prefix}.stage{s}") for s in (1, 2, 3)
+            _conv_from(entries, f"{prefix}.stage{s}") for s in (1, 2, 3)
         ),  # type: ignore[arg-type]
         fusion_conv=_conv_from(entries, f"{prefix}.fusion"),
     )

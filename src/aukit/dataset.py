@@ -18,7 +18,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -324,10 +324,11 @@ class VideoSequence:
 def load_dataset(directory) -> List[VideoSequence]:
     labels_path = os.path.join(directory, "labels.csv")
     ids, frame_idx, labels = load_labels(labels_path)
+    rows_of: Dict[str, List[int]] = {}  # video id -> rows, in first-appearance order
+    for i, vid in enumerate(ids):
+        rows_of.setdefault(vid, []).append(i)
     sequences = []
-    seen = dict.fromkeys(ids)  # insertion-ordered unique video ids
-    for vid in seen:
-        rows = [i for i, v in enumerate(ids) if v == vid]
+    for vid, rows in rows_of.items():
         order = sorted(rows, key=lambda i: frame_idx[i])
         expected = list(range(len(order)))
         if [int(frame_idx[i]) for i in order] != expected:

@@ -34,6 +34,8 @@ def au_detection_loss(p_hat: T.Tensor, labels: np.ndarray, weights: np.ndarray) 
 
     Accepts per-sequence predictions (t, m) or a batch (b, t, m); the
     label axis m is last, and ``weights`` holds one weight per label.
+    Labels must be 0 or 1: each term is then w * log of the probability
+    given to the true label, ``p_true = p * (2y - 1) + (1 - y)``.
     """
     shape = p_hat.shape
     if len(shape) not in (2, 3):
@@ -41,19 +43,17 @@ def au_detection_loss(p_hat: T.Tensor, labels: np.ndarray, weights: np.ndarray) 
     truth = np.asarray(labels, dtype=np.float64)
     if truth.shape != shape:
         raise ShapeError(f"labels shape {truth.shape} != predictions shape {shape}")
+    if np.any((truth != 0.0) & (truth != 1.0)):
+        raise DomainError("labels must be 0 or 1")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (shape[-1],):
         raise ShapeError(f"weights shape {w.shape} != ({shape[-1]},)")
 
     clamped = T.clamp(p_hat, PROB_EPS, 1.0 - PROB_EPS)
-    log_p = T.log(clamped)
-    log_q = T.log(T.scalar_add(T.scalar_mul(clamped, -1.0), 1.0))
-    w_full = np.broadcast_to(w, shape)
-    pos = T.mul(log_p, T.Tensor(truth * w_full))
-    neg = T.mul(log_q, T.Tensor((1.0 - truth) * w_full))
-    total = T.sum_all(T.add(pos, neg))
+    p_true = T.add(T.mul(clamped, T.Tensor(2.0 * truth - 1.0)), T.Tensor(1.0 - truth))
+    weighted = T.mul(T.log(p_true), T.Tensor(np.broadcast_to(w, shape)))
     frames = p_hat.size // shape[-1]
-    return T.scalar_mul(total, -1.0 / frames)
+    return T.scalar_mul(T.sum_all(weighted), -1.0 / frames)
 
 
 def attention_stage_loss(

@@ -60,14 +60,19 @@ def init_attention_entries(c: int, m: int, seed: int) -> Entries:
     return entries
 
 
+def stage1_entries(entries: Entries) -> Entries:
+    """The backbone and branch entries of ``entries``, in their order."""
+    return {name: param for name, param in entries.items()
+            if name.startswith(("backbone.", "branch."))}
+
+
 def init_relation_entries(
     stage1: Entries, t_k: int, depth: int, seed: int
 ) -> Entries:
     """Fresh graph-stack and head parameters after the stage-1 entries of ``stage1``."""
     dims = model_dims(stage1)
     rng = Xoshiro256pp(derive_seed(seed, _RELATION_STREAM))
-    entries: Entries = {name: param for name, param in stage1.items()
-                        if name.startswith(("backbone.", "branch."))}
+    entries = stage1_entries(stage1)
     entries.update(stgcn_entries(init_stgcn(rng.fork(0), dims.c, dims.m, t_k, depth)))
     entries.update(head_entries(init_head(rng.fork(1), dims.c, dims.m)))
     return entries

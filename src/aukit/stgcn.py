@@ -107,11 +107,6 @@ def gst_layer_forward(
     return T.reshape(out, shape) if unbatched else out
 
 
-def _stack_head(head: StgcnHead) -> tuple[T.Tensor, T.Tensor]:
-    rows = [T.reshape(w, (1, w.shape[0])) for w in head.weights]
-    return T.concat(rows, axis=0), T.concat(head.biases, axis=0)
-
-
 def stgcn_forward(
     f0: T.Tensor,
     graph: RelationGraph,
@@ -129,8 +124,8 @@ def stgcn_forward(
     features = f0
     for layer in layers:
         features = gst_layer_forward(features, graph, layer)
-    weight, bias = _stack_head(head)
-    return T.sigmoid(T.per_node_head(features, weight, bias))
+    weight = T.reshape(T.concat(head.weights, axis=0), (len(head.weights), -1))
+    return T.sigmoid(T.per_node_head(features, weight, T.concat(head.biases, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -838,10 +838,11 @@ def attention_pool(
 ) -> Tensor:
     """Spatial mean of one convolution of each gated feature map, all at once.
 
-    ``maps`` is (B, M, H, W), ``feat`` (B, C, H, W), ``kernels`` (M, C_out,
-    C, k_h, k_w) and ``bias`` (M, C_out).  Returns (B, M, C_out) with
-    ``out[:, j] = global_avg_pool(conv2d(maps[:, j] * feat, kernels[j],
-    bias[j], padding))``, padding in 0..k-1 as for :func:`conv2d`.
+    ``maps`` is (B, M, H, W) and ``feat`` (B, C, H, W); ``kernels`` (M*C_out,
+    C, k_h, k_w) and ``bias`` (M*C_out,) stack the M banks as :func:`conv2d`
+    takes them, bank j in rows j*C_out to (j+1)*C_out - 1.  Returns (B, M,
+    C_out) with ``out[:, j] = global_avg_pool(conv2d(maps[:, j] * feat, bank
+    j, padding))``, padding in 0..k-1 as for :func:`conv2d`.
 
     The mean is linear, so it moves ahead of the convolution (as CAM swaps
     pool and classifier, arXiv 1512.04150): the mean output is the kernels
@@ -850,18 +851,19 @@ def attention_pool(
     offset (d, e) reads for some output.  S is one (M*k_h*k_w, H*W) @ (H*W,
     C) product per frame, and the backward is two more of that size.
     """
-    if maps.data.ndim != 4 or feat.data.ndim != 4 or kernels.data.ndim != 5:
+    if maps.data.ndim != 4 or feat.data.ndim != 4 or kernels.data.ndim != 4:
         raise ShapeError(
             f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
         )
     b, m, hh, ww = maps.shape
-    _, co, c, kh, kw = kernels.shape
-    if feat.shape != (b, c, hh, ww) or kernels.shape[0] != m:
+    rows, c, kh, kw = kernels.shape
+    if feat.shape != (b, c, hh, ww) or m < 1 or rows % m:
         raise ShapeError(
             f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
         )
-    if bias.shape != (m, co):
-        raise ShapeError(f"attention_pool: bias shape {bias.shape} != {(m, co)}")
+    co = rows // m
+    if bias.shape != (rows,):
+        raise ShapeError(f"attention_pool: bias shape {bias.shape} != {(rows,)}")
     ph, pw = padding
     if not (0 <= ph < kh and 0 <= pw < kw):
         raise ShapeError(f"attention_pool: padding {padding} outside 0..k-1 for kernel {kh}x{kw}")
@@ -876,12 +878,12 @@ def attention_pool(
     sums = gated @ f2.transpose(0, 2, 1)  # (B, M*k_h*k_w, C)
     s2 = sums.reshape(b, m, taps, c).transpose(1, 3, 2, 0).reshape(m, c * taps, b)
     k2 = kernels.data.reshape(m, co, c * taps)
-    out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias.data)
+    out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias.data.reshape(m, co))
     maps_id = maps.id
 
     def backward(g, acc):
         gs = g.transpose(1, 0, 2) * scale  # (M, B, C_out)
-        acc(bias.id, g.sum(axis=0))
+        acc(bias.id, g.sum(axis=0).reshape(rows))
         acc(kernels.id, (gs.transpose(0, 2, 1) @ s2.transpose(0, 2, 1)).reshape(kernels.shape))
         dsums = (gs @ k2).reshape(m, b, c, taps).transpose(1, 0, 3, 2).reshape(b, m * taps, c)
         dmaps = np.einsum("bjtp,tp->bjp", (dsums @ f2).reshape(b, m, taps, hw), reads)

@@ -34,6 +34,7 @@ from .model import (
     init_relation_entries,
     model_dims,
     sequence_features,
+    stage1_entries,
     stage1_forward,
     stage2_forward,
 )
@@ -305,6 +306,8 @@ def _fit(
     ``(sequence, start)`` windows on the active tape.
     """
     total = schedule.max_epochs if epochs is None else epochs
+    if total < 0:
+        raise ConfigError(f"epochs must be >= 0, got {total}")
     if total > schedule.max_epochs:
         raise ConfigError(
             f"{total} epochs exceeds schedule maximum {schedule.max_epochs}"
@@ -349,15 +352,17 @@ def train_attention_stage(
     windows = _training_windows(sequences, hp.t, "attention stage")
     weights = _dataset_weights(sequences, hp.m)
 
-    entries = dict(init_entries) if init_entries is not None \
-        else init_attention_entries(hp.c, hp.m, seed)
+    if init_entries is None:
+        entries = init_attention_entries(hp.c, hp.m, seed)
+    else:  # a relation model's graph stack was fit to stage-1 features this changes
+        entries = stage1_entries(init_entries)
     dims = model_dims(entries)
     if dims.c != hp.c or dims.m != hp.m:
         raise ConfigError(
             f"checkpoint sizes (c={dims.c}, m={dims.m}) do not match "
             f"config (c={hp.c}, m={hp.m})"
         )
-    trainable = [n for n in entries if n.startswith(("backbone.", "branch."))]
+    trainable = list(entries)
 
     def batch_loss(entries, batch, rng):
         clips = [_augmented_window(seq.frames, start, hp.t, hp.l, rng, "attention stage")
@@ -404,6 +409,11 @@ def train_relation_stage(
             raise ConfigError("resume checkpoint holds no graph-stack entries")
         if (resumed.c, resumed.m) != (dims.c, dims.m):
             raise ConfigError("resume checkpoint does not match stage-1 sizes")
+        if (resumed.depth, resumed.t_k) != (hp.depth, hp.t_k):
+            raise ConfigError(
+                f"resume checkpoint sizes (depth={resumed.depth}, t_k={resumed.t_k}) "
+                f"do not match config (depth={hp.depth}, t_k={hp.t_k})"
+            )
     else:
         entries = init_relation_entries(stage1, hp.t_k, hp.depth, seed)
 

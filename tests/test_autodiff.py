@@ -274,8 +274,8 @@ class TestPerOpGradients:
         # two 3x4 gated maps over a batch of two, 3x3 kernels at padding 1
         maps = rand((2, 2, 3, 4), 29)
         feat = rand((2, 3, 3, 4), 30)
-        k = rand((2, 2, 3, 3, 3), 31)
-        b = rand((2, 2), 32)
+        k = rand((2, 2, 3, 3, 3), 31).reshape(4, 3, 3, 3)  # two banks, stacked
+        b = rand((2, 2), 32).reshape(4)
 
         def fn(mm, ff, kk, bb):
             pooled = T.attention_pool(T.sigmoid(mm), ff, kk, bb, padding=(1, 1))

@@ -218,6 +218,15 @@ def test_train_epochs_beyond_schedule(ws, tmp_path):
                "--c", "1", "--t", "4", "--m", "2", "--epochs", "99") == 2
 
 
+@pytest.mark.parametrize("stage", ["attention", "relation"])
+def test_train_negative_epochs_rejected(ws, tmp_path, capsys, stage):
+    out = tmp_path / "x.stck"
+    assert run("train", "--stage", stage, "--data", ws.data, "--graph", ws.graph,
+               "--stage1", ws.att, "--out", str(out), *TRAIN_FLAGS, "--epochs", "-1") == 2
+    assert "epochs must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _stage1_entries(path):
     entries = load_model(path)
     return {n: t.data for n, t in entries.items() if n.startswith(("backbone.", "branch."))}

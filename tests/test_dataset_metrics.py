@@ -187,6 +187,21 @@ class TestDatasetOnDisk:
         with pytest.raises(FormatError, match="not 0..t-1"):
             D.load_dataset(tmp_path)
 
+    def test_interleaved_out_of_order_rows_load_the_same_sequences(self, tmp_path):
+        spec = D.default_spec(m=2, videos=3, frames_per_video=5, seed=17)
+        D.generate(spec, tmp_path)
+        ordered = {seq.video_id: seq for seq in D.load_dataset(tmp_path)}
+        header, *rows = (tmp_path / "labels.csv").read_text().splitlines()
+        shuffled = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        (tmp_path / "labels.csv").write_text("\n".join([header] + shuffled) + "\n")
+        first_seen = list(dict.fromkeys(row.split(",")[0] for row in shuffled))
+        assert first_seen != sorted(first_seen)
+        sequences = D.load_dataset(tmp_path)
+        assert [seq.video_id for seq in sequences] == first_seen
+        for seq in sequences:
+            assert seq.labels.tobytes() == ordered[seq.video_id].labels.tobytes()
+            assert seq.frames.tobytes() == ordered[seq.video_id].frames.tobytes()
+
     def test_iter_windows_non_overlapping(self, tmp_path):
         spec = D.default_spec(m=2, videos=2, frames_per_video=10, seed=16)
         D.generate(spec, tmp_path)

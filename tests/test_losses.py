@@ -22,6 +22,23 @@ def loss_oracle(p_hat, labels, weights):
     return -total / t
 
 
+def ten_node_loss(p_hat, labels, weights):
+    """The former ten-node form of au_detection_loss, kept as its oracle.
+
+    It weights log(p) by y and log(1 - p) by 1 - y, which also serves soft
+    labels; the current form gives bitwise the same loss and gradient for
+    0/1 labels.
+    """
+    clamped = T.clamp(p_hat, losses.PROB_EPS, 1.0 - losses.PROB_EPS)
+    log_p = T.log(clamped)
+    log_q = T.log(T.scalar_add(T.scalar_mul(clamped, -1.0), 1.0))
+    w_full = np.broadcast_to(weights, p_hat.shape)
+    pos = T.mul(log_p, T.Tensor(labels * w_full))
+    neg = T.mul(log_q, T.Tensor((1.0 - labels) * w_full))
+    total = T.sum_all(T.add(pos, neg))
+    return T.scalar_mul(total, -1.0 / (p_hat.size // p_hat.shape[-1]))
+
+
 class TestClassWeights:
     def test_uniform_rates(self):
         w = losses.class_weights(np.full(4, 0.25))
@@ -78,6 +95,40 @@ class TestDetectionLoss:
         got = losses.au_detection_loss(T.Tensor(p_hat), labels, weights).item()
         per_seq = [loss_oracle(p_hat[b], labels[b], weights) for b in range(3)]
         assert abs(got - sum(per_seq) / 3.0) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(6, 4), (2, 6, 4)])
+    def test_bitwise_equal_to_ten_node_form(self, shape):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.0, 1.0, size=shape).reshape(-1)
+        eps = losses.PROB_EPS
+        # clamped at both ends, on the clamp bounds, and just inside them
+        p[:10] = [0.0, 1e-12, eps, 2 * eps, 0.5, 1.0 - 2 * eps, 1.0 - eps, 1.0 - 1e-12,
+                  1.0, 1e-3]
+        p = p.reshape(shape)
+        labels = (rng.random(shape) < 0.5).astype(np.float64)
+        labels.reshape(-1)[:10] = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+        weights = losses.class_weights(np.array([0.3, 0.1, 0.4, 0.2]))
+        results = []
+        for loss_fn in (losses.au_detection_loss, ten_node_loss):
+            p_hat = T.Tensor(p, requires_grad=True)
+            with T.Tape() as tape:
+                loss = loss_fn(p_hat, labels, weights)
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), tape.grad(p_hat).tobytes()))
+        assert results[0] == results[1]
+
+    def test_records_seven_tape_nodes(self):
+        p_hat = T.Tensor(np.full((3, 2), 0.5), requires_grad=True)
+        with T.Tape() as tape:
+            losses.au_detection_loss(p_hat, np.eye(3, 2), np.full(2, 0.5))
+        assert len(tape._nodes) == 7
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0])
+    def test_non_binary_labels_rejected(self, bad):
+        labels = np.zeros((2, 2))
+        labels[1, 0] = bad
+        with pytest.raises(DomainError):
+            losses.au_detection_loss(T.Tensor(np.full((2, 2), 0.5)), labels, np.ones(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -8,6 +8,7 @@ from aukit import graph as G
 from aukit import stgcn as S
 from aukit import tensor as T
 from aukit.errors import ConfigError, ShapeError
+from aukit.losses import au_detection_loss
 from aukit.rng import Xoshiro256pp
 
 
@@ -181,6 +182,17 @@ class TestStackForward:
         layers = S.init_stgcn(rng.fork(0), c=c, m=m, t_k=t_k, depth=depth)
         head = S.init_head(rng.fork(1), c=c, m=m)
         return graph, layers, head
+
+    @pytest.mark.parametrize("c, m", [(2, 4), (8, 12)])
+    def test_relation_step_records_44_tape_nodes(self, c, m):
+        # 4 per layer at the default depth, 3 to stack the heads, per_node_head
+        # and sigmoid, and 7 for the loss: the count does not grow with m.
+        graph, layers, head = self.build(m=m, c=c)
+        features = T.Tensor(rand((2, 8 * c, 4, m), seed=20))
+        with T.Tape() as tape:
+            probs = S.stgcn_forward(features, graph, layers, head)
+            au_detection_loss(probs, np.zeros((2, 4, m)), np.full(m, 1.0 / m))
+        assert len(tape._nodes) == 44
 
     def test_zero_init_stack_equals_head_on_input(self):
         graph, layers, head = self.build()

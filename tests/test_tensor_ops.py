@@ -418,7 +418,11 @@ class TestConvBackward:
 
 
 def attention_pool_oracle(maps, feat, kernels, bias, padding):
-    """Per map j: gate, convolve and average with the existing ops."""
+    """Per map j: gate, convolve and average with the existing ops.
+
+    ``kernels`` (M, C_out, C, k_h, k_w) and ``bias`` (M, C_out) hold one bank
+    per map; attention_pool takes the same banks stacked along C_out.
+    """
     b, m, h, w = maps.shape
     pooled = []
     for j in range(m):
@@ -447,19 +451,22 @@ class TestAttentionPool:
             rand((m, co, c) + kernel, seed=2),
             rand((m, co), seed=3),
         )
+        stacked = arrays[:2] + (arrays[2].reshape((m * co, c) + kernel), arrays[3].reshape(-1))
         up = T.Tensor(rand((batch, m, co), seed=4))
         results = []
-        for op in (T.attention_pool, attention_pool_oracle):
-            inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+        for op, args in ((T.attention_pool, stacked), (attention_pool_oracle, arrays)):
+            inputs = [T.Tensor(a, requires_grad=True) for a in args]
             with T.Tape() as tape:
                 out = op(*inputs, padding=padding)
                 tape.backward(T.sum_all(T.mul(out, up)))
-            results.append([out.data] + [tape.grad(t) for t in inputs])
+            assert all(tape.grad(t).shape == t.shape for t in inputs)
+            results.append([out.data] + [tape.grad(t).reshape(a.shape)
+                                         for t, a in zip(inputs, arrays)])
         for got, expected in zip(*results):
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() < 1e-12
 
-    def make(self, maps=(2, 3, 4, 5), feat=(2, 6, 4, 5), kernels=(3, 2, 6, 3, 3), bias=(3, 2)):
+    def make(self, maps=(2, 3, 4, 5), feat=(2, 6, 4, 5), kernels=(6, 6, 3, 3), bias=(6,)):
         return [T.Tensor(rand(shape, seed=i)) for i, shape in enumerate((maps, feat, kernels, bias))]
 
     @pytest.mark.parametrize(
@@ -467,13 +474,13 @@ class TestAttentionPool:
         [
             {"feat": (1, 6, 4, 5)},                                     # batch
             {"feat": (2, 6, 4, 6)},                                     # map size
-            {"maps": (2, 2, 4, 5)},                                     # map count
-            {"kernels": (3, 2, 5, 3, 3)},                               # kernel C
-            {"bias": (3, 3)},
-            {"bias": (2,)},
+            {"maps": (2, 4, 4, 5)},                 # map count: 6 rows are not 4 banks
+            {"kernels": (6, 5, 3, 3)},                                  # kernel C
+            {"bias": (4,)},
+            {"bias": (3, 2)},                                           # one row per bank
             {"maps": (3, 4, 5)},                                        # ranks
             {"feat": (6, 4, 5)},
-            {"kernels": (2, 6, 3, 3)},
+            {"kernels": (3, 2, 6, 3, 3)},                               # one axis per bank
         ],
     )
     def test_mismatched_shapes_rejected(self, shapes):

@@ -20,6 +20,7 @@ from aukit.errors import ConfigError, DataError, NumericalError
 from aukit.graph import build_graph
 from aukit.losses import attention_stage_loss, au_detection_loss
 from aukit.model import (
+    embed_graph,
     init_attention_entries,
     init_relation_entries,
     load_model,
@@ -434,6 +435,17 @@ def test_attention_resume_runs_from_checkpoint(mini_data, stage1):
     )
 
 
+def test_attention_resume_from_a_relation_checkpoint_drops_its_stack(
+        mini_data, mini_graph, stage1):
+    relation = train_relation_stage(mini_data, mini_graph, stage1.entries,
+                                    default_hp(), seed=3, epochs=0)
+    resumed = embed_graph(relation.entries, mini_graph)
+    result = train_attention_stage(mini_data, default_hp(), seed=3,
+                                   init_entries=resumed, epochs=1)
+    assert model_dims(result.entries).depth == 0
+    assert list(result.entries) == list(stage1.entries)
+
+
 def test_relation_training_freezes_stage1(mini_data, mini_graph, stage1):
     result = train_relation_stage(mini_data, mini_graph, stage1.entries,
                                   default_hp(), seed=3)
@@ -502,6 +514,17 @@ def test_relation_resume_continues(mini_data, mini_graph, stage1):
         not np.array_equal(resumed.entries[n].data, first.entries[n].data)
         for n in first.entries if n.startswith("gst.")
     )
+
+
+@pytest.mark.parametrize("change", [{"depth": 3}, {"t_k": 5}, {"depth": 1, "t_k": 1}])
+def test_relation_resume_rejects_other_depth_or_t_k(mini_data, mini_graph, stage1, change):
+    first = train_relation_stage(mini_data, mini_graph, stage1.entries,
+                                 default_hp(), seed=3, epochs=0)
+    hp = default_hp(**change)
+    with pytest.raises(ConfigError, match=(
+            rf"\(depth=2, t_k=3\) do not match config \(depth={hp.depth}, t_k={hp.t_k}\)")):
+        train_relation_stage(mini_data, mini_graph, stage1.entries, hp, seed=3,
+                             init_entries=first.entries, epochs=1)
 
 
 def test_relation_stage1_from_a_relation_checkpoint_drops_its_stack(
