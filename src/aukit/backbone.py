@@ -10,9 +10,12 @@ every convolution is followed by a tanh nonlinearity.  A per-patch stage
 is one ``conv2d_per_patch`` node on the whole map: the op cuts the map into
 its grid and pastes the patch outputs back itself.
 
-Every layer works on a batch (b, C, H, W).  ``backbone_forward`` alone
-also takes a single frame (3, l, l), adding and removing the batch axis
-with one reshape each.
+Every layer works on batch-last maps (C, H, W, b), the layout the
+convolutions take: ``backbone_forward`` transposes the frames (b, 3, l, l)
+once on entry, which records no tape node for untracked frames, and it
+alone also takes a single frame (3, l, l), adding and removing the batch
+axis with one reshape each.  The branches return maps, features and
+probabilities frames first, as ``attention_stage_forward`` always has.
 
 On top of the shared feature map, one attention branch per label
 produces a sigmoid attention map, multiplies it into every channel,
@@ -132,7 +135,7 @@ def init_attention_branch(rng: Xoshiro256pp, c: int) -> AttentionBranchParams:
 
 
 def region_layer_forward(x: T.Tensor, params: RegionLayerParams) -> T.Tensor:
-    """One region layer over a batch of maps (b, C_in, H, W) -> (b, C_out, H, W)."""
+    """One region layer over a batch of maps (C_in, H, W, b) -> (C_out, H, W, b)."""
     current = T.tanh(
         T.conv2d(x, params.input_conv.kernels, params.input_conv.bias, padding=(1, 1))
     )
@@ -140,14 +143,14 @@ def region_layer_forward(x: T.Tensor, params: RegionLayerParams) -> T.Tensor:
     for bank in params.stage_convs:
         current = T.tanh(T.conv2d_per_patch(current, bank.kernels, bank.bias, padding=(1, 1)))
         stage_outputs.append(current)
-    stacked = T.concat(stage_outputs, axis=1)
+    stacked = T.concat(stage_outputs, axis=0)
     return T.tanh(
         T.conv2d(stacked, params.fusion_conv.kernels, params.fusion_conv.bias)
     )
 
 
 def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
-    """Frames (b, 3, l, l) -> feature maps (b, 8c, l/4, l/4).
+    """Frames (b, 3, l, l) -> batch-last feature maps (8c, l/4, l/4, b).
 
     One frame (3, l, l) gives one map (8c, l/4, l/4): this is the one place
     in stage 1 that accepts unbatched input.
@@ -159,35 +162,35 @@ def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
     if l % FRAME_MULTIPLE:
         raise ShapeError(f"frame size {l} must be divisible by {FRAME_MULTIPLE}")
     unbatched = len(shape) == 3
-    h = T.reshape(frames, (1,) + shape) if unbatched else frames
+    h = T.reshape(frames, shape + (1,)) if unbatched else T.transpose(frames, (1, 2, 3, 0))
     h = region_layer_forward(h, params.layer1)
     h = T.maxpool2d(h)
     h = region_layer_forward(h, params.layer2)
     h = T.maxpool2d(h)
-    return T.reshape(h, h.shape[1:]) if unbatched else h
+    return T.reshape(h, h.shape[:-1]) if unbatched else h
 
 
 def attention_branch_forward(
     feat: T.Tensor, branches: Sequence[AttentionBranchParams]
 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """All m attention branches in one pass over feature maps (b, 8c, h, w).
+    """All m attention branches in one pass over feature maps (8c, h, w, b).
 
     Returns attention maps M (b, m, h, w), pooled features f0 (b, m, 8c)
     and initial probabilities (b, m).  The branches' parameters are joined
-    by ``concat`` nodes, so each branch entry still gets its own gradient.
+    by ``concat`` nodes, or handed to ``attention_pool`` as lists, so each
+    branch entry still gets its own gradient.
     """
     if len(feat.shape) != 4:
         raise ShapeError(f"expected a batch of feature maps, got shape {feat.shape}")
     att_kernels = T.concat([br.att_conv.kernels for br in branches], axis=0)
     att_bias = T.concat([br.att_conv.bias for br in branches], axis=0)
-    maps = T.sigmoid(T.conv2d(feat, att_kernels, att_bias, padding=(1, 1)))
-    feat_kernels = T.concat([br.feat_conv.kernels for br in branches], axis=0)
-    feat_bias = T.concat([br.feat_conv.bias for br in branches], axis=0)
-    f0 = T.attention_pool(maps, feat, feat_kernels, feat_bias, padding=(1, 1))
+    maps = T.sigmoid(T.conv2d(feat, att_kernels, att_bias, padding=(1, 1)))  # (m, h, w, b)
+    f0 = T.attention_pool(maps, feat, [br.feat_conv.kernels for br in branches],
+                          [br.feat_conv.bias for br in branches], padding=(1, 1))
     head_weight = T.concat([br.head_weight for br in branches], axis=0)  # (m, 8c)
     head_bias = T.concat([br.head_bias for br in branches], axis=0)      # (m,)
     logits = T.per_node_head(T.transpose(f0, (2, 0, 1)), head_weight, head_bias)
-    return maps, f0, T.sigmoid(logits)
+    return T.transpose(maps, (3, 0, 1, 2)), f0, T.sigmoid(logits)
 
 
 def attention_stage_forward(

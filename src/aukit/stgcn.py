@@ -1,6 +1,11 @@
 """Stacked graph-convolutional layers over time-series node features.
 
-Features are laid out channels x time x nodes (batched: batch first).
+Features enter ``stgcn_forward`` as channels x time x nodes (8c, t, m), or
+batch first (b, 8c, t, m).  Between graph layers a batch is kept as
+(8c, t, b, m): the temporal kernel is t_k x 1, so ``conv2d`` reads b as
+width and m as its batch axis with no reshape, and ``partition_mix`` runs
+its products as single GEMMs.  The stack transposes a batch once on entry
+(no tape node for untracked features) and once before the heads.
 Each layer computes
 
     F_out = phi2( sum_q (tanh(W_q) * A_q) . phi1_q(F_in) ) + F_in
@@ -82,27 +87,27 @@ def init_head(rng: Xoshiro256pp, c: int, m: int) -> StgcnHead:
 def gst_layer_forward(
     f_in: T.Tensor, graph: RelationGraph, params: StgcnLayerParams
 ) -> T.Tensor:
-    """One graph layer over (b, 8c, t, m) features.
+    """One graph layer over batch-last (8c, t, b, m) features.
 
     One unbatched sequence (8c, t, m) is also accepted: this is the one
     place in stage 2 that adds and removes the batch axis.
     """
     shape = f_in.shape
     if len(shape) not in (3, 4):
-        raise ShapeError(f"features must be (8c, t, m) or (b, 8c, t, m), got {shape}")
+        raise ShapeError(f"features must be (8c, t, m) or (8c, t, b, m), got {shape}")
     t_k = params.phi2_kernels.shape[2]
     if t_k % 2 == 0:
         raise ConfigError(f"temporal kernel size must be odd, got {t_k}")
     if shape[-1] != graph.m:
         raise ShapeError(f"feature node axis {shape[-1]} != graph nodes {graph.m}")
     unbatched = len(shape) == 3
-    x = T.reshape(f_in, (1,) + shape) if unbatched else f_in
+    x = T.reshape(f_in, shape[:2] + (1, shape[2])) if unbatched else f_in
 
     spatial = T.partition_mix(
         x, graph.parts, params.edge_weights, params.phi1_kernels, params.phi1_bias
     )
     reach = (t_k - 1) // 2
-    padded = T.pad_edge(spatial, 2, reach, reach) if reach else spatial
+    padded = T.pad_edge(spatial, 1, reach, reach) if reach else spatial
     out = T.add(T.conv2d(padded, params.phi2_kernels, params.phi2_bias), x)
     return T.reshape(out, shape) if unbatched else out
 
@@ -121,9 +126,11 @@ def stgcn_forward(
         raise ShapeError(
             f"head count {len(head.weights)} != node axis {f0.shape[-1]}"
         )
-    features = f0
+    batched = len(f0.shape) == 4
+    features = T.transpose(f0, (1, 2, 0, 3)) if batched else f0  # (8c, t, b, m)
     for layer in layers:
         features = gst_layer_forward(features, graph, layer)
+    features = T.transpose(features, (2, 0, 1, 3)) if batched else features
     weight = T.reshape(T.concat(head.weights, axis=0), (len(head.weights), -1))
     return T.sigmoid(T.per_node_head(features, weight, T.concat(head.biases, axis=0)))
 

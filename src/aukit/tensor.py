@@ -7,6 +7,12 @@ with a backward closure, and ``Tape.backward`` replays the nodes in reverse
 to accumulate gradients.  The tape is rebuilt on every forward pass
 (define-by-run), so arbitrary control flow is fine.
 
+Feature maps are stored batch-last, (C, H, W, B): the convolutions,
+``maxpool2d`` and ``attention_pool`` take that layout (and all but the
+pool return it), so a window copy moves runs of ow*B contiguous values
+rather than one patch row.  ``broadcast_mul_channelwise`` and
+``global_avg_pool``, which the model no longer calls, keep batch first.
+
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
 """
@@ -218,11 +224,13 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
     out = Tensor._wrap(a.data + b.data)
-    a_id, b_id = a.id, b.id
+    tape = _active_tape()
+    # Only inputs the tape tracks get a gradient, not labels or weights.
+    ids = [t.id for t in (a, b) if _tracked(tape, t)]
 
     def backward(g, acc):
-        acc(a_id, g)
-        acc(b_id, g)
+        for tid in ids:
+            acc(tid, g)
 
     return _record(out, (a, b), backward)
 
@@ -230,11 +238,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
     out = Tensor._wrap(a.data - b.data)
-    a_id, b_id = a.id, b.id
+    tape = _active_tape()
+    signs = [(t.id, first) for t, first in ((a, True), (b, False)) if _tracked(tape, t)]
 
     def backward(g, acc):
-        acc(a_id, g)
-        acc(b_id, -g)
+        for tid, first in signs:
+            acc(tid, g if first else -g)
 
     return _record(out, (a, b), backward)
 
@@ -242,10 +251,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor._wrap(a.data * b.data)
+    tape = _active_tape()
+    # A tracked input keeps the other's values; nothing is kept for a constant.
+    pairs = [(x.id, y.data) for x, y in ((a, b), (b, a)) if _tracked(tape, x)]
 
     def backward(g, acc):
-        acc(a.id, g * b.data)
-        acc(b.id, g * a.data)
+        for tid, other in pairs:
+            acc(tid, g * other)
 
     return _record(out, (a, b), backward)
 
@@ -303,9 +315,10 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log requires strictly positive values")
     out = Tensor._wrap(np.log(a.data))
+    a_id, x = a.id, a.data
 
     def backward(g, acc):
-        acc(a.id, g / a.data)
+        acc(a_id, g / x)
 
     return _record(out, (a,), backward)
 
@@ -538,16 +551,17 @@ def partition_mix(
 ) -> Tensor:
     """Node mixing of 1x1-convolved features over weighted graph partitions.
 
-    ``x`` is (B, C, T, N).  Partition q has a constant (N, N) matrix
-    ``parts[q]`` = A_q, learnable (N, N) ``edge_weights[q]`` = W_q, 1x1
-    ``kernels[q]`` = K_q of shape (C_out, C, 1, 1) and ``biases[q]`` = b_q
-    of shape (C_out,).  Returns (B, C_out, T, N)::
+    ``x`` is (C, T, B, N), batch-last like the convolutions' maps.
+    Partition q has a constant (N, N) matrix ``parts[q]`` = A_q, learnable
+    (N, N) ``edge_weights[q]`` = W_q, 1x1 ``kernels[q]`` = K_q of shape
+    (C_out, C, 1, 1) and ``biases[q]`` = b_q of shape (C_out,).  Returns
+    (C_out, T, B, N)::
 
         out = sum_q graph_matmul(tanh(W_q) * A_q, conv2d(x, K_q, b_q))
 
-    as one node.  A 1x1 kernel is a plain product with ``x`` viewed as
-    (B, C, T*N), so no windows are built, and the partitions run as one
-    batched product.  ``x`` gets a gradient only when the tape tracks it.
+    as one node.  A 1x1 kernel is one (Q*C_out, C) @ (C, T*B*N) product, so
+    no windows are built, and the node mixing is one (C_out*T*B, N) @ (N, N)
+    product per partition.  ``x`` gets a gradient only when the tape tracks it.
     """
     q = len(parts)
     if not (q == len(edge_weights) == len(kernels) == len(biases)) or q == 0:
@@ -556,8 +570,8 @@ def partition_mix(
             f"{len(kernels)} kernels, {len(biases)} biases"
         )
     if x.data.ndim != 4:
-        raise ShapeError(f"partition_mix: input must be (B, C, T, N), got {x.shape}")
-    b, c, t, n = x.shape
+        raise ShapeError(f"partition_mix: input must be (C, T, B, N), got {x.shape}")
+    c, t, b, n = x.shape
     co = kernels[0].shape[0]
     for part, w, k, bias in zip(parts, edge_weights, kernels, biases):
         if np.shape(part) != (n, n) or w.shape != (n, n):
@@ -567,32 +581,32 @@ def partition_mix(
             raise ShapeError(f"partition_mix: kernels {k.shape}, bias {bias.shape} "
                              f"vs input {x.shape}")
     k_all = np.concatenate([k.data.reshape(co, c) for k in kernels])  # (Q*C_out, C)
-    x2 = x.data.reshape(b, c, t * n)
+    x2 = x.data.reshape(c, t * b * n)
     h = k_all @ x2
     h += np.concatenate([bias.data for bias in biases])[:, None]
-    h = h.reshape(b, q, co * t, n)
+    h = h.reshape(q, co * t * b, n)
     tanh_w = np.tanh(np.stack([w.data for w in edge_weights]))
     parts_arr = np.stack([np.asarray(part, dtype=np.float64) for part in parts])
     mix = tanh_w * parts_arr  # (Q, N, N)
-    out = Tensor._wrap((h @ mix.transpose(0, 2, 1)).sum(axis=1).reshape(b, co, t, n))
+    out = Tensor._wrap((h @ mix.transpose(0, 2, 1)).sum(axis=0).reshape(co, t, b, n))
     need_dx = _tracked(_active_tape(), x)
     x_id = x.id
     param_ids = [(w.id, k.id, bias.id) for w, k, bias in zip(edge_weights, kernels, biases)]
 
     def backward(g, acc):
-        g3 = g.reshape(b, 1, co * t, n)
-        dmix = (h.transpose(0, 1, 3, 2) @ g3).sum(axis=0).transpose(0, 2, 1)
+        g2 = g.reshape(co * t * b, n)
+        dmix = (h.transpose(0, 2, 1) @ g2).transpose(0, 2, 1)
         dw = dmix * parts_arr * (1.0 - tanh_w * tanh_w)
-        dh = (g3 @ mix).reshape(b, q * co, t * n)
-        dk = (dh @ x2.transpose(0, 2, 1)).sum(axis=0)
-        db = dh.sum(axis=(0, 2))
+        dh = (g2 @ mix).reshape(q * co, t * b * n)
+        dk = dh @ x2.T
+        db = dh.sum(axis=1)
         for i, (w_id, k_id, bias_id) in enumerate(param_ids):
             rows = slice(i * co, (i + 1) * co)
             acc(w_id, dw[i])
             acc(k_id, dk[rows].reshape(co, c, 1, 1))
             acc(bias_id, db[rows])
         if need_dx:
-            acc(x_id, (k_all.T @ dh).reshape(b, c, t, n))
+            acc(x_id, (k_all.T @ dh).reshape(c, t, b, n))
 
     return _record(out, (x, *edge_weights, *kernels, *biases), backward)
 
@@ -625,38 +639,39 @@ def _windows(
 ) -> np.ndarray:
     """Channel-major im2col of a g x g grid of zero-padded patches.
 
-    ``x`` is (B, C, H, W), cut row-major into P = g*g patches of h x w =
+    ``x`` is (C, H, W, B), cut row-major into P = g*g patches of h x w =
     H/g x W/g, each padded by (ph, pw) on its own.  Returns the (P,
-    C*k_h*k_w, B*oh*ow) window matrix, oh = h + 2*ph - k_h + 1 and likewise
-    ow: cutting and padding are one copy, and laying the windows out is one
-    more, in which every copied run is one contiguous input row.  With
-    ``scratch`` the matrix is written into the :func:`_scratch` buffer.
+    C*k_h*k_w, oh*ow*B) window matrix, columns in (oy, ox, b) order, oh =
+    h + 2*ph - k_h + 1 and likewise ow: cutting and padding are one copy,
+    and laying the windows out is one more, in which every copied run is
+    ow*B contiguous values.  A matrix that is a view of ``x`` (one patch, a
+    1x1 kernel, no padding) is not copied; otherwise with ``scratch`` it is
+    written into the :func:`_scratch` buffer.
     """
-    b, c, hh, ww = x.shape
+    c, hh, ww, b = x.shape
     h, w = hh // grid, ww // grid
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    patches = x.reshape(b, c, grid, h, grid, w).transpose(0, 2, 4, 1, 3, 5)
+    patches = x.reshape(c, grid, h, grid, w, b).transpose(1, 3, 0, 2, 4, 5)
     if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros((b, grid, grid, c, h + 2 * ph, w + 2 * pw))
-        xp[..., ph : ph + h, pw : pw + w] = patches
+        xp = np.zeros((grid, grid, c, h + 2 * ph, w + 2 * pw, b))
+        xp[:, :, :, ph : ph + h, pw : pw + w] = patches
     else:
         xp = patches
     s = xp.strides
-    win = as_strided(xp, xp.shape[:4] + (oh, ow, kh, kw), s + s[-2:], writeable=False)
-    win = win.transpose(1, 2, 3, 6, 7, 0, 4, 5)
-    if scratch:
+    win = as_strided(xp, xp.shape[:3] + (kh, kw, oh, ow, b), s[:5] + s[3:], writeable=False)
+    if scratch and not win.flags["C_CONTIGUOUS"]:
         win2 = _scratch(win.size).reshape(win.shape)
         np.copyto(win2, win)
-    else:
+    else:  # no copy when the windows already are ``x``
         win2 = np.ascontiguousarray(win)
-    return win2.reshape(grid * grid, c * kh * kw, b * oh * ow)
+    return win2.reshape(grid * grid, c * kh * kw, oh * ow * b)
 
 
 def _paste(y2: np.ndarray, b: int, grid: int, oh: int, ow: int) -> np.ndarray:
-    """(P, C, B*oh*ow) patch outputs pasted back in place: (B, C, g*oh, g*ow)."""
+    """(P, C, oh*ow*B) patch outputs pasted back in place: (C, g*oh, g*ow, B)."""
     c = y2.shape[1]
-    y = y2.reshape(grid, grid, c, b, oh, ow).transpose(3, 2, 0, 4, 1, 5)
-    return y.reshape(b, c, grid * oh, grid * ow)
+    y = y2.reshape(grid, grid, c, oh, ow, b).transpose(2, 0, 3, 1, 4, 5)
+    return y.reshape(c, grid * oh, grid * ow, b)
 
 
 def _grouped_conv(
@@ -664,9 +679,9 @@ def _grouped_conv(
 ) -> tuple[np.ndarray, Callable]:
     """Cross-correlation of a g x g grid of patches, each with its own kernel bank.
 
-    ``x`` is (B, C_in, H, W), cut row-major into P = g*g patches of H/g x W/g;
+    ``x`` is (C_in, H, W, B), cut row-major into P = g*g patches of H/g x W/g;
     ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out).  Each
-    patch is zero-padded on its own.  Returns the (B, C_out, g*oh, g*ow) map
+    patch is zero-padded on its own.  Returns the (C_out, g*oh, g*ow, B) map
     of patch outputs pasted back in place, and ``backward(g, need_dx) ->
     (dx, dkernels, dbias)``, where ``dx`` is None unless ``need_dx``.
 
@@ -685,7 +700,7 @@ def _grouped_conv(
     depend in its last bits on whether the input is tracked.
     """
     p, co, ci, kh, kw = kernels.shape
-    b, _, hh, ww = x.shape
+    _, hh, ww, b = x.shape
     grid = math.isqrt(p)
     if grid * grid != p or hh % grid or ww % grid:
         raise ShapeError(f"conv2d: {p} kernel banks do not tile a {hh}x{ww} map as a square grid")
@@ -700,9 +715,9 @@ def _grouped_conv(
     y2 += bias[:, :, None]
 
     def backward(g, need_dx):
-        g2 = _windows(g, grid, 1, 1, 0, 0)  # (P, C_out, B*oh*ow): the 1x1 windows
+        g2 = _windows(g, grid, 1, 1, 0, 0)  # (P, C_out, oh*ow*B): the 1x1 windows
         dx = wg = None
-        if need_dx or ci >= co:  # (P, C_out*k_h*k_w, B*h*w)
+        if need_dx or ci >= co:  # (P, C_out*k_h*k_w, h*w*B)
             wg = g2 if kh == kw == 1 else _windows(
                 g, grid, kh, kw, kh - 1 - ph, kw - 1 - pw, scratch=True)
         if need_dx:
@@ -712,7 +727,7 @@ def _grouped_conv(
             dk = g2 @ _windows(x, grid, kh, kw, ph, pw, scratch=True).transpose(0, 2, 1)
             dk = dk.reshape(kernels.shape)
         else:
-            x_patches = _windows(x, grid, 1, 1, 0, 0)  # (P, C_in, B*h*w)
+            x_patches = _windows(x, grid, 1, 1, 0, 0)  # (P, C_in, h*w*B)
             dk = (wg @ x_patches.transpose(0, 2, 1)).reshape(p, co, kh, kw, ci)
             dk = np.ascontiguousarray(dk[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3))
         return dx, dk, g2.sum(axis=2)
@@ -725,7 +740,7 @@ def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Ten
     if (
         input.data.ndim != 4
         or kernels.data.ndim != (4 if op == "conv2d" else 5)
-        or input.shape[1] != kernels.shape[-3]
+        or input.shape[0] != kernels.shape[-3]
     ):
         raise ShapeError(f"{op}: input {input.shape} vs kernels {kernels.shape}")
     if bias.shape != kernels.shape[:-3]:
@@ -755,8 +770,8 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation with zero padding.
 
-    ``input`` is (B, C_in, H, W); ``kernels`` is (C_out, C_in, k_h, k_w);
-    ``bias`` is (C_out,).  The output spatial size is H + 2*pad - k + 1.
+    ``input`` is (C_in, H, W, B); ``kernels`` is (C_out, C_in, k_h, k_w);
+    ``bias`` is (C_out,).  Returns (C_out, H', W', B), H' = H + 2*pad - k + 1.
     This is the one-patch case of :func:`conv2d_per_patch`.
     """
     return _conv("conv2d", input, kernels, bias, padding)
@@ -770,41 +785,39 @@ def conv2d_per_patch(
 ) -> Tensor:
     """Stride-1 cross-correlation with an independent kernel bank per patch.
 
-    ``input`` is a whole map (B, C_in, H, W); ``kernels`` is (P, C_out,
+    ``input`` is a whole map (C_in, H, W, B); ``kernels`` is (P, C_out,
     C_in, k_h, k_w) with P = g*g, and ``bias`` is (P, C_out).  The map is cut
     into a g x g grid of H/g x W/g patches, numbered row-major; each patch is
     zero-padded and convolved on its own with its bank, and the results are
-    pasted back in place: (B, C_out, H, W) at padding (k-1)/2.
+    pasted back in place: (C_out, H, W, B) at padding (k-1)/2.
     """
     return _conv("conv2d_per_patch", input, kernels, bias, padding)
 
 
 def maxpool2d(input: Tensor) -> Tensor:
-    """Max over non-overlapping 2x2 fields of a (B, C, H, W) batch.
+    """Max over non-overlapping 2x2 fields of a (C, H, W, B) batch.
 
     On ties the first cell in row-major order within the field receives the
     whole gradient.
     """
     if input.data.ndim != 4:
         raise ShapeError(f"maxpool2d: bad rank for shape {input.shape}")
-    b, c, h, w = input.shape
+    c, h, w, b = input.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d: spatial dims ({h}, {w}) must be even")
-    fields = input.data.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = fields.reshape(b, c, h // 2, w // 2, 4)
-    argmax = flat.argmax(axis=-1)  # first max in row-major field order
-    out = Tensor._wrap(np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0])
-    flat_shape, input_id = flat.shape, input.id
+    # The four cells of every field in row-major order, each (C, H/2, W/2, B).
+    cells = input.data.reshape(c, h // 2, 2, w // 2, 2, b).transpose(2, 4, 0, 1, 3, 5)
+    cells = cells.reshape(4, c, h // 2, w // 2, b)
+    out = Tensor._wrap(cells.max(axis=0))
+    first = cells == out.data  # then keep only the first cell holding the max
+    first[1] &= ~first[0]
+    first[2] &= ~(first[0] | first[1])
+    first[3] = ~(first[0] | first[1] | first[2])
+    input_id = input.id
 
     def backward(g, acc):
-        dflat = np.zeros(flat_shape)
-        np.put_along_axis(dflat, argmax[..., None], g[..., None], axis=-1)
-        dx = (
-            dflat.reshape(b, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h, w)
-        )
-        acc(input_id, dx)
+        dx = np.where(first, g, 0.0).reshape(2, 2, c, h // 2, w // 2, b)
+        acc(input_id, dx.transpose(2, 3, 0, 4, 1, 5).reshape(c, h, w, b))
 
     return _record(out, (input,), backward)
 
@@ -832,38 +845,33 @@ def _read_mask(n: int, k: int, pad: int, out: int) -> np.ndarray:
 def attention_pool(
     maps: Tensor,
     feat: Tensor,
-    kernels: Tensor,
-    bias: Tensor,
+    kernels: Sequence[Tensor],
+    biases: Sequence[Tensor],
     padding: tuple[int, int],
 ) -> Tensor:
     """Spatial mean of one convolution of each gated feature map, all at once.
 
-    ``maps`` is (B, M, H, W) and ``feat`` (B, C, H, W); ``kernels`` (M*C_out,
-    C, k_h, k_w) and ``bias`` (M*C_out,) stack the M banks as :func:`conv2d`
-    takes them, bank j in rows j*C_out to (j+1)*C_out - 1.  Returns (B, M,
-    C_out) with ``out[:, j] = global_avg_pool(conv2d(maps[:, j] * feat, bank
-    j, padding))``, padding in 0..k-1 as for :func:`conv2d`.
+    ``maps`` is (M, H, W, B) and ``feat`` (C, H, W, B); ``kernels`` holds M
+    banks (C_out, C, k_h, k_w) and ``biases`` M vectors (C_out,), so each
+    bank gets its own gradient.  Returns (B, M, C_out) with ``out[:, j]`` the
+    spatial mean of ``conv2d(maps[j] * feat, bank j, padding)``, padding in
+    0..k-1 as for :func:`conv2d`.
 
     The mean is linear, so it moves ahead of the convolution (as CAM swaps
     pool and classifier, arXiv 1512.04150): the mean output is the kernels
     applied to window sums ``S[b, j, d, e, c] = sum_{y,x} E[d, e, y, x]
-    maps[b, j, y, x] feat[b, c, y, x]``, where E marks the inputs that kernel
+    maps[j, y, x, b] feat[c, y, x, b]``, where E marks the inputs that kernel
     offset (d, e) reads for some output.  S is one (M*k_h*k_w, H*W) @ (H*W,
     C) product per frame, and the backward is two more of that size.
     """
-    if maps.data.ndim != 4 or feat.data.ndim != 4 or kernels.data.ndim != 4:
-        raise ShapeError(
-            f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
-        )
-    b, m, hh, ww = maps.shape
-    rows, c, kh, kw = kernels.shape
-    if feat.shape != (b, c, hh, ww) or m < 1 or rows % m:
-        raise ShapeError(
-            f"attention_pool: maps {maps.shape}, feat {feat.shape}, kernels {kernels.shape}"
-        )
-    co = rows // m
-    if bias.shape != (rows,):
-        raise ShapeError(f"attention_pool: bias shape {bias.shape} != {(rows,)}")
+    bank = kernels[0].shape if kernels else ()
+    if (len(bank) != 4 or maps.data.ndim != 4 or feat.data.ndim != 4
+            or maps.shape != (len(kernels),) + feat.shape[1:] or feat.shape[0] != bank[1]
+            or len(biases) != len(kernels)
+            or any(k.shape != bank or bias.shape != bank[:1] for k, bias in zip(kernels, biases))):
+        raise ShapeError(f"attention_pool: maps {maps.shape}, feat {feat.shape}, banks "
+                         f"{[k.shape for k in kernels]}, biases {[bias.shape for bias in biases]}")
+    m, (co, c, kh, kw), (_, hh, ww, b) = len(kernels), bank, feat.shape
     ph, pw = padding
     if not (0 <= ph < kh and 0 <= pw < kw):
         raise ShapeError(f"attention_pool: padding {padding} outside 0..k-1 for kernel {kh}x{kw}")
@@ -873,24 +881,32 @@ def attention_pool(
     taps, hw, scale = kh * kw, hh * ww, 1.0 / (oh * ow)
     reads = (_read_mask(hh, kh, ph, oh)[:, None, :, None]
              * _read_mask(ww, kw, pw, ow)[None, :, None, :]).reshape(taps, hw)
-    f2 = feat.data.reshape(b, c, hw)
-    gated = (maps.data.reshape(b, m, 1, hw) * reads).reshape(b, m * taps, hw)
+    # The products run per frame: frames first, (B, C, H*W) and (B, M, H*W).
+    f2 = np.ascontiguousarray(feat.data.reshape(c, hw, b).transpose(2, 0, 1))
+    maps2 = maps.data.reshape(m, 1, hw, b).transpose(3, 0, 1, 2)
+    gated = (maps2 * reads).reshape(b, m * taps, hw)
     sums = gated @ f2.transpose(0, 2, 1)  # (B, M*k_h*k_w, C)
     s2 = sums.reshape(b, m, taps, c).transpose(1, 3, 2, 0).reshape(m, c * taps, b)
-    k2 = kernels.data.reshape(m, co, c * taps)
-    out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias.data.reshape(m, co))
-    maps_id = maps.id
+    k2 = np.stack([k.data for k in kernels]).reshape(m, co, c * taps)
+    bias2 = np.stack([bias.data for bias in biases])
+    out = Tensor._wrap((k2 @ s2).transpose(2, 0, 1) * scale + bias2)
+    maps_id, feat_id = maps.id, feat.id
+    bank_ids = [(k.id, bias.id) for k, bias in zip(kernels, biases)]
 
     def backward(g, acc):
         gs = g.transpose(1, 0, 2) * scale  # (M, B, C_out)
-        acc(bias.id, g.sum(axis=0).reshape(rows))
-        acc(kernels.id, (gs.transpose(0, 2, 1) @ s2.transpose(0, 2, 1)).reshape(kernels.shape))
+        dk = gs.transpose(0, 2, 1) @ s2.transpose(0, 2, 1)
+        db = g.sum(axis=0)
+        for j, (k_id, bias_id) in enumerate(bank_ids):
+            acc(bias_id, db[j])
+            acc(k_id, dk[j].reshape(co, c, kh, kw))
         dsums = (gs @ k2).reshape(m, b, c, taps).transpose(1, 0, 3, 2).reshape(b, m * taps, c)
         dmaps = np.einsum("bjtp,tp->bjp", (dsums @ f2).reshape(b, m, taps, hw), reads)
-        acc(maps_id, dmaps.reshape(b, m, hh, ww))
-        acc(feat.id, (dsums.transpose(0, 2, 1) @ gated).reshape(feat.shape))
+        acc(maps_id, dmaps.transpose(1, 2, 0).reshape(m, hh, ww, b))
+        dfeat = dsums.transpose(0, 2, 1) @ gated  # (B, C, H*W)
+        acc(feat_id, dfeat.transpose(1, 2, 0).reshape(c, hh, ww, b))
 
-    return _record(out, (maps, feat, kernels, bias), backward)
+    return _record(out, (maps, feat, *kernels, *biases), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,10 @@ def test_criterion_03_layer_dense_oracle():
             phi2_kernels=T.Tensor(rng.standard_normal((ch, ch, t_k, 1)) * 0.3),
             phi2_bias=T.Tensor(rng.standard_normal(ch) * 0.1),
         )
-        if case % 2:
+        if case % 2:  # a layer takes a batch as (ch, t, b, m)
             batch = rng.standard_normal((2, ch, t, m))
-            got = gst_layer_forward(T.Tensor(batch), graph, params).data
+            got = gst_layer_forward(T.Tensor(batch.transpose(1, 2, 0, 3)), graph, params).data
+            got = got.transpose(2, 0, 1, 3)
             want = np.stack([layer_oracle(sample, graph, params) for sample in batch])
         else:
             f_in = rng.standard_normal((ch, t, m))
@@ -326,7 +327,7 @@ def test_criterion_04_zero_init_identity():
     graph = random_graph(rng, 4)
     layers = init_stgcn(Xoshiro256pp(7), c=1, m=4, t_k=3, depth=8)
     ok = True
-    for shape in ((8, 5, 4), (2, 8, 5, 4)):
+    for shape in ((8, 5, 4), (8, 5, 2, 4)):  # unbatched, and a batch as (8c, t, b, m)
         f0 = rng.standard_normal(shape)
         out = T.Tensor(f0)
         for layer in layers:

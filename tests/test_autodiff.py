@@ -71,7 +71,7 @@ class TestTape:
         [("conv2d", (3, 2, 3, 3), (3,)), ("conv2d_per_patch", (4, 3, 2, 3, 3), (4, 3))],
     )
     def test_untracked_conv_input_gets_no_gradient(self, op, kernel_shape, bias_shape):
-        x = rand((2, 2, 8, 8))
+        x = rand((2, 8, 8, 3))
         k = T.Tensor(rand(kernel_shape, 1), requires_grad=True)
         b = T.Tensor(rand(bias_shape, 2), requires_grad=True)
 
@@ -227,7 +227,7 @@ class TestPerOpGradients:
 
     def test_partition_mix(self):
         parts = [rand((4, 4), 20 + q) for q in range(3)]
-        x = rand((2, 3, 3, 4), 23)
+        x = rand((3, 3, 2, 4), 23)  # (C, T, B, N)
         params = ([rand((4, 4), 24 + q) for q in range(3)]
                   + [rand((2, 3, 1, 1), 27 + q) for q in range(3)]
                   + [rand((2,), 30 + q) for q in range(3)])
@@ -248,8 +248,8 @@ class TestPerOpGradients:
             assert T.grad_check(fn, [T.Tensor(a), T.Tensor(x)]) < 1e-6
 
     def test_conv2d(self):
-        # random 2x4x6x6 input, 3x4x3x3 kernels against finite differences
-        x = rand((2, 4, 6, 6), 14)
+        # random 4x6x6 maps of two frames, 3x4x3x3 kernels against finite differences
+        x = rand((4, 6, 6, 2), 14)
         k = rand((3, 4, 3, 3), 15)
         b = rand((3,), 16)
 
@@ -261,7 +261,7 @@ class TestPerOpGradients:
 
     def test_conv2d_per_patch(self):
         # a 2x2 grid of 4x4 patches over two 8x8 maps
-        x = rand((2, 2, 8, 8), 20)
+        x = rand((2, 8, 8, 2), 20)
         k = rand((4, 2, 2, 3, 3), 21)
         b = rand((4, 2), 22)
 
@@ -272,21 +272,21 @@ class TestPerOpGradients:
 
     def test_attention_pool(self):
         # two 3x4 gated maps over a batch of two, 3x3 kernels at padding 1
-        maps = rand((2, 2, 3, 4), 29)
-        feat = rand((2, 3, 3, 4), 30)
-        k = rand((2, 2, 3, 3, 3), 31).reshape(4, 3, 3, 3)  # two banks, stacked
-        b = rand((2, 2), 32).reshape(4)
+        maps = rand((2, 3, 4, 2), 29)
+        feat = rand((3, 3, 4, 2), 30)
+        k = rand((2, 2, 3, 3, 3), 31)  # two banks
+        b = rand((2, 2), 32)
 
-        def fn(mm, ff, kk, bb):
-            pooled = T.attention_pool(T.sigmoid(mm), ff, kk, bb, padding=(1, 1))
+        def fn(mm, ff, k1, k2, b1, b2):
+            pooled = T.attention_pool(T.sigmoid(mm), ff, [k1, k2], [b1, b2], padding=(1, 1))
             return T.sum_all(T.tanh(pooled))
 
-        tensors = [T.Tensor(a) for a in (maps, feat, k, b)]
+        tensors = [T.Tensor(a) for a in (maps, feat, k[0], k[1], b[0], b[1])]
         assert T.grad_check(fn, tensors) < 1e-6
 
     def test_maxpool_away_from_ties(self):
-        # random 1x3x8x8: continuous random values are tie-free a.s.
-        x = rand((1, 3, 8, 8), 23)
+        # random 3x8x8x2: continuous random values are tie-free a.s.
+        x = rand((3, 8, 8, 2), 23)
 
         def fn(t):
             return T.sum_all(T.sigmoid(T.maxpool2d(t)))
@@ -303,14 +303,14 @@ class TestPerOpGradients:
     def test_composite_network(self):
         # conv -> pool -> channel attention -> gap -> matmul head: one loss
         # through many op kinds at once.
-        x = rand((1, 2, 8, 8), 25)
+        x = rand((2, 8, 8, 1), 25)
         k = rand((4, 2, 3, 3), 26)
         b = rand((4,), 27)
         w = rand((4, 1), 28)
 
         def fn(xx, kk, bb, ww):
             h = T.conv2d(xx, kk, bb, padding=(1, 1))
-            h = T.maxpool2d(h)
+            h = T.reshape(T.maxpool2d(h), (1, 4, 4, 4))  # one frame: batch-last to first
             gate = T.sigmoid(T.slice_axis(h, 1, 0, 1))
             gated = T.broadcast_mul_channelwise(T.reshape(gate, (1, 4, 4)), h)
             pooled = T.global_avg_pool(gated)

@@ -32,39 +32,39 @@ class TestPatchSplitting:
     """conv2d_per_patch cuts its map into a row-major grid and pastes back."""
 
     def test_round_trip(self):
-        x = T.Tensor(rand((1, 5, 16, 16)))
+        x = T.Tensor(rand((5, 16, 16, 1)))
         out = T.conv2d_per_patch(x, *identity_bank(16, 5), padding=(0, 0))
         assert np.array_equal(out.data, x.data)
 
     def test_round_trip_batched(self):
-        x = T.Tensor(rand((2, 5, 8, 8)))
+        x = T.Tensor(rand((5, 8, 8, 3)))
         out = T.conv2d_per_patch(x, *identity_bank(4, 5), padding=(0, 0))
         assert np.array_equal(out.data, x.data)
 
     def test_patch_contents_row_major(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
         kernels, bias = identity_bank(4, 1, scales=[1.0, 10.0, 100.0, 1000.0])
-        out = T.conv2d_per_patch(T.Tensor(x), kernels, bias, padding=(0, 0)).data[0, 0]
+        out = T.conv2d_per_patch(T.Tensor(x), kernels, bias, padding=(0, 0)).data[0, :, :, 0]
         assert np.array_equal(out[:2, :2], [[0, 1], [4, 5]])            # patch 0
         assert np.array_equal(out[:2, 2:], [[20, 30], [60, 70]])        # patch 1
         assert np.array_equal(out[2:, :2], [[800, 900], [1200, 1300]])  # patch 2
-        assert np.array_equal(out[2:, 2:], 1000 * x[0, 0, 2:, 2:])      # patch 3
+        assert np.array_equal(out[2:, 2:], 1000 * x[0, 2:, 2:, 0])      # patch 3
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
-            T.conv2d_per_patch(T.Tensor(rand((1, 1, 6, 6))), *identity_bank(16, 1), padding=(0, 0))
+            T.conv2d_per_patch(T.Tensor(rand((1, 6, 6, 1))), *identity_bank(16, 1), padding=(0, 0))
 
 
 class TestRegionLayerStage:
     def test_identical_kernels_match_full_map_conv_on_interiors(self):
         grid, size = 4, 16
-        x = T.Tensor(rand((1, 3, size, size), seed=1))
+        x = T.Tensor(rand((3, size, size, 1), seed=1))
         kernels = rand((5, 3, 3, 3), seed=2)
         bias = rand((5,), seed=3)
 
         bank = tiled_bank(kernels, bias, grid * grid)
-        per_patch = T.conv2d_per_patch(x, bank.kernels, bank.bias).data[0]
-        full = T.conv2d(x, T.Tensor(kernels), T.Tensor(bias), padding=(1, 1)).data[0]
+        per_patch = T.conv2d_per_patch(x, bank.kernels, bank.bias).data[..., 0]
+        full = T.conv2d(x, T.Tensor(kernels), T.Tensor(bias), padding=(1, 1)).data[..., 0]
 
         patch = size // grid
         interior = np.zeros((size, size), dtype=bool)
@@ -80,13 +80,13 @@ class TestRegionLayerStage:
 
     def test_single_pixel_perturbation_stays_in_patch(self):
         grid, size = 4, 16
-        base = rand((1, 2, size, size), seed=4)
+        base = rand((2, size, size, 1), seed=4)
         poked = base.copy()
-        poked[0, 1, 5, 6] += 1.0  # inside patch cell (1, 1)
+        poked[1, 5, 6, 0] += 1.0  # inside patch cell (1, 1)
         bank = B.init_patch_conv(Xoshiro256pp(5), grid * grid, 2, 3, 3)
 
         def stage(x):
-            return T.conv2d_per_patch(T.Tensor(x), bank.kernels, bank.bias).data[0]
+            return T.conv2d_per_patch(T.Tensor(x), bank.kernels, bank.bias).data[..., 0]
 
         before, after = stage(base), stage(poked)
         patch = size // grid
@@ -99,8 +99,8 @@ class TestRegionLayerStage:
 class TestRegionLayer:
     def test_output_shape(self):
         layer = B.init_region_layer(Xoshiro256pp(6), 3, 8)
-        out = B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
-        assert out.shape == (1, 8, 16, 16)
+        out = B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
+        assert out.shape == (8, 16, 16, 1)
 
     def test_zero_fusion_gives_zero_output(self):
         layer = B.init_region_layer(Xoshiro256pp(7), 3, 8)
@@ -108,16 +108,16 @@ class TestRegionLayer:
             T.Tensor.zeros(layer.fusion_conv.kernels.shape),
             T.Tensor.zeros(layer.fusion_conv.bias.shape),
         )
-        out = B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
+        out = B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
         assert not out.data.any()
 
     def test_batched_matches_per_frame(self):
         layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
-        frames = rand((3, 3, 16, 16), seed=9)
-        batched = B.region_layer_forward(T.Tensor(frames), layer).data
+        maps = rand((3, 16, 16, 3), seed=9)
+        batched = B.region_layer_forward(T.Tensor(maps), layer).data
         for i in range(3):
-            single = B.region_layer_forward(T.Tensor(frames[i : i + 1]), layer).data
-            assert np.abs(batched[i] - single[0]).max() < 1e-12
+            single = B.region_layer_forward(T.Tensor(maps[..., i : i + 1]), layer).data
+            assert np.abs(batched[..., i] - single[..., 0]).max() < 1e-12
 
     def test_unbatched_input_rejected(self):
         layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
@@ -127,7 +127,7 @@ class TestRegionLayer:
     def test_one_node_per_patch_stage(self):
         layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
         with T.Tape() as tape:
-            B.region_layer_forward(T.Tensor(rand((1, 3, 16, 16))), layer)
+            B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
         # input conv + tanh, three (per-patch conv + tanh), concat, fusion conv + tanh
         assert len(tape._nodes) == 2 + 3 * 2 + 1 + 2
 
@@ -141,7 +141,7 @@ class TestBackbone:
     def test_batched_output_shape(self):
         params = B.init_backbone(Xoshiro256pp(11), c=2)
         out = B.backbone_forward(T.Tensor(rand((2, 3, 32, 32))), params)
-        assert out.shape == (2, 16, 8, 8)
+        assert out.shape == (16, 8, 8, 2)  # batch-last
 
     def test_default_scale_shape_arithmetic(self):
         # 176 -> two pools -> 44; channels 8c = 64.  Checked symbolically;
@@ -177,12 +177,13 @@ class TestBackbone:
             loss = T.sum_all(T.tanh(batched))
             batch_nodes = len(batch_tape._nodes)
             batch_tape.backward(loss)
-        assert single.data.tobytes() == batched.data[0].tobytes()
+        assert single.data.tobytes() == batched.data[..., 0].tobytes()
         assert single_tape.grad(x1).tobytes() == batch_tape.grad(xb)[0].tobytes()
         for name, tensor in B.backbone_entries(params):
             assert single_tape.grad(tensor).tobytes() == batch_tape.grad(tensor).tobytes(), name
-        # the batch axis goes on and comes off with one reshape each
-        assert single_nodes == batch_nodes + 2
+        # the batch axis goes on and comes off with one reshape each, where a
+        # batch has one transpose on entry (a node only for tracked frames)
+        assert single_nodes == batch_nodes + 1
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_resolves(self, name):
@@ -203,7 +204,7 @@ class TestBackbone:
 
 class TestAttentionBranch:
     def make_feat(self, c=2, batch=1, seed=20):
-        return T.Tensor(rand((batch, 8 * c, 8, 8), seed=seed))
+        return T.Tensor(rand((8 * c, 8, 8, batch), seed=seed))
 
     def make_branches(self, seed, c=2, m=3):
         rng = Xoshiro256pp(seed)
@@ -223,7 +224,7 @@ class TestAttentionBranch:
         branches = self.make_branches(22)
         for j, branch in enumerate(branches):
             branch.feat_conv.bias = T.Tensor(rand((16,), seed=j))
-        feat = T.Tensor.zeros((1, 16, 8, 8))
+        feat = T.Tensor.zeros((16, 8, 8, 1))
         m, f0, _ = B.attention_branch_forward(feat, branches)
         # att bias is zero -> M is exactly 0.5; weighted input is zero, so
         # each f0 row collapses to its own branch's feat_conv bias.
@@ -244,7 +245,7 @@ class TestAttentionBranch:
         m_b, f_b, p_b = B.attention_branch_forward(feat, branches)
         assert m_b.shape == (3, 3, 8, 8) and f_b.shape == (3, 3, 16) and p_b.shape == (3, 3)
         for i in range(3):
-            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[i : i + 1]), branches)
+            m, f0, p0 = B.attention_branch_forward(T.Tensor(feat.data[..., i : i + 1]), branches)
             assert np.abs(m_b.data[i] - m.data[0]).max() < 1e-12
             assert np.abs(f_b.data[i] - f0.data[0]).max() < 1e-12
             assert np.abs(p_b.data[i] - p0.data[0]).max() < 1e-12
@@ -256,7 +257,7 @@ class TestAttentionBranch:
 
     def test_gradient_matches_finite_differences(self):
         branches = self.make_branches(27, c=1, m=2)
-        feat = rand((1, 8, 8, 8), seed=28)
+        feat = rand((8, 8, 8, 1), seed=28)
 
         def f(att_kernels, feat_kernels):
             probe = list(branches)
@@ -276,17 +277,23 @@ class TestAttentionBranch:
 
 def per_branch_oracle(feat, branches):
     """One branch at a time, as the attention stage was composed before the
-    branches ran as one pass: the reference the fused pass must match."""
-    b = feat.shape[0]
+    branches ran as one pass: the reference the fused pass must match.
+
+    ``feat`` is batch-last, as the convolutions take it; gating and pooling
+    run frames first, as ``broadcast_mul_channelwise`` and
+    ``global_avg_pool`` take them.
+    """
+    b = feat.shape[-1]
+    frames_first = T.transpose(feat, (3, 0, 1, 2))
     maps, feats, probs = [], [], []
     for branch in branches:
         logits = T.conv2d(feat, branch.att_conv.kernels, branch.att_conv.bias, padding=(1, 1))
-        m = T.reshape(T.sigmoid(logits), (b,) + feat.shape[2:])
-        weighted = T.broadcast_mul_channelwise(m, feat)
+        m = T.transpose(T.reshape(T.sigmoid(logits), feat.shape[1:]), (2, 0, 1))  # (b, h, w)
+        weighted = T.transpose(T.broadcast_mul_channelwise(m, frames_first), (1, 2, 3, 0))
         refined = T.conv2d(
             weighted, branch.feat_conv.kernels, branch.feat_conv.bias, padding=(1, 1)
         )
-        f0 = T.global_avg_pool(refined)
+        f0 = T.global_avg_pool(T.transpose(refined, (3, 0, 1, 2)))
         logit = T.bias_add_row(
             T.matmul(f0, T.transpose(branch.head_weight, (1, 0))), branch.head_bias
         )
@@ -340,15 +347,17 @@ class TestFusedBranches:
             assert fused_grads[name].shape == expected.shape, name
             assert np.abs(fused_grads[name] - expected).max() < 1e-12, name
 
-    # 12 nodes per region layer and its pool, 12 for the branches and 10 for
-    # the loss (7 for detection, 3 for the attention term): 46 at any c and m.
+    # 12 nodes per region layer and its pool, 11 for the branches (4 concat,
+    # conv2d, sigmoid, attention_pool, 2 transposes, per_node_head, sigmoid)
+    # and 10 for the loss (7 for detection, 3 for the attention term): 45 at
+    # any c and m.  The frames' transpose to batch-last records no node.
     def test_paper_size_step_node_count(self):
         # Node counts do not depend on the frame size: 32 px keeps this cheap.
-        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 46
+        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 45
 
     def test_toy_step_node_count(self):
         hp = resolve("toy")
-        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 46
+        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 45
 
 
 class TestAttentionStage:

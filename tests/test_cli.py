@@ -18,7 +18,7 @@ from aukit import tensor as T
 from aukit import training
 from aukit.config import load_config
 from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
-from aukit.model import load_model, model_dims
+from aukit.model import attention_predict, load_model, model_dims
 
 
 def run(*argv):
@@ -366,6 +366,25 @@ def test_export_attention_writes_one_map_per_frame_and_label(ws, tmp_path):
     assert "v0000_0_0.pgm" not in files  # label indices are 1-based
     with open(out / "v0000_0_1.pgm", "rb") as fp:
         assert fp.read(2) == b"P5"
+
+
+def test_export_attention_of_a_three_frame_video_writes_each_frames_own_maps(ws, tmp_path):
+    # Inside the model the frames are batch-last; each exported map must
+    # still be its own frame's, as if that frame were predicted alone.
+    frames = serialize.load_tensor(ws.video)[:3]
+    video = tmp_path / "three.stnt"
+    serialize.save_tensor(video, frames)
+    out = tmp_path / "maps"
+    assert run("export-attention", "--ckpt", ws.att, "--frames", str(video),
+               "--out", str(out)) == 0
+    assert sorted(os.listdir(out)) == [f"three_{i}_{j}.pgm" for i in range(3) for j in (1, 2)]
+    entries = load_model(ws.att)
+    for i in range(3):
+        alone = attention_predict(entries, frames[i:i + 1])[0][0]  # (m, h/4, w/4)
+        for j in (1, 2):
+            expected = tmp_path / f"alone_{i}_{j}.pgm"
+            serialize.save_pgm(expected, alone[j - 1])
+            assert (out / f"three_{i}_{j}.pgm").read_bytes() == expected.read_bytes()
 
 
 def test_json_logs_are_parseable(ws, tmp_path, capsys):

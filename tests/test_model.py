@@ -108,3 +108,50 @@ class TestStageForwards:
         expected = stgcn_forward(f0, graph, stgcn_from(entries, 2), head_from(entries, 4),
                                  expected_layers=2)
         assert model.stage2_forward(entries, graph, f0).data.tobytes() == expected.data.tobytes()
+
+
+def moved_off_identity(entries):
+    """The entries with the graph stack moved off its identity init."""
+    rng = np.random.default_rng(3)
+    return {name: T.Tensor(t.data + 0.05 * rng.standard_normal(t.shape))
+            if name.startswith("gst.") else t for name, t in entries.items()}
+
+
+class TestBatchIndependence:
+    """Frames and sequences sit side by side in one batch-last array inside
+    the forwards: each must come out as if run alone."""
+
+    def test_stage1_on_five_frames_is_two_plus_three(self):
+        entries = toy_relation_entries(seed=4)
+        frames = np.random.default_rng(5).standard_normal((5, 3, 32, 32))
+        whole = model.stage1_forward(entries, T.Tensor(frames))
+        first = model.stage1_forward(entries, T.Tensor(frames[:2]))
+        rest = model.stage1_forward(entries, T.Tensor(frames[2:]))
+        for got, a, b in zip(whole, first, rest):
+            assert np.abs(got.data - np.concatenate([a.data, b.data])).max() < 1e-12
+
+    def test_stgcn_on_three_sequences_is_each_run_alone(self):
+        entries = moved_off_identity(toy_relation_entries(seed=6))
+        labels = (np.random.default_rng(7).random((40, 4)) < 0.5).astype(float)
+        graph = build_graph(labels, 0.1)
+        layers, head = stgcn_from(entries, 2), head_from(entries, 4)
+        f0 = np.random.default_rng(8).standard_normal((3, 16, 6, 4))
+        batched = stgcn_forward(T.Tensor(f0), graph, layers, head, expected_layers=2).data
+        assert batched.shape == (3, 6, 4)
+        for b in range(3):
+            for seq in (f0[b:b + 1], f0[b]):  # a batch of one and the unbatched form
+                alone = stgcn_forward(T.Tensor(seq), graph, layers, head, expected_layers=2)
+                assert np.abs(batched[b] - alone.data.reshape(6, 4)).max() < 1e-12
+
+
+class TestAttentionMaps:
+    def test_maps_are_per_frame_and_frames_first(self):
+        entries = toy_relation_entries(seed=9)
+        frames = np.random.default_rng(10).standard_normal((3, 3, 32, 32))
+        maps, feats, probs = model.attention_predict(entries, frames)
+        assert maps.shape == (3, 4, 8, 8)  # (t, m, h/4, w/4)
+        assert feats.shape == (3, 4, 16) and probs.shape == (3, 4)
+        for i in range(3):
+            alone = model.attention_predict(entries, frames[i:i + 1])
+            for got, want in zip((maps, feats, probs), alone):
+                assert np.abs(got[i] - want[0]).max() < 1e-12

@@ -43,10 +43,10 @@ def mixed_edges(part, w):
     one-hot node t, the output at frame t is column t of the matrix.
     """
     n = part.shape[0]
-    one_hot = T.Tensor(np.eye(n)[None, None])  # (B, C, T, N) = (1, 1, n, n)
+    one_hot = T.Tensor(np.eye(n)[None, :, None])  # (C, T, B, N) = (1, n, 1, n)
     out = T.partition_mix(one_hot, [part], [w], [T.Tensor.ones((1, 1, 1, 1))],
                           [T.Tensor.zeros((1,))])
-    return out.data[0, 0].T
+    return out.data[0, :, 0].T
 
 
 class TestAdaptiveEdges:
@@ -125,8 +125,9 @@ class TestLayerForward:
         assert out.shape == (8, t, 3)
 
     def test_unbatched_adds_only_two_reshapes(self, monkeypatch):
-        # One sequence (8c, t, m) runs as a batch of one: the same ops and
-        # bytes as the batched call, plus one reshape on entry and one on exit.
+        # One sequence (8c, t, m) runs as a batch of one, (8c, t, 1, m): the
+        # same ops and bytes as the batched call, plus one reshape on entry
+        # and one on exit.
         graph = toy_graph()
         layer = S.init_stgcn_layer(Xoshiro256pp(14), c=1, m=3, t_k=3)
         layer.phi2_kernels = T.Tensor(rand((8, 8, 3, 1), seed=15), requires_grad=True)
@@ -148,8 +149,8 @@ class TestLayerForward:
             return out.data, Counter(calls), len(tape._nodes)
 
         out_1, calls_1, nodes_1 = traced(f_in)
-        out_b, calls_b, nodes_b = traced(f_in[None])
-        assert out_1.tobytes() == out_b[0].tobytes()
+        out_b, calls_b, nodes_b = traced(f_in[:, :, None])
+        assert out_1.tobytes() == out_b[:, :, 0].tobytes()
         assert calls_1["gst_layer_forward"] == 1  # no recursion into a batched call
         assert calls_1 - calls_b == Counter(reshape=2) and not calls_b - calls_1
         assert nodes_1 == nodes_b + 2
@@ -159,7 +160,7 @@ class TestLayerForward:
         # partition_mix, pad_edge, the temporal conv2d and the residual add.
         graph = toy_graph()
         layer = S.init_stgcn_layer(Xoshiro256pp(17), c=1, m=3, t_k=3)
-        f_in = T.Tensor(rand((2, 8, 4, 3), seed=18), requires_grad=track_input)
+        f_in = T.Tensor(rand((8, 4, 2, 3), seed=18), requires_grad=track_input)  # (8c, t, b, m)
         with T.Tape() as tape:
             S.gst_layer_forward(f_in, graph, layer)
         assert len(tape._nodes) == 4
@@ -184,15 +185,17 @@ class TestStackForward:
         return graph, layers, head
 
     @pytest.mark.parametrize("c, m", [(2, 4), (8, 12)])
-    def test_relation_step_records_44_tape_nodes(self, c, m):
-        # 4 per layer at the default depth, 3 to stack the heads, per_node_head
-        # and sigmoid, and 7 for the loss: the count does not grow with m.
+    def test_relation_step_records_45_tape_nodes(self, c, m):
+        # 4 per layer at the default depth, the transpose back to batch first,
+        # 3 to stack the heads, per_node_head and sigmoid, and 7 for the loss:
+        # the count does not grow with m.  The untracked features' transpose
+        # to (8c, t, b, m) records no node.
         graph, layers, head = self.build(m=m, c=c)
         features = T.Tensor(rand((2, 8 * c, 4, m), seed=20))
         with T.Tape() as tape:
             probs = S.stgcn_forward(features, graph, layers, head)
             au_detection_loss(probs, np.zeros((2, 4, m)), np.full(m, 1.0 / m))
-        assert len(tape._nodes) == 44
+        assert len(tape._nodes) == 45
 
     def test_zero_init_stack_equals_head_on_input(self):
         graph, layers, head = self.build()

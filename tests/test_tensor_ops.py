@@ -134,20 +134,26 @@ class TestBroadcastMulChannelwise:
             assert np.array_equal(out[0, c], m.data[0])
 
 
+def batch_last(a):
+    """(B, C, H, W) -> the ops' batch-last (C, H, W, B)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
 class TestConv2d:
     def test_overlap_counting_all_ones(self):
         # 3x3 all-ones input and kernel, pad 1: center sees the full 3x3
         # overlap (9 ones), corners see a 2x2 overlap (4 ones).
-        x = T.Tensor(np.ones((1, 1, 3, 3)))
+        x = T.Tensor(np.ones((1, 3, 3, 3)))
         k = T.Tensor(np.ones((1, 1, 3, 3)))
         b = T.Tensor.zeros((1,))
-        y = T.conv2d(x, k, b, padding=(1, 1)).data[0, 0]
-        assert y[1, 1] == 9.0
-        assert y[0, 0] == 4.0 and y[2, 2] == 4.0
-        assert y[0, 1] == 6.0
+        y = T.conv2d(x, k, b, padding=(1, 1)).data[0]
+        for frame in range(3):
+            assert y[1, 1, frame] == 9.0
+            assert y[0, 0, frame] == 4.0 and y[2, 2, frame] == 4.0
+            assert y[0, 1, frame] == 6.0
 
     def test_identity_kernel(self):
-        x = T.Tensor(rand((1, 3, 5, 5)))
+        x = T.Tensor(rand((3, 5, 5, 3)))
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
@@ -155,32 +161,32 @@ class TestConv2d:
         assert np.array_equal(y.data, x.data)
 
     def test_kernel_larger_than_input(self):
-        x = T.Tensor(rand((1, 1, 2, 2)))
+        x = T.Tensor(rand((1, 2, 2, 3)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d(x, k, T.Tensor.zeros((1,)))
 
     @pytest.mark.parametrize("padding", [(3, 0), (0, 3), (-1, 0), (0, -1)])
     def test_padding_outside_kernel_rejected(self, padding):
-        x = T.Tensor(rand((1, 1, 8, 8)))
+        x = T.Tensor(rand((1, 8, 8, 3)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d(x, k, T.Tensor.zeros((1,)), padding=padding)
 
     def test_batched_matches_per_frame(self):
-        xs = rand((4, 2, 6, 6))
+        xs = rand((2, 6, 6, 4))
         k = T.Tensor(rand((3, 2, 3, 3), seed=1))
         b = T.Tensor(rand((3,), seed=2))
         batched = T.conv2d(T.Tensor(xs), k, b, padding=(1, 1)).data
         for i in range(4):
-            single = T.conv2d(T.Tensor(xs[i : i + 1]), k, b, padding=(1, 1)).data
-            assert np.abs(batched[i] - single[0]).max() < 1e-12
+            single = T.conv2d(T.Tensor(xs[..., i : i + 1]), k, b, padding=(1, 1)).data
+            assert np.abs(batched[..., i] - single[..., 0]).max() < 1e-12
 
     def test_linearity(self):
         k = T.Tensor(rand((2, 3, 3, 3), seed=4))
         zero_b = T.Tensor.zeros((2,))
-        x = rand((1, 3, 6, 6), seed=5)
-        y = rand((1, 3, 6, 6), seed=6)
+        x = rand((3, 6, 6, 3), seed=5)
+        y = rand((3, 6, 6, 3), seed=6)
         lhs = T.conv2d(T.Tensor(2.5 * x - 1.5 * y), k, zero_b, padding=(1, 1)).data
         rhs = 2.5 * T.conv2d(T.Tensor(x), k, zero_b, padding=(1, 1)).data - 1.5 * T.conv2d(
             T.Tensor(y), k, zero_b, padding=(1, 1)
@@ -190,20 +196,21 @@ class TestConv2d:
 
 class TestConv2dPerPatch:
     def test_matches_independent_conv_calls(self):
-        grid, ci, co, size = 2, 2, 3, 4
+        grid, ci, co, size, batch = 8, 2, 3, 3, 3
         p = grid * grid
-        x = rand((2, ci, grid * size, grid * size))
+        x = rand((ci, grid * size, grid * size, batch))
         k = rand((p, co, ci, 3, 3), seed=1)
         b = rand((p, co), seed=2)
-        up = rand((2, co, grid * size, grid * size), seed=3)  # upstream gradient
+        up = rand((co, grid * size, grid * size, batch), seed=3)  # upstream gradient
         xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
         with T.Tape() as tape:
             got = T.conv2d_per_patch(xs, ks, bs)
             tape.backward(T.sum_all(T.mul(got, T.Tensor(up))))
         for i in range(p):
-            cell = (slice(None), slice(None),
+            cell = (slice(None),
                     slice(i // grid * size, (i // grid + 1) * size),
-                    slice(i % grid * size, (i % grid + 1) * size))
+                    slice(i % grid * size, (i % grid + 1) * size),
+                    slice(None))
             xi, ki, bi = (T.Tensor(a, requires_grad=True) for a in (x[cell], k[i], b[i]))
             with T.Tape() as single_tape:
                 single = T.conv2d(xi, ki, bi, padding=(1, 1))
@@ -214,39 +221,39 @@ class TestConv2dPerPatch:
                 assert np.abs(whole - single_tape.grad(part)).max() < 1e-12
 
     def test_kernel_rank_rejected(self):
-        x = T.Tensor(rand((1, 3, 4, 4)))
+        x = T.Tensor(rand((3, 4, 4, 1)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor.zeros((2, 3)))
 
     def test_padding_outside_kernel_rejected(self):
-        x = T.Tensor(rand((1, 3, 4, 4)))
+        x = T.Tensor(rand((3, 4, 4, 1)))
         k = T.Tensor(rand((4, 3, 3, 1, 1)))
         with pytest.raises(ShapeError):  # a 1x1 kernel admits no padding
             T.conv2d_per_patch(x, k, T.Tensor.zeros((4, 3)))
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_patch_count_not_square_rejected(self, p):
-        x = T.Tensor(rand((1, 2, 24, 24)))
+        x = T.Tensor(rand((2, 24, 24, 1)))
         k = T.Tensor(rand((p, 3, 2, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, k, T.Tensor.zeros((p, 3)))
 
     @pytest.mark.parametrize("h, w", [(6, 8), (8, 6), (6, 6)])
     def test_map_not_divisible_by_grid_rejected(self, h, w):
-        x = T.Tensor(rand((1, 2, h, w)))
+        x = T.Tensor(rand((2, h, w, 1)))
         k = T.Tensor(rand((16, 3, 2, 1, 1)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, k, T.Tensor.zeros((16, 3)), padding=(0, 0))
 
     def test_bias_shape_rejected(self):
-        x = T.Tensor(rand((1, 2, 4, 4)))
+        x = T.Tensor(rand((2, 4, 4, 1)))
         k = T.Tensor(rand((4, 3, 2, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d_per_patch(x, k, T.Tensor.zeros((3,)))
 
 
 class TestBatchOnly:
-    """The convolution, pooling and gating ops take a leading batch axis only."""
+    """The convolution, pooling and gating ops take a batch axis only."""
 
     @pytest.mark.parametrize(
         "call",
@@ -294,27 +301,31 @@ def reference_conv(x, k, b, padding, up):
 
 
 def paste(patches, grid):
-    """(B, P, C, h, w) patches -> the (B, C, grid*h, grid*w) map they tile, row-major."""
+    """(B, P, C, h, w) patches -> the batch-last (C, grid*h, grid*w, B) map
+    they tile, row-major."""
     bsz, _, c, h, w = patches.shape
     out = np.zeros((bsz, c, grid * h, grid * w))
     for i in range(grid):
         for j in range(grid):
             out[:, :, i * h:(i + 1) * h, j * w:(j + 1) * w] = patches[:, i * grid + j]
-    return out
+    return batch_last(out)
 
 
 # Geometries of the convolution oracle: patches are 5x6, so every map is
-# non-square: 5x6 at P = 1, 10x12 at P = 4 and 20x24 at P = 16.
+# non-square: 5x6 at P = 1, 10x12 at P = 4, 20x24 at P = 16 and 40x48 at
+# P = 64 (the 8x8 grid).
 CONV_KERNELS = [((1, 1), (0, 0)), ((3, 3), (0, 0)), ((3, 3), (1, 1)), ((1, 3), (0, 1)),
                 ((3, 1), (1, 0))]
 CONV_OPS = [("conv2d", 1), ("conv2d_per_patch", 1), ("conv2d_per_patch", 4),
-            ("conv2d_per_patch", 16)]
+            ("conv2d_per_patch", 16), ("conv2d_per_patch", 64)]
 
 
 class TestConvOracle:
     """Both public convolutions against the direct-loop reference.
 
-    ``batch=None`` is the unbatched form, which the ops reject.
+    ``batch=None`` is the unbatched form, which the ops reject.  Every frame
+    of a batch has its own values, so a column taken from the wrong frame
+    shows.
     """
 
     @pytest.mark.parametrize("kernel, padding", CONV_KERNELS)
@@ -337,7 +348,7 @@ class TestConvOracle:
             k, b, dk, db = k[0], b[0], dk[0], db[0]
         if batch is None:
             with pytest.raises(ShapeError):
-                getattr(T, op)(T.Tensor(x[0]), T.Tensor(k), T.Tensor(b), padding=padding)
+                getattr(T, op)(T.Tensor(x[..., 0]), T.Tensor(k), T.Tensor(b), padding=padding)
             return
         xs, ks, bs = (T.Tensor(a, requires_grad=True) for a in (x, k, b))
         with T.Tape() as tape:
@@ -395,7 +406,7 @@ class TestConvBackward:
         # The 3x3 window matrix is 9x the padded input (1,179,648 B here);
         # the node may keep little beyond its output.
         conv = getattr(T, op)
-        x = T.Tensor(rand((2, 8, 32, 32)), requires_grad=True)
+        x = T.Tensor(rand((8, 32, 32, 2)), requires_grad=True)
         k = T.Tensor(rand(kernel_shape, 1), requires_grad=True)
         b = T.Tensor(rand(bias_shape, 2), requires_grad=True)
         with T.Tape():
@@ -417,25 +428,27 @@ class TestConvBackward:
         assert tape.grad(x).shape == x.shape
 
 
-def attention_pool_oracle(maps, feat, kernels, bias, padding):
-    """Per map j: gate, convolve and average with the existing ops.
+def attention_pool_reference(maps, feat, kernels, bias, padding, up):
+    """Gate, convolve and average per map with the direct-loop reference.
 
-    ``kernels`` (M, C_out, C, k_h, k_w) and ``bias`` (M, C_out) hold one bank
-    per map; attention_pool takes the same banks stacked along C_out.
+    ``maps`` (B, M, H, W), ``feat`` (B, C, H, W), ``kernels`` (M, C_out, C,
+    k_h, k_w) and ``bias`` (M, C_out): the M gated maps are the reference's
+    patches.  Returns the (B, M, C_out) means and the gradients of
+    sum(out * up) for maps, feat, kernels and bias.
     """
-    b, m, h, w = maps.shape
-    pooled = []
-    for j in range(m):
-        gate = T.reshape(T.slice_axis(maps, 1, j, j + 1), (b, h, w))
-        k = T.reshape(T.slice_axis(kernels, 0, j, j + 1), kernels.shape[1:])
-        bias_j = T.reshape(T.slice_axis(bias, 0, j, j + 1), bias.shape[1:])
-        refined = T.conv2d(T.broadcast_mul_channelwise(gate, feat), k, bias_j, padding=padding)
-        pooled.append(T.reshape(T.global_avg_pool(refined), (b, 1, -1)))
-    return T.concat(pooled, axis=1)
+    gated = maps[:, :, None] * feat[:, None]  # (B, M, C, H, W)
+    _, _, _, h, w = gated.shape
+    kh, kw = kernels.shape[-2:]
+    oh, ow = h + 2 * padding[0] - kh + 1, w + 2 * padding[1] - kw + 1
+    up_map = np.broadcast_to(up[..., None, None] / (oh * ow), up.shape + (oh, ow))
+    y, dgated, dk, db = reference_conv(gated, kernels, bias, padding, up_map)
+    dmaps = (dgated * feat[:, None]).sum(axis=2)
+    dfeat = (dgated * maps[:, :, None]).sum(axis=1)
+    return y.mean(axis=(3, 4)), dmaps, dfeat, dk, db
 
 
 class TestAttentionPool:
-    """attention_pool equals gate -> conv2d -> global_avg_pool for every map."""
+    """attention_pool equals gate -> conv -> spatial mean for every map."""
 
     @pytest.mark.parametrize(
         "kernel, padding",
@@ -445,42 +458,43 @@ class TestAttentionPool:
     @pytest.mark.parametrize("m", [1, 4])
     def test_matches_gated_conv_then_pool(self, kernel, padding, batch, m):
         c, co, h, w = 3, 2, 5, 7
-        arrays = (
-            rand((batch, m, h, w)),
-            rand((batch, c, h, w), seed=1),
-            rand((m, co, c) + kernel, seed=2),
-            rand((m, co), seed=3),
-        )
-        stacked = arrays[:2] + (arrays[2].reshape((m * co, c) + kernel), arrays[3].reshape(-1))
-        up = T.Tensor(rand((batch, m, co), seed=4))
-        results = []
-        for op, args in ((T.attention_pool, stacked), (attention_pool_oracle, arrays)):
-            inputs = [T.Tensor(a, requires_grad=True) for a in args]
-            with T.Tape() as tape:
-                out = op(*inputs, padding=padding)
-                tape.backward(T.sum_all(T.mul(out, up)))
-            assert all(tape.grad(t).shape == t.shape for t in inputs)
-            results.append([out.data] + [tape.grad(t).reshape(a.shape)
-                                         for t, a in zip(inputs, arrays)])
-        for got, expected in zip(*results):
-            assert got.shape == expected.shape
-            assert np.abs(got - expected).max() < 1e-12
+        maps, feat = rand((batch, m, h, w)), rand((batch, c, h, w), seed=1)
+        kernels, bias = rand((m, co, c) + kernel, seed=2), rand((m, co), seed=3)
+        up = rand((batch, m, co), seed=4)
+        expected = attention_pool_reference(maps, feat, kernels, bias, padding, up)
 
-    def make(self, maps=(2, 3, 4, 5), feat=(2, 6, 4, 5), kernels=(6, 6, 3, 3), bias=(6,)):
-        return [T.Tensor(rand(shape, seed=i)) for i, shape in enumerate((maps, feat, kernels, bias))]
+        ms, fs = (T.Tensor(batch_last(a), requires_grad=True) for a in (maps, feat))
+        ks = [T.Tensor(k, requires_grad=True) for k in kernels]
+        bs = [T.Tensor(bias_j, requires_grad=True) for bias_j in bias]
+        with T.Tape() as tape:
+            out = T.attention_pool(ms, fs, ks, bs, padding=padding)
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(up))))
+        got = (out.data, np.moveaxis(tape.grad(ms), -1, 0), np.moveaxis(tape.grad(fs), -1, 0),
+               np.stack([tape.grad(k) for k in ks]), np.stack([tape.grad(b) for b in bs]))
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert np.abs(g - e).max() < 1e-12
+
+    def make(self, maps=(3, 4, 5, 2), feat=(6, 4, 5, 2), kernels=((2, 6, 3, 3),) * 3,
+             biases=((2,),) * 3):
+        return ([T.Tensor(rand(maps)), T.Tensor(rand(feat, seed=1))]
+                + [[T.Tensor(rand(shape, seed=2)) for shape in kernels]]
+                + [[T.Tensor(rand(shape, seed=3)) for shape in biases]])
 
     @pytest.mark.parametrize(
         "shapes",
         [
-            {"feat": (1, 6, 4, 5)},                                     # batch
-            {"feat": (2, 6, 4, 6)},                                     # map size
-            {"maps": (2, 4, 4, 5)},                 # map count: 6 rows are not 4 banks
-            {"kernels": (6, 5, 3, 3)},                                  # kernel C
-            {"bias": (4,)},
-            {"bias": (3, 2)},                                           # one row per bank
+            {"feat": (6, 4, 5, 1)},                                     # batch
+            {"feat": (6, 4, 6, 2)},                                     # map size
+            {"maps": (4, 4, 5, 2)},                                     # maps vs banks
+            {"kernels": ((2, 5, 3, 3),) * 3},                           # kernel C
+            {"kernels": ((2, 6, 3, 3), (3, 6, 3, 3), (2, 6, 3, 3))},    # banks differ
+            {"biases": ((3,),) * 3},
+            {"biases": ((2,),) * 2},                                    # one bias per bank
             {"maps": (3, 4, 5)},                                        # ranks
             {"feat": (6, 4, 5)},
-            {"kernels": (3, 2, 6, 3, 3)},                               # one axis per bank
+            {"kernels": ((2, 6, 3),) * 3},
+            {"kernels": (), "biases": (), "maps": (0, 4, 5, 2)},        # no banks
         ],
     )
     def test_mismatched_shapes_rejected(self, shapes):
@@ -494,7 +508,11 @@ class TestAttentionPool:
 
 
 def partition_mix_oracle(x, parts, edge_weights, kernels, biases):
-    """Per partition: 1x1 conv2d, tanh edge mask, mul and graph_matmul, then add."""
+    """Per partition: 1x1 conv2d, tanh edge mask, mul and graph_matmul, then add.
+
+    ``x`` is (C, T, B, N): ``conv2d`` reads it as a map (C, T, B) over a
+    batch of N nodes, and ``graph_matmul`` mixes the last axis.
+    """
     out = None
     for part, w, k, bias in zip(parts, edge_weights, kernels, biases):
         mixed = T.graph_matmul(T.mul(T.tanh(w), T.Tensor(part)), T.conv2d(x, k, bias))
@@ -510,11 +528,11 @@ class TestPartitionMix:
     def test_matches_composed_ops(self, batch, track_x):
         c, co, t, n = 3, 4, 5, 4
         parts = [rand((n, n), seed=10 + q) for q in range(3)]
-        x = rand((batch, c, t, n))
+        x = rand((c, t, batch, n))
         params = ([rand((n, n), seed=1 + q) for q in range(3)]
                   + [rand((co, c, 1, 1), seed=4 + q) for q in range(3)]
                   + [rand((co,), seed=7 + q) for q in range(3)])
-        up = T.Tensor(rand((batch, co, t, n), seed=13))
+        up = T.Tensor(rand((co, t, batch, n), seed=13))
         results = []
         for op in (T.partition_mix, partition_mix_oracle):
             xs = T.Tensor(x, requires_grad=track_x)
@@ -531,7 +549,7 @@ class TestPartitionMix:
             assert np.abs(got - expected).max() < 1e-12
 
     def test_is_one_tape_node(self):
-        x = T.Tensor(rand((2, 3, 4, 5)), requires_grad=True)
+        x = T.Tensor(rand((3, 4, 2, 5)), requires_grad=True)
         ps = [T.Tensor(rand(s, seed=1), requires_grad=True)
               for s in [(5, 5)] * 3 + [(2, 3, 1, 1)] * 3 + [(2,)] * 3]
         with T.Tape() as tape:
@@ -551,7 +569,7 @@ class TestPartitionMix:
         ],
     )
     def test_mismatched_shapes_rejected(self, change):
-        shapes = {"x": (2, 3, 4, 5), "kernel": (2, 3, 1, 1), "bias": (2,), "edge": (5, 5),
+        shapes = {"x": (3, 4, 2, 5), "kernel": (2, 3, 1, 1), "bias": (2,), "edge": (5, 5),
                   "part": (5, 5), **change}
         parts = [np.ones(shapes["part"])] * 3
         edges = [T.Tensor.ones(shapes["edge"])] * 3
@@ -565,23 +583,41 @@ class TestPartitionMix:
 
 class TestMaxPool:
     def test_two_by_two(self):
-        y = T.maxpool2d(T.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        y = T.maxpool2d(T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)))
         assert y.data.tolist() == [[[[4.0]]]]
 
     def test_constant_input_tie_gradient_goes_to_first_cell(self):
-        x = T.Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        x = T.Tensor(np.ones((1, 4, 4, 3)), requires_grad=True)
         with T.Tape() as tape:
             y = T.maxpool2d(x)
             loss = T.sum_all(y)
             tape.backward(loss)
         g = tape.grad(x)
-        expected = np.zeros((1, 1, 4, 4))
-        expected[0, 0, ::2, ::2] = 1.0  # first element of each 2x2 field
+        expected = np.zeros((1, 4, 4, 3))
+        expected[0, ::2, ::2, :] = 1.0  # first element of each 2x2 field
         assert np.array_equal(g, expected)
+
+    def test_matches_fields_of_each_frame(self):
+        # Values drawn from 0..2 tie often, and differently in every frame.
+        c, h, w, batch = 2, 4, 6, 3
+        x = np.random.default_rng(5).integers(0, 3, (batch, c, h, w)).astype(float)
+        up = rand((batch, c, h // 2, w // 2), seed=6)
+        want, dwant = np.zeros(up.shape), np.zeros(x.shape)
+        for b, ch, i, j in np.ndindex(up.shape):
+            field = x[b, ch, 2 * i:2 * i + 2, 2 * j:2 * j + 2].reshape(4)
+            first = int(np.argmax(field))  # the first cell holding the max
+            want[b, ch, i, j] = field[first]
+            dwant[b, ch, 2 * i + first // 2, 2 * j + first % 2] = up[b, ch, i, j]
+        xs = T.Tensor(batch_last(x), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.maxpool2d(xs)
+            tape.backward(T.sum_all(T.mul(y, T.Tensor(batch_last(up)))))
+        assert np.array_equal(y.data, batch_last(want))
+        assert np.array_equal(tape.grad(xs), batch_last(dwant))
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            T.maxpool2d(T.Tensor(rand((1, 1, 3, 4))))
+            T.maxpool2d(T.Tensor(rand((1, 3, 4, 1))))
 
 
 class TestGlobalAvgPool:
@@ -596,14 +632,14 @@ class TestGlobalAvgPool:
 
 class TestPurity:
     def test_forward_is_bitwise_reproducible(self):
-        x = rand((2, 3, 8, 8))
+        x = rand((3, 8, 8, 2))
         k = rand((4, 3, 3, 3), seed=1)
         b = rand((4,), seed=2)
 
         def run():
             h = T.conv2d(T.Tensor(x), T.Tensor(k), T.Tensor(b), padding=(1, 1))
             h = T.maxpool2d(h)
-            return T.global_avg_pool(T.sigmoid(h)).data
+            return T.mean_all(T.sigmoid(h)).data
 
         assert np.array_equal(run(), run())
 
