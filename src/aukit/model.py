@@ -5,7 +5,8 @@ stable entry names (``backbone.layer1.input.kernels``, ``branch.3.att.bias``,
 ``gst.2.phi2.kernels``, ...) to parameters.  Structured views over that dict
 are rebuilt on demand, so functional parameter updates (training steps)
 amount to replacing dict values; ``stage1_forward`` and ``stage2_forward``
-are the only code that turns entries into a forward pass.
+are the only code that turns entries into a forward pass.  Serving and
+attention training run stage 1 on at most ``FRAMES_PER_PASS`` frames at once.
 
 A relation checkpoint embeds the frozen first-stage parameters, so a single
 file is enough to run sequence-level inference.
@@ -260,17 +261,25 @@ def stage2_forward(entries: Entries, graph: RelationGraph, f0: T.Tensor) -> T.Te
                          head_from(entries, dims.m), expected_layers=dims.depth)
 
 
+#: Most frames one stage-1 pass runs, in serving and attention training, so
+#: memory does not grow with a video or batch; a constant, not a setting.
+FRAMES_PER_PASS = 8
+
+
 def attention_predict(
     entries: Entries, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame attention pass over a sequence.
+    """Per-frame attention pass over a sequence, ``FRAMES_PER_PASS`` frames at a time.
 
     frames (t, 3, h, w) -> maps (t, m, h/4, w/4), features (t, m, 8c),
     probabilities (t, m).
     """
-    maps, feats, probs = stage1_forward(
-        entries, T.Tensor(np.asarray(frames, dtype=np.float64)))
-    return maps.data, feats.data, probs.data
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 4:
+        raise ShapeError(f"expected a batch of frames, got shape {frames.shape}")
+    parts = [stage1_forward(entries, T.Tensor(frames[i:i + FRAMES_PER_PASS]))
+             for i in range(0, max(len(frames), 1), FRAMES_PER_PASS)]
+    return tuple(np.concatenate([part[k].data for part in parts]) for k in range(3))
 
 
 def sequence_features(entries: Entries, frames: np.ndarray) -> np.ndarray:

@@ -128,10 +128,12 @@ class Tape:
     """Append-only record of operations for one forward pass.
 
     Nodes are recorded in execution order, so reverse iteration is a valid
-    reverse-topological traversal.  ``gradients`` maps value ids to
-    accumulated gradient arrays after ``backward``.  ``backward`` consumes
-    the tape: it drops each node once it has run, so the arrays a backward
-    closure holds are freed during the pass, and it runs once per tape.
+    reverse-topological traversal.  ``backward`` consumes the tape: it
+    drops each node, and the gradient of the node's output, once the node
+    has run, so the arrays a backward closure holds are freed during the
+    pass, and it runs once per tape.  Afterwards ``gradients`` maps the ids
+    of the tensors no recorded node produced (the leaves) to their
+    accumulated gradient arrays; ``grad`` of an intermediate is None.
     """
 
     def __init__(self):
@@ -178,7 +180,7 @@ class Tape:
         nodes = self._nodes
         while nodes:
             node = nodes.pop()
-            grad_out = grads.get(node.out_id)
+            grad_out = grads.pop(node.out_id, None)
             if grad_out is not None:
                 node.backward(grad_out, accumulate)
 
@@ -625,7 +627,8 @@ def _scratch(n: int) -> np.ndarray:
     It holds one window matrix at a time and keeps the size of the largest
     one the thread has built, so a convolution writes its windows into
     pages that are already mapped instead of faulting in fresh ones each
-    call.  A caller is done with it before the next call.
+    call.  A caller is done with it before the next call.  Passes of at
+    most ``model.FRAMES_PER_PASS`` frames bound its size.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < n:

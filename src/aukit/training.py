@@ -4,18 +4,21 @@ Stage one fits the backbone and per-label attention branches on single
 frames.  Stage two freezes those parameters (by default), caches the
 per-sequence feature tensors they produce, and fits the graph stack plus
 per-node heads on fixed-length windows.  Both stages run ``_fit``, the one
-step loop; a stage supplies only its set-up and a ``batch_loss`` callback.
+step loop; a stage supplies only its set-up and a ``batch_losses`` callback
+that gives a batch's loss in parts, each run forward and backward on its own
+tape: stage one's parts hold at most ``FRAMES_PER_PASS`` frames each.
 
 Determinism: every random choice is drawn from generators derived from the
 training seed, so a fixed seed and dataset reproduce checkpoints bit for
 bit.  Each epoch's generator draws the shuffle and is then passed to the
 callback, which may draw more from it (stage one's crop offsets and mirror
-flips, in window order).
+flips, in window order, before any part runs).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +32,7 @@ from .errors import ConfigError, DataError, IoError, NumericalError
 from .graph import RelationGraph
 from .losses import attention_stage_loss, au_detection_loss, class_weights
 from .model import (
+    FRAMES_PER_PASS,
     Entries,
     init_attention_entries,
     init_relation_entries,
@@ -298,12 +302,14 @@ class TrainResult:
 def _fit(
     entries: Entries, trainable: Sequence[str], windows: Sequence[Tuple[VideoSequence, int]],
     hp: HyperParams, schedule: LrSchedule, epochs: Optional[int], seed: int, stream: int,
-    stage: str, batch_loss: Callable[..., T.Tensor],
+    stage: str, batch_losses: Callable[..., List[Callable[[], T.Tensor]]],
 ) -> TrainResult:
     """The one step loop: momentum SGD on ``trainable`` over shuffled window batches.
 
-    ``batch_loss(entries, batch, rng)`` records the loss of a batch of
-    ``(sequence, start)`` windows on the active tape.
+    ``batch_losses(entries, batch, rng)`` returns the loss of a batch of
+    ``(sequence, start)`` windows as parts, callables that each record one
+    part's loss on the active tape.  The parts' gradients are added in part
+    order (a left fold) and the logged loss is the sum of their losses.
     """
     total = schedule.max_epochs if epochs is None else epochs
     if total < 0:
@@ -321,16 +327,20 @@ def _fit(
         rng.shuffle(order)
         for step_idx, batch_start in enumerate(range(0, len(order), hp.batch_size)):
             batch = order[batch_start:batch_start + hp.batch_size]
-            with T.Tape() as tape:
-                loss = batch_loss(entries, batch, rng)
-            value = float(loss.data)
-            if math.isnan(value):
-                raise NumericalError(
-                    f"NaN loss in {stage} stage at epoch {epoch} step {step_idx}"
-                )
-            tape.backward(loss)
-            entries = sgd_step(entries, _collect_grads(tape, entries, trainable),
-                               lr, state)
+            grads: Dict[str, np.ndarray] = {}
+            value = 0.0
+            for part in batch_losses(entries, batch, rng):
+                with T.Tape() as tape:
+                    loss = part()
+                if math.isnan(float(loss.data)):
+                    raise NumericalError(
+                        f"NaN loss in {stage} stage at epoch {epoch} step {step_idx}"
+                    )
+                value += float(loss.data)
+                tape.backward(loss)
+                for name, g in _collect_grads(tape, entries, trainable).items():
+                    grads[name] = grads[name] + g if name in grads else g
+            entries = sgd_step(entries, grads, lr, state)
             log.append((stage, epoch, step_idx, lr, value))
     return TrainResult(entries, log)
 
@@ -364,15 +374,24 @@ def train_attention_stage(
         )
     trainable = list(entries)
 
-    def batch_loss(entries, batch, rng):
-        clips = [_augmented_window(seq.frames, start, hp.t, hp.l, rng, "attention stage")
-                 for seq, start in batch]
+    def batch_losses(entries, batch, rng):
+        clips = np.concatenate([
+            _augmented_window(seq.frames, start, hp.t, hp.l, rng, "attention stage")
+            for seq, start in batch])
         targets = np.concatenate([seq.labels[start:start + hp.t] for seq, start in batch])
-        maps, _, probs = stage1_forward(entries, T.Tensor(np.concatenate(clips)))
-        return attention_stage_loss(probs, maps, targets, weights, hp.lambda_r)
+
+        def part_loss(i):
+            # Both loss terms are means over frames: scaled by its share of
+            # the frames, each part's loss adds up to the batch's.
+            part = slice(i, i + FRAMES_PER_PASS)
+            maps, _, probs = stage1_forward(entries, T.Tensor(clips[part]))
+            loss = attention_stage_loss(probs, maps, targets[part], weights, hp.lambda_r)
+            return T.scalar_mul(loss, len(targets[part]) / len(targets))
+
+        return [functools.partial(part_loss, i) for i in range(0, len(clips), FRAMES_PER_PASS)]
 
     return _fit(entries, trainable, windows, hp, attention_schedule(hp), epochs,
-                seed, _ATTENTION_EPOCH_STREAM, "attention", batch_loss)
+                seed, _ATTENTION_EPOCH_STREAM, "attention", batch_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +444,7 @@ def train_relation_stage(
     else:
         trainable = [n for n in entries if not n.startswith("graph.")]
 
-    def batch_loss(entries, batch, rng):
+    def batch_loss(entries, batch):
         if hp.freeze_backbone:
             f0 = T.Tensor(np.stack([cached[id(seq)][:, start:start + hp.t]
                                     for seq, start in batch]))
@@ -439,5 +458,8 @@ def train_relation_stage(
         targets = np.stack([seq.labels[start:start + hp.t] for seq, start in batch])
         return au_detection_loss(stage2_forward(entries, graph, f0), targets, weights)
 
+    def batch_losses(entries, batch, rng):  # one part: the unfrozen pass is not chunked
+        return [functools.partial(batch_loss, entries, batch)]
+
     return _fit(entries, trainable, windows, hp, relation_schedule(hp), epochs,
-                seed, _RELATION_EPOCH_STREAM, "relation", batch_loss)
+                seed, _RELATION_EPOCH_STREAM, "relation", batch_losses)

@@ -66,6 +66,19 @@ class TestTape:
         assert np.array_equal(tape.grad(b), np.ones(3))
         assert np.array_equal(tape.grad(a), np.full(3, 3.0))
 
+    def test_backward_keeps_only_leaf_gradients(self):
+        # A node output's gradient is dropped once the node has run.
+        x = T.Tensor(rand((4,)), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.sigmoid(x)
+            loss = T.sum_all(T.mul(y, y))
+        produced = {node.out_id for node in tape._nodes}
+        tape.backward(loss)
+        assert not produced & set(tape.gradients)
+        assert tape.grad(y) is None and tape.grad(loss) is None
+        s = 1 / (1 + np.exp(-x.data))
+        assert np.allclose(tape.grad(x), 2 * s * s * (1 - s), atol=1e-15, rtol=0)
+
     @pytest.mark.parametrize(
         "op, kernel_shape, bias_shape",
         [("conv2d", (3, 2, 3, 3), (3,)), ("conv2d_per_patch", (4, 3, 2, 3, 3), (4, 3))],

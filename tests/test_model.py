@@ -1,5 +1,7 @@
 """Checkpoints are checked against the architecture their sizes imply."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,43 @@ class TestAttentionMaps:
             alone = model.attention_predict(entries, frames[i:i + 1])
             for got, want in zip((maps, feats, probs), alone):
                 assert np.abs(got[i] - want[0]).max() < 1e-12
+
+
+class TestFramesPerPass:
+    """``attention_predict`` runs stage 1 on at most FRAMES_PER_PASS frames at
+    once; every chunk boundary must leave the per-frame results unchanged."""
+
+    @pytest.fixture(scope="class")
+    def per_frame(self):
+        entries = toy_relation_entries(seed=12)
+        frames = np.random.default_rng(13).standard_normal((32, 3, 32, 32))
+        alone = [model.attention_predict(entries, frames[i:i + 1]) for i in range(32)]
+        return entries, frames, [np.concatenate([a[k] for a in alone]) for k in range(3)]
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 8, 9, 13, 32])
+    def test_matches_per_frame_predictions(self, per_frame, t):
+        entries, frames, expected = per_frame
+        got = model.attention_predict(entries, frames[:t])
+        for g, want in zip(got, expected):
+            assert g.shape == want[:t].shape
+            assert t == 0 or np.abs(g - want[:t]).max() < 1e-12
+
+    def test_zero_frames_keep_empty_shapes(self, per_frame):
+        entries, frames, _ = per_frame
+        got = model.attention_predict(entries, frames[:0])
+        assert [g.shape for g in got] == [(0, 4, 8, 8), (0, 4, 16), (0, 4)]
+
+    def test_scratch_buffer_stops_growing_after_one_pass(self):
+        entries = toy_relation_entries(seed=14)
+        frames = np.random.default_rng(15).standard_normal((64, 3, 32, 32))
+        sizes = []
+
+        def run():  # a fresh thread starts without a buffer
+            for t in (model.FRAMES_PER_PASS, 64):
+                model.attention_predict(entries, frames[:t])
+                sizes.append(T._SCRATCH.buf.size)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert len(sizes) == 2 and sizes[0] == sizes[1] > 0

@@ -20,12 +20,14 @@ from aukit.errors import ConfigError, DataError, NumericalError
 from aukit.graph import build_graph
 from aukit.losses import attention_stage_loss, au_detection_loss
 from aukit.model import (
+    FRAMES_PER_PASS,
     embed_graph,
     init_attention_entries,
     init_relation_entries,
     load_model,
     model_dims,
     save_model,
+    stage1_forward,
     stage2_forward,
 )
 from aukit.training import (
@@ -348,6 +350,85 @@ def test_toy_attention_step_is_bytewise_repeatable():
     for name in grads_a:
         assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
     assert_entries_equal(updated_a, updated_b)
+
+
+def keep_all_backward(tape, loss):
+    """``Tape.backward`` before it dropped node outputs' gradients once used:
+    every gradient, intermediate or leaf, stays until the end."""
+    grads = {loss.id: np.ones(())}
+
+    def accumulate(tensor_id, value):
+        grads[tensor_id] = grads[tensor_id] + value if tensor_id in grads else value
+
+    for node in reversed(tape._nodes):
+        if node.out_id in grads:
+            node.backward(grads[node.out_id], accumulate)
+    return grads
+
+
+def test_backward_drops_intermediate_gradients_and_keeps_leaf_bytes():
+    hp = resolve("toy")
+    spec = default_spec(m=hp.m, videos=1, frames_per_video=4, seed=7)
+    labels = generate_labels(spec)[0]
+    frames = render_video(spec, 0, labels)
+    entries = init_attention_entries(hp.c, hp.m, seed=7)
+    leaf_bytes = []
+    for drop in (True, False):
+        with T.Tape() as tape:
+            maps, _, probs = stage1_forward(entries, T.Tensor(frames))
+            loss = attention_stage_loss(probs, maps, labels, np.full(hp.m, 0.5), hp.lambda_r)
+        produced = {node.out_id for node in tape._nodes}
+        if drop:
+            tape.backward(loss)
+            assert not produced & set(tape.gradients)
+            grads = tape.gradients
+        else:
+            grads = keep_all_backward(tape, loss)
+        leaf_bytes.append({name: grads[t.id].tobytes() for name, t in entries.items()})
+    assert leaf_bytes[0] == leaf_bytes[1]
+
+
+@pytest.fixture(scope="module")
+def twenty_frames():
+    spec = default_spec(m=4, videos=1, frames_per_video=20, seed=11)
+    labels = generate_labels(spec)
+    return [VideoSequence("v0000", render_video(spec, 0, labels[0]), labels[0])]
+
+
+def one_attention_step(data, monkeypatch, frames_per_pass):
+    """Gradients, result and pass sizes of one toy attention step on 20
+    frames (a batch of 4 windows of 5) run ``frames_per_pass`` at a time."""
+    hp = HyperParams(l=32, c=2, t=5, m=4, t_k=3, batch_size=4)
+    grads, passes = [], []
+
+    def recording_sgd_step(entries, step_grads, lr, state):
+        grads.append(step_grads)
+        return sgd_step(entries, step_grads, lr, state)
+
+    def recording_stage1(entries, frames):
+        passes.append(frames.shape[0])
+        return stage1_forward(entries, frames)
+
+    monkeypatch.setattr(training, "FRAMES_PER_PASS", frames_per_pass)
+    monkeypatch.setattr(training, "sgd_step", recording_sgd_step)
+    monkeypatch.setattr(training, "stage1_forward", recording_stage1)
+    result = train_attention_stage(data, hp, seed=5, epochs=1)
+    assert len(grads) == 1
+    return grads[0], result, passes
+
+
+def test_chunked_attention_step_repeats_and_matches_whole_batch(twenty_frames, monkeypatch):
+    first, again = (one_attention_step(twenty_frames, monkeypatch, FRAMES_PER_PASS)
+                    for _ in range(2))
+    whole = one_attention_step(twenty_frames, monkeypatch, 20)
+    assert first[2] == [8, 8, 4] and whole[2] == [20]
+    assert list(first[0]) == list(again[0]) == list(whole[0])
+    for name, grad in first[0].items():
+        assert grad.tobytes() == again[0][name].tobytes(), name
+        assert np.abs(grad - whole[0][name]).max() < 1e-12, name
+    assert_entries_equal(first[1].entries, again[1].entries)
+    assert first[1].log == again[1].log
+    assert abs(first[1].log[0][4] - whole[1].log[0][4]) < 1e-12
 
 
 def test_toy_relation_step_is_bytewise_repeatable():
