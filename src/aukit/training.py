@@ -381,8 +381,8 @@ def train_attention_stage(
         targets = np.concatenate([seq.labels[start:start + hp.t] for seq, start in batch])
 
         def part_loss(i):
-            # Both loss terms are means over frames: scaled by its share of
-            # the frames, each part's loss adds up to the batch's.
+            # Both loss terms are means over frames, so parts scaled by their
+            # share of the frames sum to the batch's loss.
             part = slice(i, i + FRAMES_PER_PASS)
             maps, _, probs = stage1_forward(entries, T.Tensor(clips[part]))
             loss = attention_stage_loss(probs, maps, targets[part], weights, hp.lambda_r)

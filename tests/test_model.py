@@ -189,7 +189,7 @@ class TestFramesPerPass:
         sizes = []
 
         def run():  # a fresh thread starts without a buffer
-            for t in (model.FRAMES_PER_PASS, 64):
+            for t in (8, 64):
                 model.attention_predict(entries, frames[:t])
                 sizes.append(T._SCRATCH.buf.size)
 
