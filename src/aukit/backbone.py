@@ -10,11 +10,10 @@ every convolution is followed by a tanh nonlinearity.  A per-patch stage
 is one ``conv2d_per_patch`` node on the whole map: the op cuts the map into
 its grid and pastes the patch outputs back itself.
 
-Every layer works on batch-last maps (C, H, W, b), the layout the
-convolutions take: ``backbone_forward`` transposes the frames (b, 3, l, l)
-once on entry, which records no tape node for untracked frames, and it
-alone also takes a single frame (3, l, l), adding and removing the batch
-axis with one reshape each.  The branches return maps, features and
+Stage 1 takes a batch of frames only.  Every layer works on batch-last
+maps (C, H, W, b), the layout the convolutions take: ``backbone_forward``
+transposes the frames (b, 3, l, l) once on entry, which records no tape
+node for untracked frames.  The branches return maps, features and
 probabilities frames first, as ``attention_stage_forward`` always has.
 
 On top of the shared feature map, one attention branch per label
@@ -24,7 +23,7 @@ The m branches run as one pass: one ``conv2d`` with m output maps gives
 all attention logits, and each branch's feature is the spatial mean of a
 3x3 convolution of its gated map, which ``attention_pool`` computes as
 the kernels applied to masked window sums, without the convolution's
-output map.  Heads are applied together with ``per_node_head``.
+output map.  ``per_node_head`` applies the m heads from their own entries.
 """
 
 from __future__ import annotations
@@ -150,24 +149,15 @@ def region_layer_forward(x: T.Tensor, params: RegionLayerParams) -> T.Tensor:
 
 
 def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:
-    """Frames (b, 3, l, l) -> batch-last feature maps (8c, l/4, l/4, b).
-
-    One frame (3, l, l) gives one map (8c, l/4, l/4): this is the one place
-    in stage 1 that accepts unbatched input.
-    """
+    """Frames (b, 3, l, l) -> batch-last feature maps (8c, l/4, l/4, b)."""
     shape = frames.shape
-    if len(shape) not in (3, 4) or shape[-3] != 3 or shape[-2] != shape[-1]:
-        raise ShapeError(f"frames must be (3, l, l) or (b, 3, l, l), got {shape}")
-    l = shape[-1]
-    if l % FRAME_MULTIPLE:
-        raise ShapeError(f"frame size {l} must be divisible by {FRAME_MULTIPLE}")
-    unbatched = len(shape) == 3
-    h = T.reshape(frames, shape + (1,)) if unbatched else T.transpose(frames, (1, 2, 3, 0))
-    h = region_layer_forward(h, params.layer1)
-    h = T.maxpool2d(h)
-    h = region_layer_forward(h, params.layer2)
-    h = T.maxpool2d(h)
-    return T.reshape(h, h.shape[:-1]) if unbatched else h
+    if len(shape) != 4 or shape[1] != 3 or shape[2] != shape[3]:
+        raise ShapeError(f"frames must be (b, 3, l, l), got {shape}")
+    if shape[3] % FRAME_MULTIPLE:
+        raise ShapeError(f"frame size {shape[3]} must be divisible by {FRAME_MULTIPLE}")
+    h = region_layer_forward(T.transpose(frames, (1, 2, 3, 0)), params.layer1)
+    h = region_layer_forward(T.maxpool2d(h), params.layer2)
+    return T.maxpool2d(h)
 
 
 def attention_branch_forward(
@@ -176,9 +166,9 @@ def attention_branch_forward(
     """All m attention branches in one pass over feature maps (8c, h, w, b).
 
     Returns attention maps M (b, m, h, w), pooled features f0 (b, m, 8c)
-    and initial probabilities (b, m).  The branches' parameters are joined
-    by ``concat`` nodes, or handed to ``attention_pool`` as lists, so each
-    branch entry still gets its own gradient.
+    and initial probabilities (b, m).  The attention kernels are joined by
+    ``concat`` nodes; ``attention_pool`` and ``per_node_head`` take their
+    parameters as lists.  Each branch entry gets its own gradient.
     """
     if len(feat.shape) != 4:
         raise ShapeError(f"expected a batch of feature maps, got shape {feat.shape}")
@@ -187,9 +177,8 @@ def attention_branch_forward(
     maps = T.sigmoid(T.conv2d(feat, att_kernels, att_bias, padding=(1, 1)))  # (m, h, w, b)
     f0 = T.attention_pool(maps, feat, [br.feat_conv.kernels for br in branches],
                           [br.feat_conv.bias for br in branches], padding=(1, 1))
-    head_weight = T.concat([br.head_weight for br in branches], axis=0)  # (m, 8c)
-    head_bias = T.concat([br.head_bias for br in branches], axis=0)      # (m,)
-    logits = T.per_node_head(T.transpose(f0, (2, 0, 1)), head_weight, head_bias)
+    logits = T.per_node_head(T.transpose(f0, (2, 0, 1)), [br.head_weight for br in branches],
+                             [br.head_bias for br in branches])
     return T.transpose(maps, (3, 0, 1, 2)), f0, T.sigmoid(logits)
 
 
@@ -202,8 +191,6 @@ def attention_stage_forward(
 
     Returns stacked (M, f0, p0) with shapes (b, m, h, w), (b, m, 8c), (b, m).
     """
-    if len(frames.shape) != 4:
-        raise ShapeError(f"expected a batch of frames, got shape {frames.shape}")
     return attention_branch_forward(backbone_forward(frames, backbone), branches)
 
 

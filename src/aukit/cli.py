@@ -188,7 +188,7 @@ def _cmd_train(args, log: _Logger) -> int:
     return 0
 
 
-def _load_model_and_graph(ckpt_path, graph_path):
+def _load_model_and_graph(ckpt_path, graph_path, graph_option: bool):
     entries = load_model(ckpt_path)
     dims = model_dims(entries)
     graph = None
@@ -201,10 +201,8 @@ def _load_model_and_graph(ckpt_path, graph_path):
     elif dims.depth:
         graph = extract_graph(entries)
         if graph is None:
-            raise ConfigError(
-                "checkpoint has relation layers but no embedded graph; "
-                "pass --graph"
-            )
+            raise ConfigError("checkpoint has relation layers but no embedded graph"
+                              + ("; pass --graph" if graph_option else ""))
     return entries, dims, graph
 
 
@@ -215,7 +213,7 @@ def _predict_sequence(entries, dims, graph, frames: np.ndarray) -> np.ndarray:
 
 
 def _cmd_eval(args, log: _Logger) -> int:
-    entries, dims, graph = _load_model_and_graph(args.ckpt, args.graph)
+    entries, dims, graph = _load_model_and_graph(args.ckpt, args.graph, True)
     sequences = load_dataset(args.data)
     if not sequences:
         raise DataError(f"no sequences found under {args.data}")
@@ -243,7 +241,7 @@ def _load_frames(path) -> np.ndarray:
 
 
 def _cmd_infer(args, log: _Logger) -> int:
-    entries, dims, graph = _load_model_and_graph(args.ckpt, None)
+    entries, dims, graph = _load_model_and_graph(args.ckpt, None, False)
     frames = _load_frames(args.frames)
     probs = _predict_sequence(entries, dims, graph, frames)
     try:

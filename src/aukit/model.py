@@ -291,11 +291,13 @@ def sequence_features(entries: Entries, frames: np.ndarray) -> np.ndarray:
 def relation_predict(
     entries: Entries, graph: RelationGraph, frames: np.ndarray
 ) -> np.ndarray:
-    """Sequence-level probabilities (t, m) from a relation checkpoint."""
+    """Sequence-level probabilities (t, m) from a relation checkpoint; (0, m) for no frames."""
     dims = model_dims(entries)
     if dims.depth == 0:
         raise FormatError("checkpoint holds no graph-stack entries")
     if graph.m != dims.m:
         raise ShapeError(f"graph has {graph.m} nodes but model has {dims.m} branches")
-    f0 = T.Tensor(sequence_features(entries, frames))
-    return stage2_forward(entries, graph, f0).data
+    f0 = sequence_features(entries, frames)
+    if f0.shape[1] == 0:  # no edge frame for the temporal padding to repeat
+        return np.zeros((0, dims.m))
+    return stage2_forward(entries, graph, T.Tensor(f0)).data

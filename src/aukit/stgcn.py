@@ -131,8 +131,7 @@ def stgcn_forward(
     for layer in layers:
         features = gst_layer_forward(features, graph, layer)
     features = T.transpose(features, (2, 0, 1, 3)) if batched else features
-    weight = T.reshape(T.concat(head.weights, axis=0), (len(head.weights), -1))
-    return T.sigmoid(T.per_node_head(features, weight, T.concat(head.biases, axis=0)))
+    return T.sigmoid(T.per_node_head(features, head.weights, head.biases))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ Feature maps are stored batch-last, (C, H, W, B): the convolutions,
 pool return it), so a window copy moves runs of ow*B contiguous values
 rather than one patch row.  ``broadcast_mul_channelwise`` and
 ``global_avg_pool``, which the model no longer calls, keep batch first.
+The ops with one parameter per branch or node (``attention_pool``,
+``partition_mix``, ``per_node_head``) take those entries as lists, so
+stacking them records no tape node.
 
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
@@ -408,30 +411,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def per_node_head(feat: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-node channel contraction: out[..., t, j] = w[j] . feat[..., :, t, j] + b[j].
+def per_node_head(feat: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """Per-node channel contraction: out[..., t, j] = w_j . feat[..., :, t, j] + b_j.
 
-    ``feat`` is (..., C, T, N); ``weight`` is (N, C); ``bias`` is (N,).
-    Each node position j gets its own linear functional over channels.
+    ``feat`` is (..., C, T, N); ``weights`` holds N weights of C values, (C,)
+    or (1, C), and ``biases`` N one-value biases: the lists a checkpoint
+    holds, so each node's head gets its own gradient with no stacking node.
     """
-    n, c = weight.shape
-    if feat.data.ndim < 3 or feat.shape[-1] != n or feat.shape[-3] != c:
-        raise ShapeError(f"per_node_head: feat {feat.shape} vs weight {weight.shape}")
-    if bias.shape != (n,):
-        raise ShapeError(f"per_node_head: bias shape {bias.shape} != ({n},)")
-    out = Tensor._wrap(
-        np.einsum("...ctj,jc->...tj", feat.data, weight.data) + bias.data
-    )
+    n = len(weights)
+    if (feat.data.ndim < 3 or feat.shape[-1] != n or len(biases) != n
+            or any(w.size != feat.shape[-3] or b.size != 1 for w, b in zip(weights, biases))):
+        raise ShapeError(f"per_node_head: feat {feat.shape} vs weights "
+                         f"{[w.shape for w in weights]}, biases {[b.shape for b in biases]}")
+    weight = np.stack([w.data.reshape(-1) for w in weights])  # (N, C)
+    out = Tensor._wrap(np.einsum("...ctj,jc->...tj", feat.data, weight)
+                       + np.concatenate([b.data.reshape(1) for b in biases]))
+    head_ids = [(w.id, w.shape, b.id, b.shape) for w, b in zip(weights, biases)]
 
     def backward(g, acc):
         lead = feat.shape[:-3]
         g2 = g.reshape((-1,) + g.shape[len(lead):])
         f2 = feat.data.reshape((-1,) + feat.shape[len(lead):])
-        acc(weight.id, np.einsum("ntj,nctj->jc", g2, f2))
-        acc(bias.id, g2.sum(axis=(0, 1)))
-        acc(feat.id, np.einsum("jc,...tj->...ctj", weight.data, g))
+        dw = np.einsum("ntj,nctj->jc", g2, f2)
+        db = g2.sum(axis=(0, 1))
+        for j, (w_id, w_shape, b_id, b_shape) in enumerate(head_ids):
+            acc(w_id, dw[j].reshape(w_shape))
+            acc(b_id, db[j:j + 1].reshape(b_shape))
+        acc(feat.id, np.einsum("jc,...tj->...ctj", weight, g))
 
-    return _record(out, (feat, weight, bias), backward)
+    return _record(out, (feat, *weights, *biases), backward)
 
 
 def bias_add_row(a: Tensor, bias: Tensor) -> Tensor:
@@ -489,36 +497,22 @@ def broadcast_mul_channelwise(weight_map: Tensor, feat: Tensor) -> Tensor:
 
 def pad_edge(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     """Replicate the first/last slice along ``axis`` (edge padding)."""
-    if before < 0 or after < 0:
-        raise ShapeError("pad amounts must be non-negative")
     dim, a_id = a.shape[axis], a.id
+    if before < 0 or after < 0 or dim == 0:
+        raise ShapeError(f"pad_edge: pads ({before}, {after}) must be non-negative and "
+                         f"axis {axis} of {a.shape} non-empty")
     # One gather of clipped indices: much cheaper per call than np.pad.
     out = Tensor._wrap(np.take(a.data, np.clip(np.arange(-before, dim + after), 0, dim - 1),
                                axis=axis))
+    lead = (slice(None),) * (axis % a.data.ndim)  # index ``lead + (s,)`` slices ``axis``
 
     def backward(g, acc):
-        idx_interior = tuple(
-            slice(before, before + dim) if d == axis else slice(None)
-            for d in range(g.ndim)
-        )
-        grad = np.array(g[idx_interior])
+        grad = np.array(g[lead + (slice(before, before + dim),)])
         if before:
-            idx_lo = tuple(
-                slice(0, before) if d == axis else slice(None) for d in range(g.ndim)
-            )
-            first = tuple(
-                slice(0, 1) if d == axis else slice(None) for d in range(g.ndim)
-            )
-            grad[first] += g[idx_lo].sum(axis=axis, keepdims=True)
+            grad[lead + (slice(0, 1),)] += g[lead + (slice(0, before),)].sum(axis, keepdims=True)
         if after:
-            idx_hi = tuple(
-                slice(before + dim, None) if d == axis else slice(None)
-                for d in range(g.ndim)
-            )
-            last = tuple(
-                slice(dim - 1, dim) if d == axis else slice(None) for d in range(g.ndim)
-            )
-            grad[last] += g[idx_hi].sum(axis=axis, keepdims=True)
+            grad[lead + (slice(dim - 1, dim),)] += g[lead + (slice(before + dim, None),)].sum(
+                axis, keepdims=True)
         acc(a_id, grad)
 
     return _record(out, (a,), backward)

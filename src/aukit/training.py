@@ -102,10 +102,6 @@ class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     velocity: Dict[str, np.ndarray] = field(default_factory=dict)
-    # The flat velocity of each chunk of the last step, by its names, with
-    # the per-name views handed out in ``velocity``.
-    _flat: Dict[Tuple[str, ...], Tuple[np.ndarray, List[np.ndarray]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _chunks(names: Sequence[str], entries: Entries, velocity) -> List[List[str]]:
@@ -184,14 +180,7 @@ def sgd_step(
             theta = _joined([entries[n].data for n in names])
             g = g + wd * theta
             if names[0] in state.velocity:
-                # Reuse last step's flat velocity unless a view was replaced.
-                cached = state._flat.get(tuple(names))
-                if cached and all(state.velocity[n] is view
-                                  for n, view in zip(names, cached[1])):
-                    flat = cached[0]
-                else:
-                    flat = _joined([state.velocity[n] for n in names])
-                v = mu * flat + g
+                v = mu * _joined([state.velocity[n] for n in names]) + g
             else:
                 v = g
             new = theta - lr * (g + mu * v)
@@ -199,21 +188,17 @@ def sgd_step(
             done.append((names, new, v))
 
     updated = dict(entries)
-    flats = {}
     for names, new, v in done:
         new.setflags(write=False)
-        offset, views = 0, []
+        offset = 0
         for name in names:
             shape = entries[name].shape
             n = entries[name].size
             tensor = T.Tensor._wrap(new[offset:offset + n].reshape(shape))
             tensor.requires_grad = True
             updated[name] = tensor
-            views.append(v[offset:offset + n].reshape(shape))
-            state.velocity[name] = views[-1]
+            state.velocity[name] = v[offset:offset + n].reshape(shape)
             offset += n
-        flats[tuple(names)] = (v, views)
-    state._flat = flats
     return updated
 
 

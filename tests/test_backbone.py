@@ -135,8 +135,8 @@ class TestRegionLayer:
 class TestBackbone:
     def test_toy_output_shape(self):
         params = B.init_backbone(Xoshiro256pp(10), c=2)
-        out = B.backbone_forward(T.Tensor(rand((3, 32, 32))), params)
-        assert out.shape == (16, 8, 8)
+        out = B.backbone_forward(T.Tensor(rand((1, 3, 32, 32))), params)
+        assert out.shape == (16, 8, 8, 1)
 
     def test_batched_output_shape(self):
         params = B.init_backbone(Xoshiro256pp(11), c=2)
@@ -152,38 +152,17 @@ class TestBackbone:
     def test_bad_frame_size_rejected(self):
         params = B.init_backbone(Xoshiro256pp(12), c=1)
         with pytest.raises(ShapeError):
-            B.backbone_forward(T.Tensor(rand((3, 40, 40))), params)
+            B.backbone_forward(T.Tensor(rand((1, 3, 40, 40))), params)
         with pytest.raises(ShapeError):
-            B.backbone_forward(T.Tensor(rand((1, 32, 32))), params)
+            B.backbone_forward(T.Tensor(rand((1, 1, 32, 32))), params)
+        with pytest.raises(ShapeError):  # stage 1 takes a batch only
+            B.backbone_forward(T.Tensor(rand((3, 32, 32))), params)
 
     def test_frame_size_multiple_of_16_accepted(self):
         # 48 px: layer 2 runs the 8x8 grid on 24 px, so patches are 3 px.
         params = B.init_backbone(Xoshiro256pp(12), c=1)
-        out = B.backbone_forward(T.Tensor(rand((3, 48, 48))), params)
-        assert out.shape == (8, 12, 12)
-
-    def test_unbatched_frame_equals_batch_of_one(self):
-        params = B.init_backbone(Xoshiro256pp(15), c=1)
-        frame = rand((3, 32, 32), seed=16)
-        x1 = T.Tensor(frame, requires_grad=True)
-        xb = T.Tensor(frame[None], requires_grad=True)
-        with T.Tape() as single_tape:
-            single = B.backbone_forward(x1, params)
-            loss = T.sum_all(T.tanh(single))
-            single_nodes = len(single_tape._nodes)  # backward frees the nodes
-            single_tape.backward(loss)
-        with T.Tape() as batch_tape:
-            batched = B.backbone_forward(xb, params)
-            loss = T.sum_all(T.tanh(batched))
-            batch_nodes = len(batch_tape._nodes)
-            batch_tape.backward(loss)
-        assert single.data.tobytes() == batched.data[..., 0].tobytes()
-        assert single_tape.grad(x1).tobytes() == batch_tape.grad(xb)[0].tobytes()
-        for name, tensor in B.backbone_entries(params):
-            assert single_tape.grad(tensor).tobytes() == batch_tape.grad(tensor).tobytes(), name
-        # the batch axis goes on and comes off with one reshape each, where a
-        # batch has one transpose on entry (a node only for tracked frames)
-        assert single_nodes == batch_nodes + 1
+        out = B.backbone_forward(T.Tensor(rand((1, 3, 48, 48))), params)
+        assert out.shape == (8, 12, 12, 1)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_resolves(self, name):
@@ -192,7 +171,7 @@ class TestBackbone:
 
     def test_gradient_flows_to_all_parameters(self):
         params = B.init_backbone(Xoshiro256pp(13), c=1)
-        x = T.Tensor(rand((3, 32, 32), seed=14))
+        x = T.Tensor(rand((1, 3, 32, 32), seed=14))
         with T.Tape() as tape:
             loss = T.sum_all(B.backbone_forward(x, params))
             tape.backward(loss)
@@ -347,17 +326,17 @@ class TestFusedBranches:
             assert fused_grads[name].shape == expected.shape, name
             assert np.abs(fused_grads[name] - expected).max() < 1e-12, name
 
-    # 12 nodes per region layer and its pool, 11 for the branches (4 concat,
+    # 12 nodes per region layer and its pool, 9 for the branches (2 concat,
     # conv2d, sigmoid, attention_pool, 2 transposes, per_node_head, sigmoid)
-    # and 10 for the loss (7 for detection, 3 for the attention term): 45 at
+    # and 10 for the loss (7 for detection, 3 for the attention term): 43 at
     # any c and m.  The frames' transpose to batch-last records no node.
     def test_paper_size_step_node_count(self):
         # Node counts do not depend on the frame size: 32 px keeps this cheap.
-        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 45
+        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 43
 
     def test_toy_step_node_count(self):
         hp = resolve("toy")
-        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 45
+        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 43
 
 
 class TestAttentionStage:

@@ -323,6 +323,41 @@ def test_infer_with_attention_checkpoint(ws, tmp_path):
     assert len(read_lines(out)) == 1 + 8
 
 
+@pytest.mark.parametrize("kind", ["att", "rel"])
+def test_infer_on_zero_frames_writes_a_header_only_csv(ws, tmp_path, kind):
+    empty = str(tmp_path / "empty.stnt")
+    serialize.save_tensor(empty, serialize.load_tensor(ws.video)[:0])  # (0, 3, l, l)
+    out = str(tmp_path / "probs.csv")
+    assert run("infer", "--ckpt", getattr(ws, kind), "--frames", empty, "--out", out) == 0
+    assert read_lines(out) == ["frame_idx,au_1,au_2"]
+
+
+@pytest.fixture
+def rel_without_graph(ws, tmp_path):
+    arrays = serialize.load_checkpoint(ws.rel)
+    path = str(tmp_path / "nograph.stck")
+    serialize.save_checkpoint(path, {k: v for k, v in arrays.items()
+                                     if not k.startswith("graph.")})
+    return path
+
+
+def test_infer_without_embedded_graph_names_no_option_it_lacks(
+        ws, tmp_path, capsys, rel_without_graph):
+    assert run("infer", "--ckpt", rel_without_graph, "--frames", ws.video,
+               "--out", str(tmp_path / "p.csv")) == 2
+    err = capsys.readouterr().err
+    assert "no embedded graph" in err and "--graph" not in err
+
+
+def test_eval_without_embedded_graph_asks_for_graph(ws, tmp_path, capsys, rel_without_graph):
+    out = str(tmp_path / "m.csv")
+    assert run("eval", "--ckpt", rel_without_graph, "--data", ws.data, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "no embedded graph" in err and "pass --graph" in err
+    assert run("eval", "--ckpt", rel_without_graph, "--data", ws.data,
+               "--graph", ws.graph, "--out", out) == 0
+
+
 def test_infer_rejects_bad_frames_shape(ws, tmp_path, capsys):
     bad = str(tmp_path / "bad.stnt")
     serialize.save_tensor(bad, np.zeros((4, 4)))

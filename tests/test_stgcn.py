@@ -185,17 +185,17 @@ class TestStackForward:
         return graph, layers, head
 
     @pytest.mark.parametrize("c, m", [(2, 4), (8, 12)])
-    def test_relation_step_records_45_tape_nodes(self, c, m):
+    def test_relation_step_records_42_tape_nodes(self, c, m):
         # 4 per layer at the default depth, the transpose back to batch first,
-        # 3 to stack the heads, per_node_head and sigmoid, and 7 for the loss:
-        # the count does not grow with m.  The untracked features' transpose
-        # to (8c, t, b, m) records no node.
+        # per_node_head (the m heads as lists: no stacking node) and sigmoid,
+        # and 7 for the loss: the count does not grow with m.  The untracked
+        # features' transpose to (8c, t, b, m) records no node.
         graph, layers, head = self.build(m=m, c=c)
         features = T.Tensor(rand((2, 8 * c, 4, m), seed=20))
         with T.Tape() as tape:
             probs = S.stgcn_forward(features, graph, layers, head)
             au_detection_loss(probs, np.zeros((2, 4, m)), np.full(m, 1.0 / m))
-        assert len(tape._nodes) == 45
+        assert len(tape._nodes) == 42
 
     def test_zero_init_stack_equals_head_on_input(self):
         graph, layers, head = self.build()

@@ -581,6 +581,116 @@ class TestPartitionMix:
                             kernels[:change.get("count", 3)], biases)
 
 
+def per_node_head_reference(feat, weights, biases, up):
+    """Value and gradients of sum(per_node_head(feat, weights, biases) * up), one node at a time."""
+    out = np.zeros(feat.shape[:-3] + feat.shape[-2:])
+    dfeat = np.zeros(feat.shape)
+    dws, dbs = [], []
+    for j, (w, b) in enumerate(zip(weights, biases)):
+        w = w.reshape(-1)
+        node = feat[..., j]  # (..., C, T)
+        out[..., j] = (node * w[:, None]).sum(axis=-2) + b[0]
+        dfeat[..., j] = w[:, None] * up[..., None, :, j]
+        dws.append((node * up[..., None, :, j]).sum(axis=-1).reshape(-1, w.size).sum(axis=0))
+        dbs.append(np.array([up[..., j].sum()]))
+    return out, dfeat, dws, dbs
+
+
+class TestPerNodeHead:
+    """Each node's head from its own weight and bias entries, as one node."""
+
+    def make(self, lead, weight_shape, c=3, t=4, n=5):
+        feat = rand(lead + (c, t, n))
+        weights = [rand(weight_shape, seed=1 + j) for j in range(n)]
+        biases = [rand((1,), seed=20 + j) for j in range(n)]
+        return feat, weights, biases
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("weight_shape", [(1, 3), (3,)], ids=["branch", "stack"])
+    def test_matches_numpy_reference(self, lead, weight_shape):
+        feat, weights, biases = self.make(lead, weight_shape)
+        up = rand(lead + (4, 5), seed=30)
+        f = T.Tensor(feat, requires_grad=True)
+        ws = [T.Tensor(w, requires_grad=True) for w in weights]
+        bs = [T.Tensor(b, requires_grad=True) for b in biases]
+        with T.Tape() as tape:
+            out = T.per_node_head(f, ws, bs)
+            assert len(tape._nodes) == 1
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(up))))
+        want, dfeat, dws, dbs = per_node_head_reference(feat, weights, biases, up)
+        pairs = ([(out.data, want), (tape.grad(f), dfeat)]
+                 + [(tape.grad(w), dw.reshape(w.shape)) for w, dw in zip(ws, dws)]
+                 + [(tape.grad(b), db) for b, db in zip(bs, dbs)])
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("weight_shape", [(1, 3), (3,)], ids=["branch", "stack"])
+    def test_grad_check(self, lead, weight_shape):
+        feat, weights, biases = self.make(lead, weight_shape, n=3)
+        up = T.Tensor(rand(lead + (4, 3), seed=31))
+
+        def fn(f, *params):
+            return T.sum_all(T.mul(T.per_node_head(f, params[:3], params[3:]), up))
+
+        points = [T.Tensor(a) for a in [feat, *weights, *biases]]
+        assert T.grad_check(fn, points) < 1e-6
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_weights": 4},          # fewer weights than nodes
+            {"n_biases": 6},           # more biases than nodes
+            {"weight_shape": (1, 4)},  # weight size is not C
+            {"bias_shape": (2,)},      # bias of two values
+            {"feat": (3, 5)},          # no channel axis
+        ],
+    )
+    def test_mismatch_rejected(self, change):
+        n = 5
+        feat = T.Tensor(rand(change.get("feat", (3, 4, n))))
+        weights = [T.Tensor(rand(change.get("weight_shape", (3,)), seed=j))
+                   for j in range(change.get("n_weights", n))]
+        biases = [T.Tensor(rand(change.get("bias_shape", (1,)), seed=j))
+                  for j in range(change.get("n_biases", n))]
+        with pytest.raises(ShapeError):
+            T.per_node_head(feat, weights, biases)
+
+
+class TestPadEdge:
+    @pytest.mark.parametrize("shape, axis", [((3, 4), a) for a in range(-2, 2)]
+                             + [((2, 3, 4), a) for a in range(-3, 3)])
+    def test_matches_np_pad_and_grad_check(self, shape, axis):
+        x = rand(shape)
+        for before in range(4):
+            for after in range(4):
+                widths = [(0, 0)] * len(shape)
+                widths[axis] = (before, after)
+                want = np.pad(x, widths, mode="edge")
+                xt = T.Tensor(x, requires_grad=True)
+                up = T.Tensor(rand(want.shape, seed=1))
+                with T.Tape() as tape:
+                    out = T.pad_edge(xt, axis, before, after)
+                    tape.backward(T.sum_all(T.mul(out, up)))
+                assert np.array_equal(out.data, want)
+                assert tape.grad(xt).shape == shape
+
+                def fn(t):
+                    return T.sum_all(T.mul(T.pad_edge(t, axis, before, after), up))
+
+                assert T.grad_check(fn, T.Tensor(x)) < 1e-6, (before, after)
+
+    @pytest.mark.parametrize("axis", [1, -2])
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ShapeError):
+            T.pad_edge(T.Tensor(np.zeros((2, 0, 3))), axis, 1, 1)
+
+    def test_negative_pad_rejected(self):
+        with pytest.raises(ShapeError):
+            T.pad_edge(T.Tensor(np.zeros((2, 3))), 1, -1, 0)
+
+
 class TestMaxPool:
     def test_two_by_two(self):
         y = T.maxpool2d(T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)))
