@@ -63,7 +63,6 @@ def f1_accuracy(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
     for name, arr in (("pred", pred), ("truth", truth)):
         if not np.isin(arr, (0.0, 1.0)).all():
             raise ShapeError(f"{name} entries must be binary")
-    n = pred.shape[0]
     tp = (pred * truth).sum(axis=0)
     fp = (pred * (1.0 - truth)).sum(axis=0)
     fn = ((1.0 - pred) * truth).sum(axis=0)
@@ -71,7 +70,7 @@ def f1_accuracy(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
     f1 = _ratio(2.0 * precision * recall, precision + recall)
-    accuracy = (tp + tn) / n
+    accuracy = _ratio(tp + tn, tp + fp + fn + tn)
     return MetricsReport(precision, recall, f1, accuracy)
 
 

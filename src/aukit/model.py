@@ -6,7 +6,10 @@ stable entry names (``backbone.layer1.input.kernels``, ``branch.3.att.bias``,
 are rebuilt on demand, so functional parameter updates (training steps)
 amount to replacing dict values; ``stage1_forward`` and ``stage2_forward``
 are the only code that turns entries into a forward pass.  Serving and
-attention training run stage 1 on at most ``FRAMES_PER_PASS`` frames at once.
+attention training have at most ``FRAMES_PER_PASS`` frames of stage 1 in
+flight: an attention training part is one pass of 8 frames, and serving
+runs passes of 4 frames two at a time, on the calling thread and on one
+worker thread, with bytes that do not depend on the threads.
 
 A relation checkpoint embeds the frozen first-stage parameters, so a single
 file is enough to run sequence-level inference.
@@ -14,6 +17,9 @@ file is enough to run sequence-level inference.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -261,24 +267,71 @@ def stage2_forward(entries: Entries, graph: RelationGraph, f0: T.Tensor) -> T.Te
                          head_from(entries, dims.m), expected_layers=dims.depth)
 
 
-#: Most frames one stage-1 pass runs, in serving and attention training, so
-#: memory does not grow with a video or batch; a constant, not a setting.
+#: Most frames of stage 1 in flight at once, in serving and attention
+#: training, so memory does not grow with a video or batch; a constant, not a
+#: setting.  An attention training part runs this many frames in one pass.
 FRAMES_PER_PASS = 8
+
+#: Frames of one serving pass.  Two passes run at once, one on the calling
+#: thread and one on the worker, so ``FRAMES_PER_PASS`` frames are in flight;
+#: a constant, so the bytes depend only on the inputs, never on threads.
+SERVING_PASS = FRAMES_PER_PASS // 2
+
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The one worker thread that runs the odd serving passes, started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # A forked child has the parent's executor but not its thread: work
+    # submitted to it would wait forever, so the child starts its own.
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def attention_predict(
     entries: Entries, frames: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame attention pass over a sequence, ``FRAMES_PER_PASS`` frames at a time.
+    """Per-frame attention pass over a sequence, ``SERVING_PASS`` frames at a time.
 
     frames (t, 3, h, w) -> maps (t, m, h/4, w/4), features (t, m, 8c),
-    probabilities (t, m).
+    probabilities (t, m).  The calling thread runs the even passes and the
+    worker the odd ones; each pass is the same ``stage1_forward`` it would
+    be alone, joined in pass order, so the bytes do not depend on threads.
+    The first failed pass, in pass order, raises, and only once no pass of
+    this call is still running.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4:
         raise ShapeError(f"expected a batch of frames, got shape {frames.shape}")
-    parts = [stage1_forward(entries, T.Tensor(frames[i:i + FRAMES_PER_PASS]))
-             for i in range(0, max(len(frames), 1), FRAMES_PER_PASS)]
+
+    def run(start):
+        return stage1_forward(entries, T.Tensor(frames[start:start + SERVING_PASS]))
+
+    starts = range(0, max(len(frames), 1), SERVING_PASS)
+    odd = [_pool().submit(run, start) for start in starts[1::2]]
+    parts = []
+    try:
+        for k, start in enumerate(starts[0::2]):
+            parts.append(run(start))
+            if k < len(odd):
+                parts.append(odd[k].result())
+    finally:
+        for future in odd:
+            future.cancel()
+        wait(odd)
     return tuple(np.concatenate([part[k].data for part in parts]) for k in range(3))
 
 

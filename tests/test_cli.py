@@ -5,11 +5,14 @@ against a tiny generated dataset, and each documented exit code has a test.
 import csv
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import aukit
 from aukit import cli
 from aukit import dataset as D
 from aukit import graph as G
@@ -19,6 +22,9 @@ from aukit import training
 from aukit.config import load_config
 from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
 from aukit.model import attention_predict, load_model, model_dims
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(*argv):
@@ -64,6 +70,21 @@ def test_unknown_preset_rejected_by_parser(tmp_path):
         run("train", "--stage", "attention", "--preset", "huge",
             "--data", str(tmp_path), "--out", str(tmp_path / "x.stck"))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+], ids=["unset", "user-set"])
+def test_blas_threads_default_to_one_before_numpy_loads(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(aukit.__file__))
+    probe = ("import os, sys, aukit.cli; assert 'numpy' in sys.modules; "
+             f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**env, **preset},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +385,14 @@ def test_infer_rejects_bad_frames_shape(ws, tmp_path, capsys):
     assert run("infer", "--ckpt", ws.rel, "--frames", bad,
                "--out", str(tmp_path / "p.csv")) == 2
     assert "(t, 3, h, w)" in capsys.readouterr().err
+
+
+def test_infer_rejects_40_px_frames_over_two_passes(ws, tmp_path, capsys):
+    bad = str(tmp_path / "bad.stnt")
+    serialize.save_tensor(bad, np.zeros((8, 3, 40, 40)))  # two passes: caller and worker
+    assert run("infer", "--ckpt", ws.rel, "--frames", bad,
+               "--out", str(tmp_path / "p.csv")) == 2
+    assert "40" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

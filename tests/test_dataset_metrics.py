@@ -234,6 +234,12 @@ class TestMetrics:
         assert np.array_equal(report.f1, np.zeros(3))
         assert np.array_equal(report.accuracy, np.ones(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rows_score_zero_without_warnings(self):
+        report = M.f1_accuracy(np.zeros((0, 3)), np.zeros((0, 3)))
+        for arr in (report.precision, report.recall, report.f1, report.accuracy):
+            assert np.array_equal(arr, np.zeros(3))
+
     def test_matches_confusion_oracle(self):
         rng = np.random.default_rng(20)
         for _ in range(20):

@@ -1,6 +1,11 @@
 """Checkpoints are checked against the architecture their sizes imply."""
 
+import multiprocessing
+import os
+import sys
 import threading
+import time
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from aukit import model
 from aukit import tensor as T
 from aukit.backbone import attention_stage_forward, backbone_from, branch_from
 from aukit.config import resolve
-from aukit.errors import FormatError
+from aukit.errors import FormatError, ShapeError
 from aukit.graph import build_graph
 from aukit.serialize import load_checkpoint, save_checkpoint
 from aukit.stgcn import head_from, stgcn_forward, stgcn_from
@@ -186,14 +191,141 @@ class TestFramesPerPass:
     def test_scratch_buffer_stops_growing_after_one_pass(self):
         entries = toy_relation_entries(seed=14)
         frames = np.random.default_rng(15).standard_normal((64, 3, 32, 32))
+        worker = model._pool()
+        worker.submit(setattr, T._SCRATCH, "buf", None).result(timeout=60)
         sizes = []
 
         def run():  # a fresh thread starts without a buffer
             for t in (8, 64):
                 model.attention_predict(entries, frames[:t])
-                sizes.append(T._SCRATCH.buf.size)
+                sizes.append((T._SCRATCH.buf.size, worker.submit(
+                    lambda: T._SCRATCH.buf.size).result(timeout=60)))
 
         thread = threading.Thread(target=run)
         thread.start()
-        thread.join()
-        assert len(sizes) == 2 and sizes[0] == sizes[1] > 0
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert len(sizes) == 2 and sizes[0] == sizes[1] and min(sizes[0]) > 0
+
+
+class InlineExecutor(Executor):
+    """Runs each submitted pass at once, on the submitting thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def serial_passes(entries, frames):
+    """The oracle: ``stage1_forward`` on consecutive SERVING_PASS-frame slices, in order."""
+    parts = [model.stage1_forward(entries, T.Tensor(frames[i:i + model.SERVING_PASS]))
+             for i in range(0, max(len(frames), 1), model.SERVING_PASS)]
+    return [np.concatenate([part[k].data for part in parts]) for k in range(3)]
+
+
+class TestServingThreads:
+    """``attention_predict`` runs its even passes on the calling thread and its
+    odd ones on a worker: the bytes must not depend on which thread ran what."""
+
+    @pytest.fixture(scope="class")
+    def video(self):
+        entries = toy_relation_entries(seed=16)
+        return entries, np.random.default_rng(17).standard_normal((32, 3, 32, 32))
+
+    def test_serving_pass_is_half_the_frames_in_flight(self):
+        assert model.SERVING_PASS == 4 and 2 * model.SERVING_PASS == model.FRAMES_PER_PASS
+
+    @pytest.mark.parametrize("worker", ["thread", "inline"])
+    @pytest.mark.parametrize("t", [0, 1, 3, 4, 5, 8, 9, 13, 32])
+    def test_equals_serial_passes_bitwise(self, video, monkeypatch, worker, t):
+        entries, frames = video
+        if worker == "inline":
+            monkeypatch.setattr(model, "_pool", InlineExecutor)
+        got = model.attention_predict(entries, frames[:t])
+        for g, want in zip(got, serial_passes(entries, frames[:t])):
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
+
+    def test_concurrent_callers_get_the_bytes_of_calls_in_turn(self, video):
+        entries, frames = video
+        videos = [frames[i:i + 9 + i] for i in range(5)]  # 9..13 frames, more callers than cores
+        in_turn = [model.attention_predict(entries, v) for v in videos]
+        results = [None] * len(videos)
+
+        def predict(i):
+            results[i] = model.attention_predict(entries, videos[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=predict, args=(i,)) for i in range(len(videos))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, in_turn):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    def test_failed_pass_raises_once_no_pass_runs(self, video, monkeypatch, failing):
+        entries, frames = video
+        frames = frames[:4 * model.SERVING_PASS]  # passes 0, 2 on the caller; 1, 3 on the worker
+        firsts = frames[::model.SERVING_PASS, 0, 0, 0]
+        original, lock = model.stage1_forward, threading.Lock()
+        live, started, raised = [0], [], []
+
+        class PassFailed(Exception):
+            pass
+
+        def counting(entries, x):
+            index = int(np.flatnonzero(firsts == x.data[0, 0, 0, 0])[0])
+            with lock:
+                live[0] += 1
+                started.append(index)
+            try:
+                time.sleep(0.05 if index == failing else 0.3)  # others outlast the failure
+                if index == failing:
+                    raised.append(PassFailed(index))
+                    raise raised[-1]
+                return original(entries, x)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(model, "stage1_forward", counting)
+        with pytest.raises(PassFailed) as exc:
+            model.attention_predict(entries, frames)
+        assert exc.value is raised[0] and live[0] == 0
+        count = len(started)
+        model._pool().submit(int).result(timeout=60)  # after every pass queued before it
+        assert live[0] == 0 and len(started) == count  # no cancelled pass started later
+
+    def test_bad_frame_size_is_a_shape_error(self, video):
+        entries, _ = video
+        frames = np.zeros((2 * model.SERVING_PASS, 3, 40, 40))
+        with pytest.raises(ShapeError):
+            model.attention_predict(entries, frames)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="processes cannot fork here")
+    def test_forked_child_predicts(self, video):
+        entries, frames = video
+        want = model.attention_predict(entries, frames[:8])[2]  # the parent's worker is up
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=lambda: queue.put(
+            model.attention_predict(entries, frames[:8])[2].tobytes()))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want.tobytes()
