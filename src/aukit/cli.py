@@ -10,20 +10,17 @@ Exit codes: 0 success, 2 usage or configuration problem, 3 I/O failure,
 
 from __future__ import annotations
 
-import os
+import sys
 
-# One BLAS thread unless the user chose otherwise: serving already runs two
-# stage-1 passes at once, and the small GEMMs here run slower, not faster,
-# under BLAS threads of their own on top.  The variables are read when numpy
-# loads, so this must come before it; a program that imported numpy before
-# this module keeps its BLAS threads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":  # ``python -m aukit.cli``: before numpy loads
+    from .launch import default_blas_threads
+
+    default_blas_threads(sys.argv[1:])
 
 import argparse
 import dataclasses
 import json
-import sys
+import os
 from typing import Optional
 
 import numpy as np

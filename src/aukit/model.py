@@ -18,7 +18,6 @@ file is enough to run sequence-level inference.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -277,28 +276,20 @@ FRAMES_PER_PASS = 8
 #: a constant, so the bytes depend only on the inputs, never on threads.
 SERVING_PASS = FRAMES_PER_PASS // 2
 
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
+#: The one worker thread that runs the odd serving passes; an executor starts
+#: no thread until its first ``submit``.
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The one worker thread that runs the odd serving passes, started on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
-        return _POOL
-
-
-def _forget_pool() -> None:
+def _new_pool() -> None:
     # A forked child has the parent's executor but not its thread: work
-    # submitted to it would wait forever, so the child starts its own.
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    # submitted to it would wait forever, so the child gets its own.
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
 
 
 if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def attention_predict(
@@ -321,7 +312,7 @@ def attention_predict(
         return stage1_forward(entries, T.Tensor(frames[start:start + SERVING_PASS]))
 
     starts = range(0, max(len(frames), 1), SERVING_PASS)
-    odd = [_pool().submit(run, start) for start in starts[1::2]]
+    odd = [_POOL.submit(run, start) for start in starts[1::2]]
     parts = []
     try:
         for k, start in enumerate(starts[0::2]):

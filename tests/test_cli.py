@@ -72,19 +72,34 @@ def test_unknown_preset_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("preset, expected", [
-    ({}, ["1", "1", "1"]),
-    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
-], ids=["unset", "user-set"])
-def test_blas_threads_default_to_one_before_numpy_loads(preset, expected):
+# Each probe runs the program its own way, or imports it as a library, and
+# prints the BLAS variables once numpy has loaded.
+BLAS_PROBES = {
+    "script": "from aukit.launch import main; main({argv!r})",
+    "module": "sys.argv[1:] = {argv!r}; runpy.run_module('aukit.cli', run_name='__main__')",
+    "library": "import aukit.cli",
+}
+
+
+@pytest.mark.parametrize("entry, argv, preset, expected", [
+    ("script", ["infer", "--help"], {}, ["1", "1", "1"]),
+    ("module", ["eval", "--help"], {}, ["1", "1", "1"]),
+    ("script", ["export-attention", "--help"], {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ("module", ["train", "--help"], {}, ["-", "-", "-"]),
+    ("script", ["gen-data", "--help"], {}, ["-", "-", "-"]),
+    ("library", [], {}, ["-", "-", "-"]),
+], ids=["script-serving", "module-serving", "user-set", "module-train", "script-gen-data",
+        "library"])
+def test_blas_threads_default_to_one_for_serving_programs(entry, argv, preset, expected):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(aukit.__file__))
-    probe = ("import os, sys, aukit.cli; assert 'numpy' in sys.modules; "
-             f"print(' '.join(os.environ[v] for v in {BLAS_VARS!r}))")
+    probe = ("import os, runpy, sys\ntry:\n    " + BLAS_PROBES[entry].format(argv=argv)
+             + "\nexcept SystemExit:\n    pass\nassert 'numpy' in sys.modules\n"
+             f"print(' '.join(os.environ.get(v, '-') for v in {BLAS_VARS!r}), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], env={**env, **preset},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == expected
+    assert proc.stderr.split() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ class TestFramesPerPass:
     def test_scratch_buffer_stops_growing_after_one_pass(self):
         entries = toy_relation_entries(seed=14)
         frames = np.random.default_rng(15).standard_normal((64, 3, 32, 32))
-        worker = model._pool()
+        worker = model._POOL
         worker.submit(setattr, T._SCRATCH, "buf", None).result(timeout=60)
         sizes = []
 
@@ -244,7 +244,7 @@ class TestServingThreads:
     def test_equals_serial_passes_bitwise(self, video, monkeypatch, worker, t):
         entries, frames = video
         if worker == "inline":
-            monkeypatch.setattr(model, "_pool", InlineExecutor)
+            monkeypatch.setattr(model, "_POOL", InlineExecutor())
         got = model.attention_predict(entries, frames[:t])
         for g, want in zip(got, serial_passes(entries, frames[:t])):
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
@@ -303,7 +303,7 @@ class TestServingThreads:
             model.attention_predict(entries, frames)
         assert exc.value is raised[0] and live[0] == 0
         count = len(started)
-        model._pool().submit(int).result(timeout=60)  # after every pass queued before it
+        model._POOL.submit(int).result(timeout=60)  # after every pass queued before it
         assert live[0] == 0 and len(started) == count  # no cancelled pass started later
 
     def test_bad_frame_size_is_a_shape_error(self, video):
