@@ -29,13 +29,10 @@ output map.  ``per_node_head`` applies the m heads from their own entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from . import tensor as T
 from .errors import ShapeError
-from .rng import Xoshiro256pp
 
 #: Partition grids of the three per-patch stages, finest first.
 GRIDS = (8, 4, 2)
@@ -70,62 +67,6 @@ class AttentionBranchParams:
     feat_conv: ConvParams  # 8c -> 8c
     head_weight: T.Tensor  # (1, 8c)
     head_bias: T.Tensor    # (1,)
-
-
-# ---------------------------------------------------------------------------
-# Initialization: uniform fan-in scaling for weights, zero biases.
-# ---------------------------------------------------------------------------
-
-
-def _uniform(rng: Xoshiro256pp, shape: tuple[int, ...], fan_in: int) -> T.Tensor:
-    # Uniform(-sqrt(3/fan_in), +sqrt(3/fan_in)) has variance 1/fan_in, so a
-    # conv over fan_in inputs preserves activation variance layer to layer.
-    scale = np.sqrt(3.0 / fan_in)
-    return T.Tensor(rng.uniform_array(shape, -scale, scale), requires_grad=True)
-
-
-def init_conv(rng: Xoshiro256pp, in_ch: int, out_ch: int, k: int) -> ConvParams:
-    return ConvParams(
-        kernels=_uniform(rng, (out_ch, in_ch, k, k), in_ch * k * k),
-        bias=T.Tensor(np.zeros(out_ch), requires_grad=True),
-    )
-
-
-def init_patch_conv(
-    rng: Xoshiro256pp, patches: int, in_ch: int, out_ch: int, k: int
-) -> ConvParams:
-    return ConvParams(
-        kernels=_uniform(rng, (patches, out_ch, in_ch, k, k), in_ch * k * k),
-        bias=T.Tensor(np.zeros((patches, out_ch)), requires_grad=True),
-    )
-
-
-def init_region_layer(rng: Xoshiro256pp, in_ch: int, out_ch: int) -> RegionLayerParams:
-    stages = tuple(
-        init_patch_conv(rng, grid * grid, out_ch, out_ch, 3) for grid in GRIDS
-    )
-    return RegionLayerParams(
-        input_conv=init_conv(rng, in_ch, out_ch, 3),
-        stage_convs=stages,  # type: ignore[arg-type]
-        fusion_conv=init_conv(rng, 3 * out_ch, out_ch, 1),
-    )
-
-
-def init_backbone(rng: Xoshiro256pp, c: int) -> BackboneParams:
-    return BackboneParams(
-        layer1=init_region_layer(rng.fork(1), 3, 4 * c),
-        layer2=init_region_layer(rng.fork(2), 4 * c, 8 * c),
-    )
-
-
-def init_attention_branch(rng: Xoshiro256pp, c: int) -> AttentionBranchParams:
-    ch = 8 * c
-    return AttentionBranchParams(
-        att_conv=init_conv(rng, ch, 1, 3),
-        feat_conv=init_conv(rng, ch, ch, 3),
-        head_weight=_uniform(rng, (1, ch), ch),
-        head_bias=T.Tensor(np.zeros(1), requires_grad=True),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +138,6 @@ def attention_stage_forward(
 # ---------------------------------------------------------------------------
 # Checkpoint naming
 # ---------------------------------------------------------------------------
-
-
-def _conv_entries(prefix: str, conv: ConvParams):
-    yield f"{prefix}.kernels", conv.kernels
-    yield f"{prefix}.bias", conv.bias
-
-
-def region_layer_entries(prefix: str, layer: RegionLayerParams) -> Iterator[tuple[str, T.Tensor]]:
-    yield from _conv_entries(f"{prefix}.input", layer.input_conv)
-    for s, bank in enumerate(layer.stage_convs, start=1):
-        yield from _conv_entries(f"{prefix}.stage{s}", bank)
-    yield from _conv_entries(f"{prefix}.fusion", layer.fusion_conv)
-
-
-def backbone_entries(params: BackboneParams) -> Iterator[tuple[str, T.Tensor]]:
-    yield from region_layer_entries("backbone.layer1", params.layer1)
-    yield from region_layer_entries("backbone.layer2", params.layer2)
-
-
-def branch_entries(j: int, branch: AttentionBranchParams) -> Iterator[tuple[str, T.Tensor]]:
-    """Checkpoint names for branch ``j`` (1-based, matching file formats)."""
-    yield from _conv_entries(f"branch.{j}.att", branch.att_conv)
-    yield from _conv_entries(f"branch.{j}.feat", branch.feat_conv)
-    yield f"branch.{j}.head.weight", branch.head_weight
-    yield f"branch.{j}.head.bias", branch.head_bias
 
 
 def _conv_from(entries: Dict[str, T.Tensor], prefix: str) -> ConvParams:

@@ -299,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-logs", action="store_true",
                         help="emit machine-readable JSON log lines")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all random decisions (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", parents=[common],
@@ -330,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train this many epochs instead of the preset budget")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="training log CSV (default <out>.log.csv)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for all random decisions (default 0)")
     _add_hyperparam_flags(p)
     p.set_defaults(func=_cmd_train)
 

@@ -17,38 +17,21 @@ file is enough to run sequence-level inference.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import (
-    GRIDS,
-    attention_stage_forward,
-    backbone_entries,
-    backbone_from,
-    branch_entries,
-    branch_from,
-    init_attention_branch,
-    init_backbone,
-)
-from .errors import FormatError, ShapeError
+from .backbone import GRIDS, attention_stage_forward, backbone_from, branch_from
+from .errors import ConfigError, FormatError, ShapeError
 from .graph import RelationGraph, graph_from_pcc
 from .rng import Xoshiro256pp, derive_seed
 from .serialize import load_checkpoint, save_checkpoint
-from .stgcn import (
-    PARTITIONS,
-    head_entries,
-    head_from,
-    init_head,
-    init_stgcn,
-    stgcn_entries,
-    stgcn_forward,
-    stgcn_from,
-)
+from .stgcn import PARTITIONS, head_from, stgcn_forward, stgcn_from
 
 Entries = Dict[str, T.Tensor]
 
@@ -57,13 +40,44 @@ _ATTENTION_STREAM = 11
 _RELATION_STREAM = 13
 
 
+def _fresh(shapes: Dict[str, tuple], draws: Sequence[Tuple[Xoshiro256pp, Sequence[str]]]) -> Entries:
+    """Fresh parameters for every entry of ``shapes``, in its order.
+
+    ``draws`` pairs each stream with the names it draws, in draw order, from
+    Uniform(-sqrt(3/fan_in), +sqrt(3/fan_in)): variance 1/fan_in, so a layer
+    over fan_in inputs preserves activation variance.  fan_in is the product
+    of a weight's last three sizes (in_ch x k x k of a kernel or kernel bank,
+    the width of a head weight).  Edge weights start at one, every other
+    entry (biases, phi2) at zero.
+    """
+    drawn = {}
+    for rng, names in draws:
+        for name in names:
+            shape = shapes[name]
+            scale = np.sqrt(3.0 / math.prod(shape[-3:]))
+            drawn[name] = T.Tensor(rng.uniform_array(shape, -scale, scale), requires_grad=True)
+    return {
+        name: drawn[name] if name in drawn else T.Tensor(
+            (np.ones if ".edge." in name else np.zeros)(shape), requires_grad=True)
+        for name, shape in shapes.items()
+    }
+
+
 def init_attention_entries(c: int, m: int, seed: int) -> Entries:
-    """Fresh backbone plus ``m`` attention branches."""
+    """Fresh backbone plus ``m`` attention branches.
+
+    Each region layer draws its three stage banks before its input and
+    fusion kernels; branch j draws its attention, feature and head weights.
+    A fork advances its parent, so the backbone's stream is forked first.
+    """
     rng = Xoshiro256pp(derive_seed(seed, _ATTENTION_STREAM))
-    entries: Entries = dict(backbone_entries(init_backbone(rng.fork(0), c)))
-    for j in range(1, m + 1):
-        entries.update(branch_entries(j, init_attention_branch(rng.fork(j), c)))
-    return entries
+    backbone = rng.fork(0)
+    draws = [(backbone.fork(i), [f"backbone.layer{i}.{conv}.kernels" for conv in
+                                 ("stage1", "stage2", "stage3", "input", "fusion")])
+             for i in (1, 2)]
+    draws += [(rng.fork(j), [f"branch.{j}.att.kernels", f"branch.{j}.feat.kernels",
+                             f"branch.{j}.head.weight"]) for j in range(1, m + 1)]
+    return _fresh(entry_shapes(ModelDims(c=c, m=m, depth=0, t_k=None)), draws)
 
 
 def stage1_entries(entries: Entries) -> Entries:
@@ -75,12 +89,25 @@ def stage1_entries(entries: Entries) -> Entries:
 def init_relation_entries(
     stage1: Entries, t_k: int, depth: int, seed: int
 ) -> Entries:
-    """Fresh graph-stack and head parameters after the stage-1 entries of ``stage1``."""
+    """Fresh graph-stack and head parameters after the stage-1 entries of ``stage1``.
+
+    Layer i draws its three phi1 kernels, head j its weight, each from a
+    stream of its own.
+    """
+    if t_k % 2 == 0 or t_k < 1:
+        raise ConfigError(f"temporal kernel size must be odd and positive, got {t_k}")
+    if depth < 1:
+        raise ConfigError(f"graph-stack depth must be positive, got {depth}")
     dims = model_dims(stage1)
     rng = Xoshiro256pp(derive_seed(seed, _RELATION_STREAM))
+    layers, heads = rng.fork(0), rng.fork(1)
+    draws = [(layers.fork(i - 1), [f"gst.{i}.phi1.{q}.kernels" for q in range(1, PARTITIONS + 1)])
+             for i in range(1, depth + 1)]
+    draws += [(heads.fork(j - 1), [f"head.{j}.weight"]) for j in range(1, dims.m + 1)]
     entries = stage1_entries(stage1)
-    entries.update(stgcn_entries(init_stgcn(rng.fork(0), dims.c, dims.m, t_k, depth)))
-    entries.update(head_entries(init_head(rng.fork(1), dims.c, dims.m)))
+    shapes = entry_shapes(ModelDims(c=dims.c, m=dims.m, depth=depth, t_k=t_k))
+    entries.update(_fresh({name: shape for name, shape in shapes.items()
+                           if name not in entries}, draws))
     return entries
 
 
@@ -158,8 +185,9 @@ def model_dims(entries: Entries) -> ModelDims:
 def entry_shapes(dims: ModelDims) -> Dict[str, tuple]:
     """Name -> shape of every parameter entry of a model of these sizes.
 
-    Derived from the sizes alone, in ``init_attention_entries`` and
-    ``init_relation_entries`` order; graph constants are not included.
+    The one table of entry names and shapes: ``init_attention_entries`` and
+    ``init_relation_entries`` fill it and ``load_model`` checks against it.
+    Derived from the sizes alone; graph constants are not included.
     """
     ch = 8 * dims.c
     shapes: Dict[str, tuple] = {}

@@ -18,25 +18,19 @@ and one set of weights serves any sequence length.  A layer records four
 tape nodes: ``partition_mix`` (all three partitions), ``pad_edge``, the
 temporal ``conv2d`` and the residual ``add``.
 
-phi2 starts at zero, making every freshly initialized layer an exact
-identity; W_q starts at all-ones (effective edge weight tanh(1)).
+phi2 starts at zero (``model.init_relation_entries``), making every freshly
+initialized layer an exact identity; W_q starts at all-ones (effective edge
+weight tanh(1)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from . import tensor as T
-from .backbone import _uniform
 from .errors import ConfigError, ShapeError
 from .graph import RelationGraph
-from .rng import Xoshiro256pp
-
-#: Number of stacked layers used by the reference configuration.
-DEFAULT_DEPTH = 8
 
 #: Partitions per layer (diagonal / centripetal / centrifugal).
 PARTITIONS = 3
@@ -55,33 +49,6 @@ class StgcnLayerParams:
 class StgcnHead:
     weights: List[T.Tensor]  # m x (8c,)
     biases: List[T.Tensor]   # m x (1,)
-
-
-def init_stgcn_layer(rng: Xoshiro256pp, c: int, m: int, t_k: int) -> StgcnLayerParams:
-    if t_k % 2 == 0 or t_k < 1:
-        raise ConfigError(f"temporal kernel size must be odd and positive, got {t_k}")
-    ch = 8 * c
-    return StgcnLayerParams(
-        edge_weights=[T.Tensor(np.ones((m, m)), requires_grad=True) for _ in range(PARTITIONS)],
-        phi1_kernels=[_uniform(rng, (ch, ch, 1, 1), ch) for _ in range(PARTITIONS)],
-        phi1_bias=[T.Tensor(np.zeros(ch), requires_grad=True) for _ in range(PARTITIONS)],
-        phi2_kernels=T.Tensor(np.zeros((ch, ch, t_k, 1)), requires_grad=True),
-        phi2_bias=T.Tensor(np.zeros(ch), requires_grad=True),
-    )
-
-
-def init_stgcn(
-    rng: Xoshiro256pp, c: int, m: int, t_k: int, depth: int = DEFAULT_DEPTH
-) -> List[StgcnLayerParams]:
-    return [init_stgcn_layer(rng.fork(i), c, m, t_k) for i in range(depth)]
-
-
-def init_head(rng: Xoshiro256pp, c: int, m: int) -> StgcnHead:
-    ch = 8 * c
-    return StgcnHead(
-        weights=[_uniform(rng.fork(j), (ch,), ch) for j in range(m)],
-        biases=[T.Tensor(np.zeros(1), requires_grad=True) for _ in range(m)],
-    )
 
 
 def gst_layer_forward(
@@ -117,7 +84,7 @@ def stgcn_forward(
     graph: RelationGraph,
     layers: Sequence[StgcnLayerParams],
     head: StgcnHead,
-    expected_layers: int = DEFAULT_DEPTH,
+    expected_layers: int,
 ) -> T.Tensor:
     """Full stack plus per-node heads: (.., 8c, t, m) -> probabilities (.., t, m)."""
     if len(layers) != expected_layers:
@@ -139,24 +106,7 @@ def stgcn_forward(
 # ---------------------------------------------------------------------------
 
 
-def stgcn_entries(layers: Sequence[StgcnLayerParams]) -> Iterator[tuple[str, T.Tensor]]:
-    for index, layer in enumerate(layers, start=1):
-        for q in range(PARTITIONS):
-            yield f"gst.{index}.edge.{q + 1}", layer.edge_weights[q]
-        for q in range(PARTITIONS):
-            yield f"gst.{index}.phi1.{q + 1}.kernels", layer.phi1_kernels[q]
-            yield f"gst.{index}.phi1.{q + 1}.bias", layer.phi1_bias[q]
-        yield f"gst.{index}.phi2.kernels", layer.phi2_kernels
-        yield f"gst.{index}.phi2.bias", layer.phi2_bias
-
-
-def head_entries(head: StgcnHead) -> Iterator[tuple[str, T.Tensor]]:
-    for j, (weight, bias) in enumerate(zip(head.weights, head.biases), start=1):
-        yield f"head.{j}.weight", weight
-        yield f"head.{j}.bias", bias
-
-
-def stgcn_from(entries: Dict[str, T.Tensor], depth: int = DEFAULT_DEPTH) -> List[StgcnLayerParams]:
+def stgcn_from(entries: Dict[str, T.Tensor], depth: int) -> List[StgcnLayerParams]:
     layers = []
     for index in range(1, depth + 1):
         layers.append(

@@ -32,18 +32,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, InternalInvariantError, NumericalError, ShapeError
 
-# When True, every operation validates that its output is finite.  Off by
-# default: the constructor always validates, so non-finite values can only
-# appear through arithmetic (e.g. overflow), which the tests enable this to
-# catch.
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = enabled
-
-
 _ids = itertools.count(1)
 
 
@@ -64,13 +52,11 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Fast path for op outputs; finiteness checked only in debug mode."""
+        """Fast path for op outputs: unlike the constructor, no copy and no finiteness check."""
         out = cls.__new__(cls)
         arr = np.asarray(arr, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
-            raise NumericalError("operation produced a non-finite value")
         arr.setflags(write=False)
         out.data = arr
         out.requires_grad = False

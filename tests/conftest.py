@@ -1,6 +1,7 @@
 """Shared pytest plumbing: the acceptance tests record one line per
 criterion here, and the terminal summary replays them after the run so
 the pass/fail verdicts are visible regardless of output capturing.
+``names_read`` lists the checkpoint entries a structured reader looks up.
 """
 
 CRITERIA = {}
@@ -8,6 +9,19 @@ CRITERIA = {}
 
 def record_criterion(number: int, passed: bool, detail: str = "") -> None:
     CRITERIA[number] = (passed, detail)
+
+
+def names_read(reader, entries) -> list:
+    """The names ``reader`` looks up in ``entries``, in lookup order."""
+    names = []
+
+    class Logged(dict):
+        def __getitem__(self, name):
+            names.append(name)
+            return super().__getitem__(name)
+
+    reader(Logged(entries))
+    return names
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from aukit.stgcn import (
     StgcnLayerParams,
     gst_layer_forward,
     head_from,
-    init_stgcn,
     stgcn_forward,
     stgcn_from,
 )
@@ -321,11 +321,9 @@ def test_criterion_03_layer_dense_oracle():
 
 
 def test_criterion_04_zero_init_identity():
-    from aukit.rng import Xoshiro256pp
-
     rng = np.random.default_rng(44)
     graph = random_graph(rng, 4)
-    layers = init_stgcn(Xoshiro256pp(7), c=1, m=4, t_k=3, depth=8)
+    layers = stgcn_from(init_relation_entries(init_attention_entries(1, 4, 7), 3, 8, 7), 8)
     ok = True
     for shape in ((8, 5, 4), (8, 5, 2, 4)):  # unbatched, and a batch as (8c, t, b, m)
         f0 = rng.standard_normal(shape)
@@ -536,7 +534,7 @@ def test_criterion_10_determinism(tmp_path):
     first = pipeline(str(tmp_path / "run1"))
     second = pipeline(str(tmp_path / "run2"))
     same = all(
-        open(a, "rb").read() == open(b, "rb").read()
+        Path(a).read_bytes() == Path(b).read_bytes()
         for a, b in zip(first, second)
     )
     check(10, same, "checkpoints and metrics byte-identical across two runs")

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
 
+from conftest import names_read
+
 from aukit import backbone as B
 from aukit import tensor as T
 from aukit.config import PRESETS, resolve
 from aukit.errors import ShapeError
 from aukit.losses import attention_stage_loss
 from aukit.model import init_attention_entries
-from aukit.rng import Xoshiro256pp
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def fresh_backbone(c, seed):
+    return B.backbone_from(init_attention_entries(c, 1, seed))
+
+
+def fresh_region_layer(seed):
+    """The first region layer of a c=2 backbone: 3 -> 8 channels."""
+    return fresh_backbone(2, seed).layer1
 
 
 def tiled_bank(kernels, bias, patches):
@@ -83,7 +93,8 @@ class TestRegionLayerStage:
         base = rand((2, size, size, 1), seed=4)
         poked = base.copy()
         poked[1, 5, 6, 0] += 1.0  # inside patch cell (1, 1)
-        bank = B.init_patch_conv(Xoshiro256pp(5), grid * grid, 2, 3, 3)
+        bank = B.ConvParams(T.Tensor(rand((grid * grid, 3, 2, 3, 3), seed=5)),
+                            T.Tensor.zeros((grid * grid, 3)))
 
         def stage(x):
             return T.conv2d_per_patch(T.Tensor(x), bank.kernels, bank.bias).data[..., 0]
@@ -98,12 +109,12 @@ class TestRegionLayerStage:
 
 class TestRegionLayer:
     def test_output_shape(self):
-        layer = B.init_region_layer(Xoshiro256pp(6), 3, 8)
+        layer = fresh_region_layer(6)
         out = B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
         assert out.shape == (8, 16, 16, 1)
 
     def test_zero_fusion_gives_zero_output(self):
-        layer = B.init_region_layer(Xoshiro256pp(7), 3, 8)
+        layer = fresh_region_layer(7)
         layer.fusion_conv = B.ConvParams(
             T.Tensor.zeros(layer.fusion_conv.kernels.shape),
             T.Tensor.zeros(layer.fusion_conv.bias.shape),
@@ -112,7 +123,7 @@ class TestRegionLayer:
         assert not out.data.any()
 
     def test_batched_matches_per_frame(self):
-        layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
+        layer = fresh_region_layer(8)
         maps = rand((3, 16, 16, 3), seed=9)
         batched = B.region_layer_forward(T.Tensor(maps), layer).data
         for i in range(3):
@@ -120,12 +131,12 @@ class TestRegionLayer:
             assert np.abs(batched[..., i] - single[..., 0]).max() < 1e-12
 
     def test_unbatched_input_rejected(self):
-        layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
+        layer = fresh_region_layer(8)
         with pytest.raises(ShapeError):
             B.region_layer_forward(T.Tensor(rand((3, 16, 16))), layer)
 
     def test_one_node_per_patch_stage(self):
-        layer = B.init_region_layer(Xoshiro256pp(8), 3, 8)
+        layer = fresh_region_layer(8)
         with T.Tape() as tape:
             B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
         # input conv + tanh, three (per-patch conv + tanh), concat, fusion conv + tanh
@@ -134,12 +145,12 @@ class TestRegionLayer:
 
 class TestBackbone:
     def test_toy_output_shape(self):
-        params = B.init_backbone(Xoshiro256pp(10), c=2)
+        params = fresh_backbone(2, 10)
         out = B.backbone_forward(T.Tensor(rand((1, 3, 32, 32))), params)
         assert out.shape == (16, 8, 8, 1)
 
     def test_batched_output_shape(self):
-        params = B.init_backbone(Xoshiro256pp(11), c=2)
+        params = fresh_backbone(2, 11)
         out = B.backbone_forward(T.Tensor(rand((2, 3, 32, 32))), params)
         assert out.shape == (16, 8, 8, 2)  # batch-last
 
@@ -150,7 +161,7 @@ class TestBackbone:
         assert (8 * c, l // 4, l // 4) == (64, 44, 44)
 
     def test_bad_frame_size_rejected(self):
-        params = B.init_backbone(Xoshiro256pp(12), c=1)
+        params = fresh_backbone(1, 12)
         with pytest.raises(ShapeError):
             B.backbone_forward(T.Tensor(rand((1, 3, 40, 40))), params)
         with pytest.raises(ShapeError):
@@ -160,7 +171,7 @@ class TestBackbone:
 
     def test_frame_size_multiple_of_16_accepted(self):
         # 48 px: layer 2 runs the 8x8 grid on 24 px, so patches are 3 px.
-        params = B.init_backbone(Xoshiro256pp(12), c=1)
+        params = fresh_backbone(1, 12)
         out = B.backbone_forward(T.Tensor(rand((1, 3, 48, 48))), params)
         assert out.shape == (8, 12, 12, 1)
 
@@ -170,12 +181,14 @@ class TestBackbone:
         assert hp.l % B.FRAME_MULTIPLE == 0
 
     def test_gradient_flows_to_all_parameters(self):
-        params = B.init_backbone(Xoshiro256pp(13), c=1)
+        entries = init_attention_entries(1, 1, seed=13)
         x = T.Tensor(rand((1, 3, 32, 32), seed=14))
         with T.Tape() as tape:
-            loss = T.sum_all(B.backbone_forward(x, params))
+            loss = T.sum_all(B.backbone_forward(x, B.backbone_from(entries)))
             tape.backward(loss)
-        for name, tensor in B.backbone_entries(params):
+        for name, tensor in entries.items():
+            if not name.startswith("backbone."):
+                continue
             g = tape.grad(tensor)
             assert g is not None, name
             assert g.shape == tensor.shape
@@ -186,8 +199,8 @@ class TestAttentionBranch:
         return T.Tensor(rand((8 * c, 8, 8, batch), seed=seed))
 
     def make_branches(self, seed, c=2, m=3):
-        rng = Xoshiro256pp(seed)
-        return [B.init_attention_branch(rng.fork(j), c) for j in range(m)]
+        entries = init_attention_entries(c, m, seed)
+        return [B.branch_from(entries, j) for j in range(1, m + 1)]
 
     def test_zero_att_conv_gives_half_maps(self):
         branches = self.make_branches(21)
@@ -341,9 +354,9 @@ class TestFusedBranches:
 
 class TestAttentionStage:
     def test_stacked_shapes_and_ranges(self):
-        rng = Xoshiro256pp(30)
-        params = B.init_backbone(rng.fork(0), c=2)
-        branches = [B.init_attention_branch(rng.fork(j + 1), c=2) for j in range(3)]
+        entries = init_attention_entries(2, 3, seed=30)
+        params = B.backbone_from(entries)
+        branches = [B.branch_from(entries, j) for j in range(1, 4)]
         frames = T.Tensor(rand((4, 3, 32, 32), seed=31))
         m, f0, p0 = B.attention_stage_forward(frames, params, branches)
         assert m.shape == (4, 3, 8, 8)
@@ -354,23 +367,8 @@ class TestAttentionStage:
 
 
 class TestCheckpointEntries:
-    def test_round_trip_by_name(self):
-        rng = Xoshiro256pp(40)
-        params = B.init_backbone(rng.fork(0), c=2)
-        branch = B.init_attention_branch(rng.fork(1), c=2)
-        entries = dict(B.backbone_entries(params))
-        entries.update(B.branch_entries(1, branch))
-
-        rebuilt_backbone = B.backbone_from(entries)
-        rebuilt_branch = B.branch_from(entries, 1)
-        assert rebuilt_backbone.layer1.input_conv.kernels is params.layer1.input_conv.kernels
-        assert rebuilt_backbone.layer2.fusion_conv.bias is params.layer2.fusion_conv.bias
-        assert rebuilt_branch.head_weight is branch.head_weight
-
     def test_names_are_unique_and_stable(self):
-        rng = Xoshiro256pp(41)
-        params = B.init_backbone(rng.fork(0), c=1)
-        names = [name for name, _ in B.backbone_entries(params)]
+        names = names_read(B.backbone_from, init_attention_entries(1, 1, seed=41))
         assert len(names) == len(set(names))
         assert "backbone.layer1.input.kernels" in names
         assert "backbone.layer2.stage3.bias" in names

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +71,21 @@ def test_unknown_preset_rejected_by_parser(tmp_path):
         run("train", "--stage", "attention", "--preset", "huge",
             "--data", str(tmp_path), "--out", str(tmp_path / "x.stck"))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--spec", "spec.json", "--out", "data"),
+    ("build-graph", "--labels", "labels.csv", "--out", "graph.json"),
+    ("eval", "--ckpt", "model.stck", "--data", "data", "--out", "metrics.csv"),
+    ("infer", "--ckpt", "model.stck", "--frames", "v.stnt", "--out", "probs.csv"),
+    ("export-attention", "--ckpt", "model.stck", "--frames", "v.stnt", "--out", "maps"),
+], ids=lambda argv: argv[0])
+def test_seed_is_a_train_flag_only(argv, capsys):
+    # Only training draws random numbers; gen-data takes its seed from the spec.
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # Each probe runs the program its own way, or imports it as a library, and
@@ -147,8 +163,8 @@ def test_gen_data_layout(ws):
 def test_gen_data_is_deterministic(ws, tmp_path):
     assert run("gen-data", "--spec", ws.spec, "--out", str(tmp_path / "again")) == 0
     for rel in ("labels.csv", os.path.join("frames", "v0001.stnt")):
-        a = open(os.path.join(ws.data, rel), "rb").read()
-        b = open(str(tmp_path / "again" / rel), "rb").read()
+        a = Path(ws.data, rel).read_bytes()
+        b = (tmp_path / "again" / rel).read_bytes()
         assert a == b
 
 
@@ -189,14 +205,14 @@ def test_train_same_seed_reproduces_checkpoint(ws, tmp_path):
     out = str(tmp_path / "replay.stck")
     assert run("train", "--stage", "attention", "--data", ws.data,
                "--out", out, *TRAIN_FLAGS) == 0
-    assert open(out, "rb").read() == open(ws.att, "rb").read()
+    assert Path(out).read_bytes() == Path(ws.att).read_bytes()
 
 
 def test_train_seed_changes_checkpoint(ws, tmp_path):
     out = str(tmp_path / "other.stck")
     assert run("train", "--stage", "attention", "--data", ws.data,
                "--seed", "7", "--out", out, *TRAIN_FLAGS) == 0
-    assert open(out, "rb").read() != open(ws.att, "rb").read()
+    assert Path(out).read_bytes() != Path(ws.att).read_bytes()
 
 
 def test_train_relation_requires_graph_and_stage1(ws, tmp_path, capsys):

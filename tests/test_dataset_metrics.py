@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def tree_hash(root):
         for name in sorted(files):
             path = os.path.join(base, name)
             digest.update(os.path.relpath(path, root).encode())
-            digest.update(open(path, "rb").read())
+            digest.update(Path(path).read_bytes())
     return digest.hexdigest()
 
 
@@ -161,7 +162,7 @@ class TestDatasetOnDisk:
     def test_labels_csv_format(self, tmp_path):
         spec = D.default_spec(m=2, videos=1, frames_per_video=3, seed=14)
         D.generate(spec, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "labels.csv")))
+        rows = list(csv.reader((tmp_path / "labels.csv").read_text().splitlines()))
         assert rows[0] == ["video_id", "frame_idx", "au_1", "au_2"]
         assert rows[1][0] == "v0000" and rows[1][1] == "0"
         assert all(cell in ("0", "1") for row in rows[1:] for cell in row[2:])
@@ -269,7 +270,7 @@ class TestMetrics:
         report = M.f1_accuracy(truth, truth)
         path = tmp_path / "metrics.csv"
         M.save_metrics_csv(path, report)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["au", "precision", "recall", "f1", "accuracy"]
         assert [row[0] for row in rows[1:]] == ["au_1", "au_2", "Avg"]
         assert rows[3][3] == "1.0"

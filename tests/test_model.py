@@ -10,11 +10,13 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
+from conftest import names_read
+
 from aukit import model
 from aukit import tensor as T
 from aukit.backbone import attention_stage_forward, backbone_from, branch_from
 from aukit.config import resolve
-from aukit.errors import FormatError, ShapeError
+from aukit.errors import ConfigError, FormatError, ShapeError
 from aukit.graph import build_graph
 from aukit.serialize import load_checkpoint, save_checkpoint
 from aukit.stgcn import head_from, stgcn_forward, stgcn_from
@@ -52,6 +54,27 @@ class TestEntryShapes:
         entries = make()
         shapes = model.entry_shapes(model.model_dims(entries))
         assert list(shapes.items()) == [(name, t.shape) for name, t in entries.items()]
+
+    @pytest.mark.parametrize("preset", ["toy", "paper"])
+    def test_readers_read_every_entry_once(self, preset):
+        # The readers and the table are the two places that know entry names.
+        hp = resolve(preset)
+        dims = model.ModelDims(c=hp.c, m=hp.m, depth=hp.depth, t_k=hp.t_k)
+
+        def read_all(entries):
+            backbone_from(entries)
+            for j in range(1, dims.m + 1):
+                branch_from(entries, j)
+            stgcn_from(entries, dims.depth)
+            head_from(entries, dims.m)
+
+        names = names_read(read_all, model.entry_shapes(dims))
+        assert sorted(names) == sorted(model.entry_shapes(dims))
+
+    def test_relation_init_needs_a_layer(self):
+        # At depth 0 the table holds no heads, and a checkpoint no graph stack.
+        with pytest.raises(ConfigError):
+            model.init_relation_entries(model.init_attention_entries(1, 2, 0), 3, 0, 0)
 
 
 class TestLoadModel:

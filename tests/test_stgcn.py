@@ -4,16 +4,31 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import names_read
+
 from aukit import graph as G
 from aukit import stgcn as S
 from aukit import tensor as T
 from aukit.errors import ConfigError, ShapeError
 from aukit.losses import au_detection_loss
-from aukit.rng import Xoshiro256pp
+from aukit.model import init_attention_entries, init_relation_entries
 
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def fresh_entries(c, m, t_k, depth, seed):
+    return init_relation_entries(init_attention_entries(c, m, seed), t_k, depth, seed)
+
+
+def fresh_stack(c, m, t_k, depth, seed):
+    entries = fresh_entries(c, m, t_k, depth, seed)
+    return S.stgcn_from(entries, depth), S.head_from(entries, m)
+
+
+def fresh_layer(seed, c, m, t_k):
+    return fresh_stack(c, m, t_k, 1, seed)[0][0]
 
 
 def toy_graph(m=3, seed=0, tau=0.1):
@@ -77,7 +92,7 @@ class TestAdaptiveEdges:
 class TestLayerForward:
     def test_zero_init_is_bitwise_identity(self):
         graph = toy_graph()
-        layer = S.init_stgcn_layer(Xoshiro256pp(4), c=2, m=3, t_k=3)
+        layer = fresh_layer(4, c=2, m=3, t_k=3)
         f_in = T.Tensor(rand((16, 5, 3), seed=5))
         out = S.gst_layer_forward(f_in, graph, layer)
         assert np.array_equal(out.data, f_in.data)
@@ -87,7 +102,7 @@ class TestLayerForward:
         ch, t = 8, 5
         rng = np.random.default_rng(7)
         for trial in range(5):
-            layer = S.init_stgcn_layer(Xoshiro256pp(trial), c=1, m=4, t_k=3)
+            layer = fresh_layer(trial, c=1, m=4, t_k=3)
             identity_phi1(layer, ch)
             identity_phi2(layer, ch, 3)
             layer.edge_weights = [
@@ -113,14 +128,14 @@ class TestLayerForward:
 
     def test_single_frame_preserved(self):
         graph = toy_graph()
-        layer = S.init_stgcn_layer(Xoshiro256pp(8), c=2, m=3, t_k=5)
+        layer = fresh_layer(8, c=2, m=3, t_k=5)
         out = S.gst_layer_forward(T.Tensor(rand((16, 1, 3), seed=9)), graph, layer)
         assert out.shape == (16, 1, 3)
 
     @pytest.mark.parametrize("t_k,t", [(3, 1), (3, 6), (5, 2), (7, 10)])
     def test_shape_preserved(self, t_k, t):
         graph = toy_graph()
-        layer = S.init_stgcn_layer(Xoshiro256pp(10), c=1, m=3, t_k=t_k)
+        layer = fresh_layer(10, c=1, m=3, t_k=t_k)
         out = S.gst_layer_forward(T.Tensor(rand((8, t, 3), seed=11)), graph, layer)
         assert out.shape == (8, t, 3)
 
@@ -129,7 +144,7 @@ class TestLayerForward:
         # same ops and bytes as the batched call, plus one reshape on entry
         # and one on exit.
         graph = toy_graph()
-        layer = S.init_stgcn_layer(Xoshiro256pp(14), c=1, m=3, t_k=3)
+        layer = fresh_layer(14, c=1, m=3, t_k=3)
         layer.phi2_kernels = T.Tensor(rand((8, 8, 3, 1), seed=15), requires_grad=True)
         f_in = rand((8, 4, 3), seed=16)
         calls = Counter()
@@ -159,7 +174,7 @@ class TestLayerForward:
     def test_layer_records_four_tape_nodes(self, track_input):
         # partition_mix, pad_edge, the temporal conv2d and the residual add.
         graph = toy_graph()
-        layer = S.init_stgcn_layer(Xoshiro256pp(17), c=1, m=3, t_k=3)
+        layer = fresh_layer(17, c=1, m=3, t_k=3)
         f_in = T.Tensor(rand((8, 4, 2, 3), seed=18), requires_grad=track_input)  # (8c, t, b, m)
         with T.Tape() as tape:
             S.gst_layer_forward(f_in, graph, layer)
@@ -167,21 +182,19 @@ class TestLayerForward:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            S.init_stgcn_layer(Xoshiro256pp(12), c=1, m=3, t_k=4)
+            init_relation_entries(init_attention_entries(1, 3, seed=12), t_k=4, depth=1, seed=12)
 
     def test_node_count_mismatch(self):
         graph = toy_graph(m=3)
-        layer = S.init_stgcn_layer(Xoshiro256pp(13), c=1, m=5, t_k=3)
+        layer = fresh_layer(13, c=1, m=5, t_k=3)
         with pytest.raises(ShapeError):
             S.gst_layer_forward(T.Tensor(rand((8, 4, 5))), graph, layer)
 
 
 class TestStackForward:
     def build(self, m=3, c=2, t_k=3, depth=8, seed=20):
-        rng = Xoshiro256pp(seed)
         graph = toy_graph(m=m, seed=seed)
-        layers = S.init_stgcn(rng.fork(0), c=c, m=m, t_k=t_k, depth=depth)
-        head = S.init_head(rng.fork(1), c=c, m=m)
+        layers, head = fresh_stack(c, m, t_k, depth, seed)
         return graph, layers, head
 
     @pytest.mark.parametrize("c, m", [(2, 4), (8, 12)])
@@ -193,14 +206,14 @@ class TestStackForward:
         graph, layers, head = self.build(m=m, c=c)
         features = T.Tensor(rand((2, 8 * c, 4, m), seed=20))
         with T.Tape() as tape:
-            probs = S.stgcn_forward(features, graph, layers, head)
+            probs = S.stgcn_forward(features, graph, layers, head, expected_layers=8)
             au_detection_loss(probs, np.zeros((2, 4, m)), np.full(m, 1.0 / m))
         assert len(tape._nodes) == 42
 
     def test_zero_init_stack_equals_head_on_input(self):
         graph, layers, head = self.build()
         f0 = T.Tensor(rand((16, 6, 3), seed=21))
-        got = S.stgcn_forward(f0, graph, layers, head).data
+        got = S.stgcn_forward(f0, graph, layers, head, expected_layers=8).data
 
         weight = np.stack([w.data for w in head.weights])
         bias = np.concatenate([b.data for b in head.biases])
@@ -211,14 +224,15 @@ class TestStackForward:
     def test_variable_length_inference(self):
         graph, layers, head = self.build(t_k=5)
         for t in (1, 7, 48):
-            out = S.stgcn_forward(T.Tensor(rand((16, t, 3), seed=t)), graph, layers, head)
+            out = S.stgcn_forward(T.Tensor(rand((16, t, 3), seed=t)), graph, layers, head,
+                                  expected_layers=8)
             assert out.shape == (t, 3)
             assert 0.0 < out.data.min() and out.data.max() < 1.0
 
     def test_wrong_layer_count(self):
         graph, layers, head = self.build(depth=8)
         with pytest.raises(ConfigError):
-            S.stgcn_forward(T.Tensor(rand((16, 4, 3))), graph, layers[:5], head)
+            S.stgcn_forward(T.Tensor(rand((16, 4, 3))), graph, layers[:5], head, expected_layers=8)
 
     def test_batched_matches_per_sequence(self):
         graph, layers, head = self.build(depth=2)
@@ -258,7 +272,7 @@ class TestStackForward:
             )
         f0 = T.Tensor(rand((16, 5, 4), seed=28))
         with T.Tape() as tape:
-            loss = T.sum_all(S.stgcn_forward(f0, graph, layers, head))
+            loss = T.sum_all(S.stgcn_forward(f0, graph, layers, head, expected_layers=8))
             tape.backward(loss)
         for layer in layers:
             for w, part in zip(layer.edge_weights, graph.parts):
@@ -310,22 +324,9 @@ class TestStackForward:
 
 
 class TestCheckpointEntries:
-    def test_round_trip_by_name(self):
-        rng = Xoshiro256pp(40)
-        layers = S.init_stgcn(rng.fork(0), c=2, m=3, t_k=3, depth=8)
-        head = S.init_head(rng.fork(1), c=2, m=3)
-        entries = dict(S.stgcn_entries(layers))
-        entries.update(S.head_entries(head))
-
-        rebuilt = S.stgcn_from(entries, depth=8)
-        rebuilt_head = S.head_from(entries, m=3)
-        assert rebuilt[0].edge_weights[0] is layers[0].edge_weights[0]
-        assert rebuilt[7].phi2_kernels is layers[7].phi2_kernels
-        assert rebuilt_head.weights[2] is head.weights[2]
-
     def test_names_are_unique_and_stable(self):
-        layers = S.init_stgcn(Xoshiro256pp(41), c=1, m=3, t_k=3, depth=8)
-        names = [name for name, _ in S.stgcn_entries(layers)]
+        entries = fresh_entries(c=1, m=3, t_k=3, depth=8, seed=41)
+        names = names_read(lambda e: S.stgcn_from(e, 8), entries)
         assert len(names) == len(set(names))
         assert "gst.1.edge.1" in names
         assert "gst.8.phi2.kernels" in names
