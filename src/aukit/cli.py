@@ -1,8 +1,8 @@
 """Command line for the detection pipeline.
 
-Subcommands cover the full workflow: synthetic data generation, relation
-graph construction, the two training stages, evaluation, per-frame
-inference, and attention-map export.
+Subcommands cover the full workflow: synthetic data generation, the two
+training stages (the relation stage builds its graph from the training
+labels), evaluation, per-frame inference, and attention-map export.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 I/O failure,
 4 numerical failure (NaN).
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import HyperParams, PRESETS, load_config, resolve
-from .dataset import load_dataset, load_labels, load_spec, generate
+from .dataset import load_dataset, load_spec, generate, stacked_labels
 from .errors import (
     AukitError,
     ConfigError,
@@ -38,7 +38,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .graph import build_graph, load_graph, save_graph
+from .graph import build_graph
 from .metrics import binarize, f1_accuracy, save_metrics_csv
 from .model import (
     attention_predict,
@@ -72,9 +72,6 @@ class _Logger:
 
     def info(self, message: str, **fields):
         self._emit("info", message, sys.stdout, **fields)
-
-    def warning(self, message: str, **fields):
-        self._emit("warning", message, sys.stderr, **fields)
 
     def error(self, message: str, **fields):
         self._emit("error", message, sys.stderr, **fields)
@@ -144,71 +141,51 @@ def _cmd_gen_data(args, log: _Logger) -> int:
     return 0
 
 
-def _cmd_build_graph(args, log: _Logger) -> int:
-    _, _, labels = load_labels(args.labels)
-    if args.tau > 1.0:
-        log.warning(
-            f"tau={args.tau} exceeds 1; no correlation passes the threshold, "
-            "writing an identity (self-loop only) graph"
-        )
-    graph = build_graph(labels, args.tau)
-    save_graph(args.out, graph)
-    log.info(f"wrote graph over {graph.m} nodes to {args.out}",
-             nodes=graph.m, gravity=graph.gravity + 1, out=args.out)
-    return 0
-
-
 def _cmd_train(args, log: _Logger) -> int:
+    if args.stage == "attention" and args.stage1:
+        raise ConfigError("--stage1 is for the relation stage only")
+    if args.stage == "relation" and not args.stage1:
+        raise ConfigError("relation stage requires --stage1 (a trained first-stage checkpoint)")
     hp = _resolve_hyperparams(args)
     sequences = load_dataset(args.data)
     resume = load_model(args.from_checkpoint) if args.from_checkpoint else None
     log_path = args.log if args.log else args.out + ".log.csv"
 
+    summary = {}
     if args.stage == "attention":
         result = train_attention_stage(
             sequences, hp, args.seed, init_entries=resume, epochs=args.epochs
         )
         entries = result.entries
     else:
-        if not args.graph or not args.stage1:
-            raise ConfigError(
-                "relation stage requires --graph and --stage1 (a trained "
-                "first-stage checkpoint)"
-            )
-        graph = load_graph(args.graph)
+        graph = build_graph(stacked_labels(sequences), hp.tau)
         stage1 = load_model(args.stage1)
         result = train_relation_stage(
             sequences, graph, stage1, hp, args.seed,
             init_entries=resume, epochs=args.epochs,
         )
         entries = embed_graph(result.entries, graph)
+        summary = {"nodes": graph.m, "edges": int(np.triu(graph.adjacency, 1).sum()),
+                   "gravity": graph.gravity + 1, "tau": graph.tau}
 
     save_model(args.out, entries)
     save_training_log(log_path, result.log)
     final = result.log[-1][4] if result.log else float("nan")
+    graph_text = ", ".join(f"{name} {value}" for name, value in summary.items())
     log.info(
         f"trained {args.stage} stage for {len(result.log)} steps; "
-        f"checkpoint {args.out}, log {log_path}",
-        stage=args.stage, steps=len(result.log), loss=final, out=args.out,
+        f"checkpoint {args.out}, log {log_path}" + (f"; graph {graph_text}" if summary else ""),
+        stage=args.stage, steps=len(result.log), loss=final, out=args.out, **summary,
     )
     return 0
 
 
-def _load_model_and_graph(ckpt_path, graph_path, graph_option: bool):
+def _load_model_and_graph(ckpt_path):
     entries = load_model(ckpt_path)
     dims = model_dims(entries)
-    graph = None
-    if graph_path:
-        graph = load_graph(graph_path)
-        if graph.m != dims.m:
-            raise ConfigError(
-                f"graph has {graph.m} nodes but checkpoint has {dims.m} branches"
-            )
-    elif dims.depth:
-        graph = extract_graph(entries)
-        if graph is None:
-            raise ConfigError("checkpoint has relation layers but no embedded graph"
-                              + ("; pass --graph" if graph_option else ""))
+    graph = extract_graph(entries) if dims.depth else None
+    if dims.depth and graph is None:
+        raise ConfigError("checkpoint has relation layers but no embedded graph")
     return entries, dims, graph
 
 
@@ -219,7 +196,7 @@ def _predict_sequence(entries, dims, graph, frames: np.ndarray) -> np.ndarray:
 
 
 def _cmd_eval(args, log: _Logger) -> int:
-    entries, dims, graph = _load_model_and_graph(args.ckpt, args.graph, True)
+    entries, dims, graph = _load_model_and_graph(args.ckpt)
     sequences = load_dataset(args.data)
     if not sequences:
         raise DataError(f"no sequences found under {args.data}")
@@ -247,7 +224,7 @@ def _load_frames(path) -> np.ndarray:
 
 
 def _cmd_infer(args, log: _Logger) -> int:
-    entries, dims, graph = _load_model_and_graph(args.ckpt, None, False)
+    entries, dims, graph = _load_model_and_graph(args.ckpt)
     frames = _load_frames(args.frames)
     probs = _predict_sequence(entries, dims, graph, frames)
     try:
@@ -307,21 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("build-graph", parents=[common],
-                       help="build the label relation graph from a labels CSV")
-    p.add_argument("--labels", required=True, help="labels.csv path")
-    p.add_argument("--tau", type=float, default=0.15,
-                   help="correlation threshold for edges (default 0.15)")
-    p.add_argument("--out", required=True, help="output graph JSON")
-    p.set_defaults(func=_cmd_build_graph)
-
     p = sub.add_parser("train", parents=[common], help="train one stage of the pipeline")
     p.add_argument("--stage", required=True, choices=("attention", "relation"))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named preset (default toy)")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--graph", help="graph JSON (relation stage)")
     p.add_argument("--stage1", help="first-stage checkpoint (relation stage)")
     p.add_argument("--from-checkpoint", help="resume from this checkpoint")
     p.add_argument("--epochs", type=int, default=None,
@@ -336,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--graph", help="graph JSON (defaults to embedded graph)")
     p.add_argument("--out", required=True, help="output metrics CSV")
     p.set_defaults(func=_cmd_eval)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -41,8 +42,8 @@ class HyperParams:
             raise ConfigError("c, t, m and depth must be positive")
         if self.t_k < 1 or self.t_k % 2 == 0:
             raise ConfigError(f"t_k must be odd and positive, got {self.t_k}")
-        if not -1.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in [-1, 1], got {self.tau}")
+        if not math.isfinite(self.tau):  # above 1 gives the identity graph
+            raise ConfigError(f"tau must be finite, got {self.tau}")
         if self.lambda_r < 0.0:
             raise ConfigError(f"lambda_r must be >= 0, got {self.lambda_r}")
         if self.batch_size < 1:

@@ -12,15 +12,13 @@ degree below 49, far beyond the node counts used here.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InternalInvariantError, IoError, ShapeError
-from .serialize import atomic_write
+from .errors import DomainError, InternalInvariantError, ShapeError
 
 #: Hop distance assigned to nodes with no path to the gravity center.
 #: Compares greater than any finite distance in partition decisions.
@@ -31,8 +29,8 @@ UNREACHABLE = -1
 class RelationGraph:
     """Statistical relation graph over m label channels.
 
-    ``gravity`` is a 0-based node index internally; the JSON file stores
-    it 1-based, matching user-facing numbering.
+    ``gravity`` is a 0-based node index; logs report it 1-based, matching
+    user-facing numbering.
     """
 
     m: int
@@ -153,64 +151,3 @@ def graph_from_pcc(pcc: np.ndarray, tau: float) -> RelationGraph:
 
 def build_graph(labels: np.ndarray, tau: float) -> RelationGraph:
     return graph_from_pcc(compute_pcc(labels), tau)
-
-
-# ---------------------------------------------------------------------------
-# Graph file IO (UTF-8 JSON)
-# ---------------------------------------------------------------------------
-
-
-def _payload(graph: RelationGraph) -> dict:
-    return {
-        "m": graph.m,
-        "tau": graph.tau,
-        "pcc": graph.pcc.tolist(),
-        "adjacency": graph.adjacency.tolist(),
-        "lambda": graph.lam.tolist(),
-        "a_norm": graph.a_norm.tolist(),
-        "parts": [part.tolist() for part in graph.parts],
-        "gravity": graph.gravity + 1,
-        "hops": graph.hops.tolist(),
-    }
-
-
-def save_graph(path, graph: RelationGraph) -> None:
-    try:
-        with atomic_write(path, "w", encoding="utf-8") as fp:
-            json.dump(_payload(graph), fp, indent=1)
-            fp.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write graph file {path}: {exc}") from exc
-
-
-def load_graph(path) -> RelationGraph:
-    """Read a graph file, rebuilding every derived field from ``(pcc, tau)``.
-
-    The stored derived fields must equal the rebuilt ones; the first field
-    that differs is named in the FormatError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            raw = fp.read()
-    except OSError as exc:
-        raise IoError(f"cannot read graph file {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"graph file is not valid JSON: {exc}", offset=exc.pos) from exc
-    if not isinstance(payload, dict):
-        raise FormatError("graph file must hold a JSON object")
-    try:
-        graph = graph_from_pcc(np.asarray(payload["pcc"], dtype=np.float64), float(payload["tau"]))
-    except KeyError as exc:
-        raise FormatError(f"graph file is missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError, ShapeError) as exc:
-        raise FormatError(f"graph file has a malformed pcc or tau: {exc}") from exc
-    for field, value in _payload(graph).items():
-        if field not in payload:
-            raise FormatError(f"graph file is missing key {field!r}")
-        if payload[field] != value:
-            raise FormatError(
-                f"graph file field {field!r} differs from the graph rebuilt from pcc and tau"
-            )
-    return graph

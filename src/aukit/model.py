@@ -124,15 +124,15 @@ def load_model(path) -> Entries:
     """Read a checkpoint and check it against the architecture it implies.
 
     Every entry that the sizes from ``model_dims`` call for must be present
-    with its shape, and no other entry may be, apart from ``graph.*``
-    constants (checked by ``extract_graph``); anything else is a FormatError
-    naming the entry.
+    with its shape, and no other entry may be, apart from the
+    ``GRAPH_ENTRIES`` (checked by ``extract_graph``); anything else is a
+    FormatError naming the entry.
     """
     arrays = load_checkpoint(path)
     entries = {name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     expected = entry_shapes(model_dims(entries))
     for name in entries:
-        if name not in expected and not name.startswith(GRAPH_PREFIX):
+        if name not in expected and name not in GRAPH_ENTRIES:
             raise FormatError(f"checkpoint holds unknown entry {name!r}")
     for name, shape in expected.items():
         if name not in entries:
@@ -226,58 +226,31 @@ def entry_shapes(dims: ModelDims) -> Dict[str, tuple]:
 # ---------------------------------------------------------------------------
 
 
-GRAPH_PREFIX = "graph."
-
-
-def _graph_arrays(graph: RelationGraph) -> Dict[str, np.ndarray]:
-    return {
-        "graph.tau": np.asarray(float(graph.tau)),
-        "graph.pcc": graph.pcc,
-        "graph.adjacency": graph.adjacency,
-        "graph.lam": graph.lam,
-        "graph.a_norm": graph.a_norm,
-        "graph.part.1": graph.parts[0],
-        "graph.part.2": graph.parts[1],
-        "graph.part.3": graph.parts[2],
-        "graph.gravity": np.asarray(float(graph.gravity)),
-        "graph.hops": np.asarray(graph.hops, dtype=np.float64),
-    }
+#: The relation graph's source, the only graph entries a checkpoint holds;
+#: every other field is rebuilt from them (``graph_from_pcc``).
+GRAPH_ENTRIES = ("graph.tau", "graph.pcc")
 
 
 def embed_graph(entries: Entries, graph: RelationGraph) -> Entries:
-    """Store the relation graph inside the entry dict (self-contained file).
+    """Store the relation graph's ``pcc`` and ``tau`` inside the entry dict.
 
     Graph entries are constants, never optimized; they ride along so that
     sequence-level inference needs only the checkpoint.
     """
-    out = dict(entries)
-    for name, arr in _graph_arrays(graph).items():
-        out[name] = T.Tensor(arr)
-    return out
+    return {**entries, "graph.tau": T.Tensor(np.asarray(float(graph.tau))),
+            "graph.pcc": T.Tensor(graph.pcc)}
 
 
 def extract_graph(entries: Entries) -> Optional[RelationGraph]:
-    """Rebuild the embedded relation graph from its ``pcc`` and ``tau``, or None if absent.
-
-    Every other stored graph entry must equal the rebuilt one; the first
-    that differs is named in the FormatError.
-    """
-    if "graph.pcc" not in entries:
+    """Rebuild the embedded relation graph from its ``pcc`` and ``tau``, or None if absent."""
+    if not any(name in entries for name in GRAPH_ENTRIES):
         return None
     try:
-        graph = graph_from_pcc(entries["graph.pcc"].data, float(entries["graph.tau"].data))
+        return graph_from_pcc(entries["graph.pcc"].data, float(entries["graph.tau"].data))
     except KeyError as exc:
         raise FormatError(f"embedded graph is incomplete: missing {exc}") from exc
     except (TypeError, ValueError, IndexError, ShapeError) as exc:
         raise FormatError(f"embedded graph has a malformed pcc or tau: {exc}") from exc
-    for name, expected in _graph_arrays(graph).items():
-        if name not in entries:
-            raise FormatError(f"embedded graph is incomplete: missing {name!r}")
-        if not np.array_equal(entries[name].data, expected):
-            raise FormatError(
-                f"embedded graph entry {name!r} differs from the graph rebuilt from pcc and tau"
-            )
-    return graph
 
 
 def stage1_forward(entries: Entries, frames: T.Tensor) -> tuple[T.Tensor, T.Tensor, T.Tensor]:

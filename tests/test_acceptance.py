@@ -513,7 +513,6 @@ def test_criterion_10_determinism(tmp_path):
         os.makedirs(root)
         spec = os.path.join(root, "spec.json")
         data = os.path.join(root, "data")
-        graph = os.path.join(root, "graph.json")
         att = os.path.join(root, "att.stck")
         rel = os.path.join(root, "rel.stck")
         metrics = os.path.join(root, "metrics.csv")
@@ -521,12 +520,10 @@ def test_criterion_10_determinism(tmp_path):
         flags = ["--c", "1", "--t", "4", "--m", "2", "--depth", "2",
                  "--epochs", "2", "--seed", "3"]
         assert cli_main(["gen-data", "--spec", spec, "--out", data]) == 0
-        assert cli_main(["build-graph", "--labels",
-                         os.path.join(data, "labels.csv"), "--out", graph]) == 0
         assert cli_main(["train", "--stage", "attention", "--data", data,
                          "--out", att] + flags) == 0
         assert cli_main(["train", "--stage", "relation", "--data", data,
-                         "--graph", graph, "--stage1", att, "--out", rel] + flags) == 0
+                         "--stage1", att, "--out", rel] + flags) == 0
         assert cli_main(["eval", "--ckpt", rel, "--data", data,
                          "--out", metrics]) == 0
         return [att, rel, metrics]

@@ -22,7 +22,7 @@ from aukit import tensor as T
 from aukit import training
 from aukit.config import load_config
 from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
-from aukit.model import attention_predict, load_model, model_dims
+from aukit.model import attention_predict, extract_graph, load_model, model_dims
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -55,9 +55,9 @@ def test_help_shows_subcommands(capsys):
         run("--help")
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for name in ("gen-data", "build-graph", "train", "eval", "infer",
-                 "export-attention"):
+    for name in ("gen-data", "train", "eval", "infer", "export-attention"):
         assert name in out
+    assert "build-graph" not in out
 
 
 def test_missing_subcommand_is_usage_error():
@@ -75,7 +75,6 @@ def test_unknown_preset_rejected_by_parser(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("gen-data", "--spec", "spec.json", "--out", "data"),
-    ("build-graph", "--labels", "labels.csv", "--out", "graph.json"),
     ("eval", "--ckpt", "model.stck", "--data", "data", "--out", "metrics.csv"),
     ("infer", "--ckpt", "model.stck", "--frames", "v.stnt", "--out", "probs.csv"),
     ("export-attention", "--ckpt", "model.stck", "--frames", "v.stnt", "--out", "maps"),
@@ -119,10 +118,12 @@ def test_blas_threads_default_to_one_for_serving_programs(entry, argv, preset, e
 
 
 # ---------------------------------------------------------------------------
-# Shared workspace: dataset -> graph -> both training stages, all via the CLI
+# Shared workspace: dataset -> both training stages, all via the CLI
 # ---------------------------------------------------------------------------
 
 TRAIN_FLAGS = ("--c", "1", "--t", "4", "--m", "2", "--depth", "2", "--epochs", "1")
+#: The relation stage builds its graph from the training labels at this tau.
+RELATION_FLAGS = (*TRAIN_FLAGS, "--tau", "0.0")
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,6 @@ def ws(tmp_path_factory):
     paths = SimpleNamespace(
         spec=str(root / "spec.json"),
         data=str(root / "data"),
-        graph=str(root / "graph.json"),
         att=str(root / "att.stck"),
         rel=str(root / "rel.stck"),
         video=str(root / "data" / "frames" / "v0000.stnt"),
@@ -139,13 +139,10 @@ def ws(tmp_path_factory):
     )
     D.save_spec(paths.spec, D.default_spec(m=2, videos=2, frames_per_video=8, seed=5))
     assert run("gen-data", "--spec", paths.spec, "--out", paths.data) == 0
-    assert run("build-graph", "--labels", os.path.join(paths.data, "labels.csv"),
-               "--tau", "0.0", "--out", paths.graph) == 0
     assert run("train", "--stage", "attention", "--data", paths.data,
                "--out", paths.att, *TRAIN_FLAGS) == 0
     assert run("train", "--stage", "relation", "--data", paths.data,
-               "--graph", paths.graph, "--stage1", paths.att,
-               "--out", paths.rel, *TRAIN_FLAGS) == 0
+               "--stage1", paths.att, "--out", paths.rel, *RELATION_FLAGS) == 0
     return paths
 
 
@@ -174,20 +171,38 @@ def test_gen_data_missing_spec(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
-def test_build_graph_round_trip(ws):
-    graph = G.load_graph(ws.graph)
-    assert graph.m == 2
+def test_relation_checkpoint_embeds_the_training_labels_graph(ws):
+    entries = load_model(ws.rel)
+    assert [n for n in entries if n.startswith("graph.")] == ["graph.tau", "graph.pcc"]
+    want = G.build_graph(D.stacked_labels(D.load_dataset(ws.data)), 0.0)
+    assert entries["graph.pcc"].data.tobytes() == want.pcc.tobytes()
+    assert entries["graph.tau"].data.tobytes() == np.asarray(0.0).tobytes()
+    graph = extract_graph(entries)
+    assert graph.m == 2 and graph.gravity == want.gravity
+    assert np.array_equal(graph.adjacency, want.adjacency)
     assert np.array_equal(graph.adjacency, graph.adjacency.T)
     assert np.allclose(graph.a_norm.sum(axis=0), 1.0)
 
 
-def test_build_graph_tau_above_one_warns_and_writes_identity(ws, tmp_path, capsys):
-    out = str(tmp_path / "ident.json")
-    assert run("build-graph", "--labels", os.path.join(ws.data, "labels.csv"),
-               "--tau", "1.5", "--out", out) == 0
-    err = capsys.readouterr().err
-    assert "warning" in err and "1.5" in err
-    assert np.array_equal(G.load_graph(out).adjacency, np.eye(2))
+def test_train_relation_tau_above_one_embeds_the_identity_graph(ws, tmp_path, capsys):
+    out = str(tmp_path / "ident.stck")
+    assert run("train", "--stage", "relation", "--data", ws.data, "--stage1", ws.att,
+               "--out", out, *TRAIN_FLAGS, "--tau", "1.5") == 0
+    assert capsys.readouterr().out.strip().endswith(
+        "; graph nodes 2, edges 0, gravity 1, tau 1.5")
+    graph = extract_graph(load_model(out))
+    assert graph.tau == 1.5 and np.array_equal(graph.adjacency, np.eye(2))
+    # The workspace model, trained at tau 0.0, joins its two nodes.
+    assert np.array_equal(extract_graph(load_model(ws.rel)).adjacency, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_train_non_finite_tau_rejected(ws, tmp_path, capsys, tau):
+    out = tmp_path / "x.stck"
+    assert run("train", "--stage", "relation", "--data", ws.data, "--stage1", ws.att,
+               "--out", str(out), *TRAIN_FLAGS, f"--tau={tau}") == 2
+    assert f"tau must be finite, got {float(tau)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_writes_checkpoint_and_log(ws):
@@ -215,10 +230,17 @@ def test_train_seed_changes_checkpoint(ws, tmp_path):
     assert Path(out).read_bytes() != Path(ws.att).read_bytes()
 
 
-def test_train_relation_requires_graph_and_stage1(ws, tmp_path, capsys):
+def test_train_relation_requires_stage1(ws, tmp_path, capsys):
     assert run("train", "--stage", "relation", "--data", ws.data,
                "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 2
-    assert "--graph" in capsys.readouterr().err
+    assert "--stage1" in capsys.readouterr().err
+
+
+def test_train_attention_rejects_stage1(ws, tmp_path, capsys):
+    assert run("train", "--stage", "attention", "--data", ws.data, "--stage1", ws.att,
+               "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 2
+    assert "--stage1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_config_file_runs(ws, tmp_path):
@@ -270,11 +292,15 @@ def test_train_epochs_beyond_schedule(ws, tmp_path):
                "--c", "1", "--t", "4", "--m", "2", "--epochs", "99") == 2
 
 
+def _stage_flags(ws, stage):
+    return ("--stage1", ws.att, *RELATION_FLAGS) if stage == "relation" else TRAIN_FLAGS
+
+
 @pytest.mark.parametrize("stage", ["attention", "relation"])
 def test_train_negative_epochs_rejected(ws, tmp_path, capsys, stage):
     out = tmp_path / "x.stck"
-    assert run("train", "--stage", stage, "--data", ws.data, "--graph", ws.graph,
-               "--stage1", ws.att, "--out", str(out), *TRAIN_FLAGS, "--epochs", "-1") == 2
+    assert run("train", "--stage", stage, "--data", ws.data, "--out", str(out),
+               *_stage_flags(ws, stage), "--epochs", "-1") == 2
     assert "epochs must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -290,8 +316,8 @@ def test_train_relation_freeze_backbone_flag(ws, tmp_path):
     assert list(frozen) == list(stage1)
     assert all(frozen[n].tobytes() == stage1[n].tobytes() for n in stage1)
     out = str(tmp_path / "unfrozen.stck")
-    assert run("train", "--stage", "relation", "--data", ws.data, "--graph", ws.graph,
-               "--stage1", ws.att, "--out", out, *TRAIN_FLAGS,
+    assert run("train", "--stage", "relation", "--data", ws.data,
+               "--stage1", ws.att, "--out", out, *RELATION_FLAGS,
                "--freeze-backbone", "false") == 0
     unfrozen = _stage1_entries(out)
     changed = [n for n in stage1 if not np.array_equal(unfrozen[n], stage1[n])]
@@ -302,8 +328,8 @@ def test_train_relation_freeze_backbone_flag(ws, tmp_path):
 def test_train_relation_on_a_relation_checkpoint(ws, tmp_path):
     # The given model's graph stack is dropped, not carried into the output.
     out = str(tmp_path / "again.stck")
-    assert run("train", "--stage", "relation", "--data", ws.data, "--graph", ws.graph,
-               "--stage1", ws.rel, "--out", out, *TRAIN_FLAGS,
+    assert run("train", "--stage", "relation", "--data", ws.data,
+               "--stage1", ws.rel, "--out", out, *RELATION_FLAGS,
                "--depth", "1", "--t-k", "5") == 0
     dims = model_dims(load_model(out))
     assert (dims.depth, dims.t_k) == (1, 5)
@@ -314,8 +340,8 @@ def test_train_relation_on_a_relation_checkpoint(ws, tmp_path):
 def test_train_nan_loss_exits_4(ws, tmp_path, monkeypatch, capsys, stage, loss_name):
     monkeypatch.setattr(training, loss_name,
                         lambda *args: T.Tensor._wrap(np.asarray(np.nan)))
-    assert run("train", "--stage", stage, "--data", ws.data, "--graph", ws.graph,
-               "--stage1", ws.att, "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 4
+    assert run("train", "--stage", stage, "--data", ws.data,
+               "--out", str(tmp_path / "x.stck"), *_stage_flags(ws, stage)) == 4
     assert f"NaN loss in {stage} stage at epoch 0 step 0" in capsys.readouterr().err
 
 
@@ -335,25 +361,6 @@ def test_eval_attention_only_checkpoint(ws, tmp_path):
     out = str(tmp_path / "metrics.csv")
     assert run("eval", "--ckpt", ws.att, "--data", ws.data, "--out", out) == 0
     assert read_lines(out)[-1].startswith("Avg,")
-
-
-def test_eval_with_explicit_graph(ws, tmp_path):
-    out = str(tmp_path / "metrics.csv")
-    assert run("eval", "--ckpt", ws.rel, "--data", ws.data,
-               "--graph", ws.graph, "--out", out) == 0
-
-
-def test_eval_graph_node_mismatch(ws, tmp_path, capsys):
-    labels3 = tmp_path / "labels3.csv"
-    labels3.write_text(
-        "video_id,frame_idx,au_1,au_2,au_3\n"
-        "a,0,1,0,1\na,1,0,1,1\na,2,1,1,0\na,3,0,0,1\n"
-    )
-    graph3 = str(tmp_path / "graph3.json")
-    assert run("build-graph", "--labels", str(labels3), "--out", graph3) == 0
-    assert run("eval", "--ckpt", ws.rel, "--data", ws.data,
-               "--graph", graph3, "--out", str(tmp_path / "m.csv")) == 2
-    assert "3 nodes" in capsys.readouterr().err
 
 
 def test_infer_probability_rows(ws, tmp_path):
@@ -401,13 +408,12 @@ def test_infer_without_embedded_graph_names_no_option_it_lacks(
     assert "no embedded graph" in err and "--graph" not in err
 
 
-def test_eval_without_embedded_graph_asks_for_graph(ws, tmp_path, capsys, rel_without_graph):
+def test_eval_without_embedded_graph_names_no_option_it_lacks(
+        ws, tmp_path, capsys, rel_without_graph):
     out = str(tmp_path / "m.csv")
     assert run("eval", "--ckpt", rel_without_graph, "--data", ws.data, "--out", out) == 2
     err = capsys.readouterr().err
-    assert "no embedded graph" in err and "pass --graph" in err
-    assert run("eval", "--ckpt", rel_without_graph, "--data", ws.data,
-               "--graph", ws.graph, "--out", out) == 0
+    assert "no embedded graph" in err and "--graph" not in err
 
 
 def test_infer_rejects_bad_frames_shape(ws, tmp_path, capsys):
@@ -483,18 +489,18 @@ def test_export_attention_of_a_three_frame_video_writes_each_frames_own_maps(ws,
 
 
 def test_json_logs_are_parseable(ws, tmp_path, capsys):
-    assert run("build-graph", "--json-logs",
-               "--labels", os.path.join(ws.data, "labels.csv"),
-               "--out", str(tmp_path / "g.json")) == 0
+    assert run("train", "--json-logs", "--stage", "relation", "--data", ws.data,
+               "--stage1", ws.att, "--out", str(tmp_path / "x.stck"), *RELATION_FLAGS) == 0
     line = json.loads(capsys.readouterr().out.strip())
     assert line["level"] == "info" and line["nodes"] == 2
+    assert (line["edges"], line["gravity"], line["tau"]) == (1, 1, 0.0)
 
 
 def test_json_logs_on_error_path(ws, tmp_path, capsys):
     assert run("train", "--json-logs", "--stage", "relation", "--data", ws.data,
                "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 2
     line = json.loads(capsys.readouterr().err.strip())
-    assert line["level"] == "error" and "--graph" in line["msg"]
+    assert line["level"] == "error" and "--stage1" in line["msg"]
 
 
 @pytest.mark.parametrize(

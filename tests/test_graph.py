@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -258,83 +257,31 @@ class TestPartition:
             assert np.array_equal(got_part, want_part)
 
 
-class TestGraphFile:
+class TestEmbeddedGraph:
     def build(self, seed=20):
         rng = np.random.default_rng(seed)
         return G.build_graph(random_labels(rng, 80, 5), tau=0.15)
 
-    def test_round_trip(self, tmp_path):
-        graph = self.build()
-        path = tmp_path / "graph.json"
-        G.save_graph(path, graph)
-        loaded = G.load_graph(path)
-        assert loaded.m == graph.m and loaded.tau == graph.tau
-        assert loaded.gravity == graph.gravity
-        assert np.array_equal(loaded.pcc, graph.pcc)
-        assert np.array_equal(loaded.adjacency, graph.adjacency)
-        assert np.array_equal(loaded.lam, graph.lam)
-        assert np.array_equal(loaded.a_norm, graph.a_norm)
-        assert np.array_equal(loaded.hops, graph.hops)
-        for got_part, want_part in zip(loaded.parts, graph.parts):
-            assert np.array_equal(got_part, want_part)
-
-    def test_gravity_stored_one_based(self, tmp_path):
-        graph = self.build()
-        path = tmp_path / "graph.json"
-        G.save_graph(path, graph)
-        payload = json.loads(path.read_text())
-        assert payload["gravity"] == graph.gravity + 1
-
-    def test_deterministic_bytes(self, tmp_path):
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        G.save_graph(p1, self.build())
-        G.save_graph(p2, self.build())
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "graph.json"
-        G.save_graph(path, self.build())
-        payload = json.loads(path.read_text())
-        del payload["a_norm"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="a_norm"):
-            G.load_graph(path)
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError):
-            G.load_graph(path)
-
-    def test_wrong_shape(self, tmp_path):
-        path = tmp_path / "graph.json"
-        G.save_graph(path, self.build())
-        payload = json.loads(path.read_text())
-        payload["m"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError):
-            G.load_graph(path)
-
-    def test_edited_partition_rejected(self, tmp_path):
-        path = tmp_path / "graph.json"
-        G.save_graph(path, self.build())
-        payload = json.loads(path.read_text())
-        payload["parts"][1][0][1] += 0.5
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="'parts'"):
-            G.load_graph(path)
-
-    def test_edited_checkpoint_partition_rejected(self, tmp_path):
+    def test_checkpoint_holding_a_derived_field_rejected(self, tmp_path):
         graph = self.build()
         path = tmp_path / "model.stck"
         # load_model checks the model entries too, so embed in a real model.
         stage1 = model.init_attention_entries(1, graph.m, seed=0)
         model.save_model(path, model.embed_graph(stage1, graph))
+        arrays = serialize.load_checkpoint(path)
+        assert [n for n in arrays if n.startswith("graph.")] == ["graph.tau", "graph.pcc"]
         loaded = model.extract_graph(model.load_model(path))
+        assert loaded.tau == graph.tau and np.array_equal(loaded.pcc, graph.pcc)
         for got_part, want_part in zip(loaded.parts, graph.parts):
             assert np.array_equal(got_part, want_part)
-        arrays = serialize.load_checkpoint(path)
-        arrays["graph.part.1"] = arrays["graph.part.1"] * 0.5
+        arrays["graph.part.1"] = graph.parts[0]
         serialize.save_checkpoint(path, arrays)
         with pytest.raises(FormatError, match="graph.part.1"):
-            model.extract_graph(model.load_model(path))
+            model.load_model(path)
+
+    @pytest.mark.parametrize("name", ["graph.tau", "graph.pcc"])
+    def test_half_an_embedded_graph_rejected(self, name):
+        entries = model.embed_graph(model.init_attention_entries(1, 5, seed=0), self.build())
+        del entries[name]
+        with pytest.raises(FormatError, match=name):
+            model.extract_graph(entries)
