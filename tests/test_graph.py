@@ -279,6 +279,54 @@ class TestEmbeddedGraph:
         with pytest.raises(FormatError, match="graph.part.1"):
             model.load_model(path)
 
+    def save(self, path, graph):
+        stage1 = model.init_attention_entries(1, graph.m, seed=0)
+        model.save_model(path, model.embed_graph(stage1, graph))
+
+    def test_round_trip(self, tmp_path):
+        graph = self.build()
+        path = tmp_path / "model.stck"
+        self.save(path, graph)
+        loaded = model.extract_graph(model.load_model(path))
+        assert loaded.m == graph.m and loaded.tau == graph.tau
+        assert loaded.gravity == graph.gravity
+        assert np.array_equal(loaded.pcc, graph.pcc)
+        assert np.array_equal(loaded.adjacency, graph.adjacency)
+        assert np.array_equal(loaded.lam, graph.lam)
+        assert np.array_equal(loaded.a_norm, graph.a_norm)
+        assert np.array_equal(loaded.hops, graph.hops)
+        for got_part, want_part in zip(loaded.parts, graph.parts):
+            assert np.array_equal(got_part, want_part)
+
+    def test_deterministic_bytes(self, tmp_path):
+        p1, p2 = tmp_path / "a.stck", tmp_path / "b.stck"
+        self.save(p1, self.build())
+        self.save(p2, self.build())
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_stage1_checkpoint_has_no_graph(self, tmp_path):
+        path = tmp_path / "model.stck"
+        model.save_model(path, model.init_attention_entries(1, 5, seed=0))
+        assert model.extract_graph(model.load_model(path)) is None
+
+    def test_non_square_pcc_rejected(self, tmp_path):
+        path = tmp_path / "model.stck"
+        self.save(path, self.build())
+        arrays = serialize.load_checkpoint(path)
+        arrays["graph.pcc"] = arrays["graph.pcc"][:, :4]
+        serialize.save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="pcc must be square"):
+            model.extract_graph(model.load_model(path))
+
+    def test_non_scalar_tau_rejected(self, tmp_path):
+        path = tmp_path / "model.stck"
+        self.save(path, self.build())
+        arrays = serialize.load_checkpoint(path)
+        arrays["graph.tau"] = np.array([0.15, 0.15])
+        serialize.save_checkpoint(path, arrays)
+        with pytest.raises(FormatError, match="malformed pcc or tau"):
+            model.extract_graph(model.load_model(path))
+
     @pytest.mark.parametrize("name", ["graph.tau", "graph.pcc"])
     def test_half_an_embedded_graph_rejected(self, name):
         entries = model.embed_graph(model.init_attention_entries(1, 5, seed=0), self.build())
