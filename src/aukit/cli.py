@@ -15,7 +15,7 @@ import sys
 if __name__ == "__main__":  # ``python -m aukit.cli``: before numpy loads
     from .launch import default_blas_threads
 
-    default_blas_threads(sys.argv[1:])
+    default_blas_threads()
 
 import argparse
 import dataclasses

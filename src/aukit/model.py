@@ -8,8 +8,10 @@ amount to replacing dict values; ``stage1_forward`` and ``stage2_forward``
 are the only code that turns entries into a forward pass.  Serving and
 attention training have at most ``FRAMES_PER_PASS`` frames of stage 1 in
 flight: an attention training part is one pass of 8 frames, and serving
-runs passes of 4 frames two at a time, on the calling thread and on one
-worker thread, with bytes that do not depend on the threads.
+runs passes of 4 frames two at a time, on the calling thread and on the
+worker thread of ``tensor``, with bytes that do not depend on the threads.
+A pass that runs alone splits its large per-patch convolutions between the
+same two threads instead.
 
 A relation checkpoint embeds the frozen first-stage parameters, so a single
 file is enough to run sequence-level inference.
@@ -18,8 +20,7 @@ file is enough to run sequence-level inference.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -277,21 +278,6 @@ FRAMES_PER_PASS = 8
 #: a constant, so the bytes depend only on the inputs, never on threads.
 SERVING_PASS = FRAMES_PER_PASS // 2
 
-#: The one worker thread that runs the odd serving passes; an executor starts
-#: no thread until its first ``submit``.
-_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
-
-
-def _new_pool() -> None:
-    # A forked child has the parent's executor but not its thread: work
-    # submitted to it would wait forever, so the child gets its own.
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_new_pool)
-
 
 def attention_predict(
     entries: Entries, frames: np.ndarray
@@ -302,8 +288,9 @@ def attention_predict(
     probabilities (t, m).  The calling thread runs the even passes and the
     worker the odd ones; each pass is the same ``stage1_forward`` it would
     be alone, joined in pass order, so the bytes do not depend on threads.
-    The first failed pass, in pass order, raises, and only once no pass of
-    this call is still running.
+    A caller's pass splits its convolutions only while no pass of this call
+    runs on the worker (``tensor.worker_held``).  The first failed pass, in
+    pass order, raises, and only once no pass of this call is still running.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4:
@@ -313,13 +300,16 @@ def attention_predict(
         return stage1_forward(entries, T.Tensor(frames[start:start + SERVING_PASS]))
 
     starts = range(0, max(len(frames), 1), SERVING_PASS)
-    odd = [_POOL.submit(run, start) for start in starts[1::2]]
+    odd = [T.submit(run, start) for start in starts[1::2]]
     parts = []
     try:
         for k, start in enumerate(starts[0::2]):
-            parts.append(run(start))
-            if k < len(odd):
+            if k < len(odd):  # the worker runs a pass: this one's convolutions do not split
+                with T.worker_held():
+                    parts.append(run(start))
                 parts.append(odd[k].result())
+            else:
+                parts.append(run(start))
     finally:
         for future in odd:
             future.cancel()

@@ -16,15 +16,23 @@ The ops with one parameter per branch or node (``attention_pool``,
 ``partition_mix``, ``per_node_head``) take those entries as lists, so
 stacking them records no tape node.
 
+A large per-patch convolution runs on two threads: the caller takes the
+first half of the patch grid's rows and the one worker thread (``_POOL``,
+shared with ``model.attention_predict``) the second.  Each patch's products
+are the same calls either way, so the bytes do not depend on the split.
+
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -594,6 +602,85 @@ def partition_mix(
 
 
 # ---------------------------------------------------------------------------
+# The worker thread
+# ---------------------------------------------------------------------------
+
+
+#: The one thread besides the caller's.  It runs the odd serving passes of
+#: ``model.attention_predict`` and the second half of a split convolution
+#: (``_over_rows``); an executor starts no thread until its first ``submit``.
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
+
+
+def _new_pool() -> None:
+    # A forked child has the parent's executor but not its thread: work
+    # submitted to it would wait forever, so the child gets its own.
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_new_pool)
+
+_LANE = threading.local()
+
+
+@contextlib.contextmanager
+def worker_held():
+    """While inside, no convolution this thread runs splits.
+
+    The worker holds it while it runs submitted work, and a caller while it
+    has work in flight there, so work never nests and at most two threads,
+    each with its own scratch buffer, run stage 1.
+    """
+    held = getattr(_LANE, "held", False)
+    _LANE.held = True
+    try:
+        yield
+    finally:
+        _LANE.held = held
+
+
+def submit(fn: Callable, *args) -> Future:
+    """``fn(*args)`` on the worker thread, where no convolution splits."""
+
+    def run():
+        with worker_held():
+            return fn(*args)
+
+    return _POOL.submit(run)
+
+
+#: Multiply-adds from which a per-patch convolution splits its grid rows
+#: between the caller and the worker.  Below it, handing a half over costs
+#: more than it saves; a constant, not a setting (see CHANGES.md for the
+#: crossover measurement).
+SPLIT_MACS = 16_000_000
+
+
+def _over_rows(grid: int, macs: int, half: Callable[[int, int], None]) -> None:
+    """Run ``half(r0, r1)`` over the grid rows [0, grid), in one call or two.
+
+    It splits when the grid has at least 2 rows, the convolution's
+    multiply-adds ``macs`` reach ``SPLIT_MACS`` and the calling thread does
+    not hold the worker (``worker_held``): the caller runs rows [0, g//2)
+    and the worker rows [g//2, g) at once.  Each half writes its
+    own rows of preallocated outputs with the calls one whole call would
+    make per patch, so the bytes do not depend on the split.  If a half
+    raises, the first failure in row order raises, once both have finished.
+    """
+    if grid < 2 or macs < SPLIT_MACS or getattr(_LANE, "held", False):
+        half(0, grid)
+        return
+    other = submit(half, grid // 2, grid)
+    try:
+        half(0, grid // 2)
+    finally:
+        wait((other,))
+    other.result()
+
+
+# ---------------------------------------------------------------------------
 # Convolution and pooling
 # ---------------------------------------------------------------------------
 
@@ -617,37 +704,66 @@ def _scratch(n: int) -> np.ndarray:
     return buf[:n]
 
 
+def _patches(x: np.ndarray, grid: int, rows: tuple[int, int]) -> np.ndarray:
+    """Grid rows [r0, r1) of ``x`` (C, H, W, B) cut into g x g patches: (r1-r0, g, C, h, w, B)."""
+    c, hh, ww, b = x.shape
+    r0, r1 = rows
+    return x.reshape(c, grid, hh // grid, grid, ww // grid, b).transpose(1, 3, 0, 2, 4, 5)[r0:r1]
+
+
 def _windows(
-    x: np.ndarray, grid: int, kh: int, kw: int, ph: int, pw: int, scratch: bool = False
+    x: np.ndarray, grid: int, kh: int, kw: int, ph: int, pw: int, rows: tuple[int, int]
 ) -> np.ndarray:
-    """Channel-major im2col of a g x g grid of zero-padded patches.
+    """Channel-major im2col of grid rows ``rows`` of a g x g grid of zero-padded patches.
 
     ``x`` is (C, H, W, B), cut row-major into P = g*g patches of h x w =
-    H/g x W/g, each padded by (ph, pw) on its own.  Returns the (P,
-    C*k_h*k_w, oh*ow*B) window matrix, columns in (oy, ox, b) order, oh =
-    h + 2*ph - k_h + 1 and likewise ow: cutting and padding are one copy,
-    and laying the windows out is one more, in which every copied run is
-    ow*B contiguous values.  A matrix that is a view of ``x`` (one patch, a
-    1x1 kernel, no padding) is not copied; otherwise with ``scratch`` it is
-    written into the :func:`_scratch` buffer.
+    H/g x W/g, each padded by (ph, pw) on its own.  Returns the (P',
+    C*k_h*k_w, oh*ow*B) window matrix of the P' = (r1 - r0)*g patches of
+    grid rows [r0, r1), columns in (oy, ox, b) order, oh = h + 2*ph - k_h + 1
+    and likewise ow: cutting and padding are one copy, and laying the
+    windows out is one more, in which every copied run is ow*B contiguous
+    values.  A matrix that is a view of ``x`` (one patch, a 1x1 kernel, no
+    padding) is not copied; otherwise it is written into the calling
+    thread's :func:`_scratch` buffer.
     """
     c, hh, ww, b = x.shape
     h, w = hh // grid, ww // grid
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    patches = x.reshape(c, grid, h, grid, w, b).transpose(1, 3, 0, 2, 4, 5)
+    patches = _patches(x, grid, rows)
     if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros((grid, grid, c, h + 2 * ph, w + 2 * pw, b))
+        xp = np.zeros(patches.shape[:3] + (h + 2 * ph, w + 2 * pw, b))
         xp[:, :, :, ph : ph + h, pw : pw + w] = patches
     else:
         xp = patches
     s = xp.strides
     win = as_strided(xp, xp.shape[:3] + (kh, kw, oh, ow, b), s[:5] + s[3:], writeable=False)
-    if scratch and not win.flags["C_CONTIGUOUS"]:
+    if not win.flags["C_CONTIGUOUS"]:
         win2 = _scratch(win.size).reshape(win.shape)
         np.copyto(win2, win)
-    else:  # no copy when the windows already are ``x``
-        win2 = np.ascontiguousarray(win)
-    return win2.reshape(grid * grid, c * kh * kw, oh * ow * b)
+        win = win2
+    return win.reshape(patches.shape[0] * grid, c * kh * kw, oh * ow * b)
+
+
+def _cuts(x: np.ndarray, grid: int) -> Callable[[int, int], np.ndarray]:
+    """``cut(r0, r1)``: the patches of grid rows [r0, r1) of ``x``, as (P', C, h*w*B).
+
+    The 1x1 windows of ``x``, kept beside the scratch buffer's: for one
+    patch a view of ``x``, otherwise copied into rows of one (P, C, h*w*B)
+    array that is allocated here, by the thread that splits the work, so
+    that a half run on the worker allocates no large array of its own.
+    """
+    c, hh, ww, b = x.shape
+    if grid == 1:
+        return lambda r0, r1: x.reshape(1, c, hh * ww * b)
+    out = np.empty((grid * grid, c, hh * ww * b // (grid * grid)))
+
+    def cut(r0, r1):
+        part = out[r0 * grid:r1 * grid]
+        patches = _patches(x, grid, (r0, r1))
+        np.copyto(part.reshape(patches.shape), patches)
+        return part
+
+    return cut
 
 
 def _paste(y2: np.ndarray, b: int, grid: int, oh: int, ow: int) -> np.ndarray:
@@ -681,6 +797,10 @@ def _grouped_conv(
     products sum the same terms at other positions of the reduction, and
     BLAS groups a sum by position, so the kernel gradient would otherwise
     depend in its last bits on whether the input is tracked.
+
+    Forward and backward each run over the grid rows through
+    :func:`_over_rows`, so a large per-patch convolution runs on two
+    threads; every patch's products are the same calls either way.
     """
     p, co, ci, kh, kw = kernels.shape
     _, hh, ww, b = x.shape
@@ -694,26 +814,50 @@ def _grouped_conv(
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
-    y2 = kernels.reshape(p, co, ci * kh * kw) @ _windows(x, grid, kh, kw, ph, pw, scratch=True)
-    y2 += bias[:, :, None]
+    macs = p * co * ci * kh * kw * oh * ow * b
+    flat = kernels.reshape(p, co, ci * kh * kw)
+    y2 = np.empty((p, co, oh * ow * b))
+
+    def forward(r0, r1):
+        at = slice(r0 * grid, r1 * grid)
+        np.matmul(flat[at], _windows(x, grid, kh, kw, ph, pw, (r0, r1)), out=y2[at])
+        y2[at] += bias[at, :, None]
+
+    _over_rows(grid, macs, forward)
 
     def backward(g, need_dx):
-        g2 = _windows(g, grid, 1, 1, 0, 0)  # (P, C_out, oh*ow*B): the 1x1 windows
-        dx = wg = None
-        if need_dx or ci >= co:  # (P, C_out*k_h*k_w, h*w*B)
-            wg = g2 if kh == kw == 1 else _windows(
-                g, grid, kh, kw, kh - 1 - ph, kw - 1 - pw, scratch=True)
+        g_cut = _cuts(g, grid)  # (P', C_out, oh*ow*B): the 1x1 windows of g
+        x_cut = None if ci < co else _cuts(x, grid)
         if need_dx:
             flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(p, ci, -1)
-            dx = _paste(flipped @ wg, b, grid, h, w)
-        if ci < co:  # after dx: these windows take over the scratch buffer from Wg
-            dk = g2 @ _windows(x, grid, kh, kw, ph, pw, scratch=True).transpose(0, 2, 1)
-            dk = dk.reshape(kernels.shape)
+            dx2 = np.empty((p, ci, h * w * b))
+        dk2 = np.empty((p, co, ci * kh * kw) if ci < co else (p, co * kh * kw, ci))
+        db = np.empty((p, co))
+
+        def half(r0, r1):
+            at, rows = slice(r0 * grid, r1 * grid), (r0, r1)
+            g2 = g_cut(r0, r1)
+            if need_dx or ci >= co:  # (P', C_out*k_h*k_w, h*w*B)
+                wg = g2 if kh == kw == 1 else _windows(
+                    g, grid, kh, kw, kh - 1 - ph, kw - 1 - pw, rows)
+            if need_dx:
+                np.matmul(flipped[at], wg, out=dx2[at])
+            if ci < co:  # after dx: these windows take over the scratch buffer from Wg
+                x2 = _windows(x, grid, kh, kw, ph, pw, rows)
+                np.matmul(g2, x2.transpose(0, 2, 1), out=dk2[at])
+            else:
+                np.matmul(wg, x_cut(r0, r1).transpose(0, 2, 1), out=dk2[at])
+            db[at] = g2.sum(axis=2)
+
+        _over_rows(grid, macs, half)
+        del g_cut, x_cut  # free both cuts before pasting dx
+        dx = _paste(dx2, b, grid, h, w) if need_dx else None
+        if ci < co:
+            dk = dk2.reshape(kernels.shape)
         else:
-            x_patches = _windows(x, grid, 1, 1, 0, 0)  # (P, C_in, h*w*B)
-            dk = (wg @ x_patches.transpose(0, 2, 1)).reshape(p, co, kh, kw, ci)
-            dk = np.ascontiguousarray(dk[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3))
-        return dx, dk, g2.sum(axis=2)
+            dk = np.ascontiguousarray(
+                dk2.reshape(p, co, kh, kw, ci)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3))
+        return dx, dk, db
 
     return _paste(y2, b, grid, oh, ow), backward
 

@@ -34,6 +34,7 @@ from .losses import attention_stage_loss, au_detection_loss, class_weights
 from .model import (
     FRAMES_PER_PASS,
     Entries,
+    extract_graph,
     init_attention_entries,
     init_relation_entries,
     model_dims,
@@ -396,6 +397,8 @@ def train_relation_stage(
     """Fit the sequence-level model on top of a trained frame-level stage.
 
     ``hp.freeze_backbone`` (the default) trains only ``gst.*`` and ``head.*``.
+    A resume checkpoint (``init_entries``) that embeds a graph must embed
+    ``graph``: its edge weights were fit to that graph.
     """
     hp.validate()
     dims = model_dims(stage1)
@@ -417,6 +420,13 @@ def train_relation_stage(
             raise ConfigError(
                 f"resume checkpoint sizes (depth={resumed.depth}, t_k={resumed.t_k}) "
                 f"do not match config (depth={hp.depth}, t_k={hp.t_k})"
+            )
+        embedded = extract_graph(init_entries)
+        if embedded is not None and (embedded.tau != graph.tau
+                                     or embedded.pcc.tobytes() != graph.pcc.tobytes()):
+            raise ConfigError(
+                f"resume checkpoint's graph (tau={embedded.tau}) differs from the graph "
+                f"the training labels give at tau={graph.tau}"
             )
     else:
         entries = init_relation_entries(stage1, hp.t_k, hp.depth, seed)

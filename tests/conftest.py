@@ -1,8 +1,11 @@
 """Shared pytest plumbing: the acceptance tests record one line per
 criterion here, and the terminal summary replays them after the run so
 the pass/fail verdicts are visible regardless of output capturing.
-``names_read`` lists the checkpoint entries a structured reader looks up.
+``names_read`` lists the checkpoint entries a structured reader looks up,
+and ``InlineExecutor`` stands in for the worker thread.
 """
+
+from concurrent.futures import Executor, Future
 
 CRITERIA = {}
 
@@ -22,6 +25,18 @@ def names_read(reader, entries) -> list:
 
     reader(Logged(entries))
     return names
+
+
+class InlineExecutor(Executor):
+    """Runs each submitted call at once, on the submitting thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -100,12 +100,12 @@ BLAS_PROBES = {
     ("script", ["infer", "--help"], {}, ["1", "1", "1"]),
     ("module", ["eval", "--help"], {}, ["1", "1", "1"]),
     ("script", ["export-attention", "--help"], {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
-    ("module", ["train", "--help"], {}, ["-", "-", "-"]),
-    ("script", ["gen-data", "--help"], {}, ["-", "-", "-"]),
+    ("module", ["train", "--help"], {}, ["1", "1", "1"]),
+    ("script", ["gen-data", "--help"], {}, ["1", "1", "1"]),
     ("library", [], {}, ["-", "-", "-"]),
 ], ids=["script-serving", "module-serving", "user-set", "module-train", "script-gen-data",
         "library"])
-def test_blas_threads_default_to_one_for_serving_programs(entry, argv, preset, expected):
+def test_blas_threads_default_to_one_for_the_program(entry, argv, preset, expected):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(aukit.__file__))
     probe = ("import os, runpy, sys\ntry:\n    " + BLAS_PROBES[entry].format(argv=argv)
@@ -194,6 +194,21 @@ def test_train_relation_tau_above_one_embeds_the_identity_graph(ws, tmp_path, ca
     assert graph.tau == 1.5 and np.array_equal(graph.adjacency, np.eye(2))
     # The workspace model, trained at tau 0.0, joins its two nodes.
     assert np.array_equal(extract_graph(load_model(ws.rel)).adjacency, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("tau, code", [("0.0", 0), ("0.5", 2)])
+def test_relation_resume_keeps_its_embedded_graph(ws, tmp_path, capsys, tau, code):
+    # The workspace model embeds the graph of the training labels at tau 0.0.
+    out = str(tmp_path / "resumed.stck")
+    assert run("train", "--stage", "relation", "--data", ws.data, "--stage1", ws.att,
+               "--from-checkpoint", ws.rel, "--out", out, *TRAIN_FLAGS, "--tau", tau) == code
+    if code:
+        assert "(tau=0.0) differs from the graph the training labels give at tau=0.5" in (
+            capsys.readouterr().err)
+        assert not os.path.exists(out)
+    else:
+        assert extract_graph(load_model(out)).pcc.tobytes() == (
+            extract_graph(load_model(ws.rel)).pcc.tobytes())
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])

@@ -1,16 +1,17 @@
 """Checkpoints are checked against the architecture their sizes imply."""
 
+import hashlib
+import math
 import multiprocessing
 import os
 import sys
 import threading
 import time
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
-from conftest import names_read
+from conftest import InlineExecutor, names_read
 
 from aukit import model
 from aukit import tensor as T
@@ -147,6 +148,33 @@ def moved_off_identity(entries):
             if name.startswith("gst.") else t for name, t in entries.items()}
 
 
+def stage1_digest(frames_n, size, c, m, seed):
+    """SHA-256 over ``stage1_forward``'s outputs, then the gradients of a fixed
+    weighting of them for every stage-1 entry (in entry order) and the frames."""
+    entries = model.init_attention_entries(c, m, seed)
+    rng = np.random.default_rng(seed)
+    frames = T.Tensor(rng.standard_normal((frames_n, 3, size, size)), requires_grad=True)
+    with T.Tape() as tape:
+        outs = model.stage1_forward(entries, frames)
+        loss = T.sum_all(T.mul(outs[0], T.Tensor(rng.standard_normal(outs[0].shape))))
+        for out in outs[1:]:
+            loss = T.add(loss, T.sum_all(T.mul(out, T.Tensor(rng.standard_normal(out.shape)))))
+    tape.backward(loss)
+    digest = hashlib.sha256()
+    for array in [out.data for out in outs] + [
+            tape.grad(t) for t in [*model.stage1_entries(entries).values(), frames]]:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_stage1_bytes_are_pinned():
+    # 2 frames of 64 px at c=8, m=12: every per-patch convolution splits, and
+    # its GEMMs are below the size at which BLAS threads change the bytes.
+    assert T.SPLIT_MACS <= 32 * 32 * 9 * 64 * 64 * 2  # a layer-1 per-patch convolution
+    assert stage1_digest(2, 64, c=8, m=12, seed=5) == (
+        "9c8d4558ff35bdc54bf07203650f63ac51a436ecfcdf995ea625a71797fc002c")
+
+
 class TestBatchIndependence:
     """Frames and sequences sit side by side in one batch-last array inside
     the forwards: each must come out as if run alone."""
@@ -214,7 +242,7 @@ class TestFramesPerPass:
     def test_scratch_buffer_stops_growing_after_one_pass(self):
         entries = toy_relation_entries(seed=14)
         frames = np.random.default_rng(15).standard_normal((64, 3, 32, 32))
-        worker = model._POOL
+        worker = T._POOL
         worker.submit(setattr, T._SCRATCH, "buf", None).result(timeout=60)
         sizes = []
 
@@ -229,18 +257,6 @@ class TestFramesPerPass:
         thread.join(timeout=120)
         assert not thread.is_alive()
         assert len(sizes) == 2 and sizes[0] == sizes[1] and min(sizes[0]) > 0
-
-
-class InlineExecutor(Executor):
-    """Runs each submitted pass at once, on the submitting thread."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 def serial_passes(entries, frames):
@@ -267,15 +283,18 @@ class TestServingThreads:
     def test_equals_serial_passes_bitwise(self, video, monkeypatch, worker, t):
         entries, frames = video
         if worker == "inline":
-            monkeypatch.setattr(model, "_POOL", InlineExecutor())
+            monkeypatch.setattr(T, "_POOL", InlineExecutor())
         got = model.attention_predict(entries, frames[:t])
         for g, want in zip(got, serial_passes(entries, frames[:t])):
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
-    def test_concurrent_callers_get_the_bytes_of_calls_in_turn(self, video):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_concurrent_callers_get_the_bytes_of_calls_in_turn(self, video, monkeypatch, split):
         entries, frames = video
         videos = [frames[i:i + 9 + i] for i in range(5)]  # 9..13 frames, more callers than cores
         in_turn = [model.attention_predict(entries, v) for v in videos]
+        if split:  # each caller's lone last pass hands convolution halves to the one worker
+            monkeypatch.setattr(T, "SPLIT_MACS", 0)
         results = [None] * len(videos)
 
         def predict(i):
@@ -326,8 +345,32 @@ class TestServingThreads:
             model.attention_predict(entries, frames)
         assert exc.value is raised[0] and live[0] == 0
         count = len(started)
-        model._POOL.submit(int).result(timeout=60)  # after every pass queued before it
+        T._POOL.submit(int).result(timeout=60)  # after every pass queued before it
         assert live[0] == 0 and len(started) == count  # no cancelled pass started later
+
+    @pytest.mark.parametrize("worker", ["thread", "inline"])
+    @pytest.mark.parametrize("t", [3, 13, 17])
+    def test_split_convolutions_finish_and_keep_the_bytes(self, video, monkeypatch, worker, t):
+        # With every per-patch convolution large enough to split, a pass on
+        # the caller splits only while no pass of its call runs on the
+        # worker: a lone pass (t=3) and the last of an odd count (t=17) do.
+        entries, frames = video
+        monkeypatch.setattr(T, "SPLIT_MACS", math.inf)
+        want = serial_passes(entries, frames[:t])
+        monkeypatch.setattr(T, "SPLIT_MACS", 0)
+        if worker == "inline":
+            monkeypatch.setattr(T, "_POOL", InlineExecutor())
+        halves, submit = [], T.submit
+        monkeypatch.setattr(T, "submit", lambda fn, *args: (
+            halves.append(args) if len(args) == 2 else None) or submit(fn, *args))
+        got = []
+        thread = threading.Thread(target=lambda: got.extend(model.attention_predict(
+            entries, frames[:t])))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert len(halves) == (0 if t == 13 else 6)  # 3 grids x 2 layers, forward only
 
     def test_bad_frame_size_is_a_shape_error(self, video):
         entries, _ = video

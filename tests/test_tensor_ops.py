@@ -5,11 +5,13 @@ numpy on inputs small enough to audit.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import InlineExecutor
 from aukit import tensor as T
 from aukit.errors import DomainError, NumericalError, ShapeError
 
@@ -426,6 +428,84 @@ class TestConvBackward:
             tape.backward(T.sum_all(out))
         assert tape._nodes == []
         assert tape.grad(x).shape == x.shape
+
+
+class TestSplitConvolution:
+    """A large per-patch convolution runs grid rows [0, g//2) on the caller
+    and [g//2, g) on the worker: every output and gradient byte must be the
+    one the whole-grid call gives."""
+
+    def run(self, monkeypatch, split, grid, ci, co, kernel, padding, track):
+        """Output and gradient bytes, and the rows each handed to the worker."""
+        monkeypatch.setattr(T, "SPLIT_MACS", 0 if split else math.inf)
+        halves, submit = [], T.submit
+        monkeypatch.setattr(T, "submit", lambda fn, *rows: halves.append(rows) or submit(fn, *rows))
+        h = 4 * grid
+        x = T.Tensor(rand((ci, h, h, 2)), requires_grad=track)
+        k = T.Tensor(rand((grid * grid, co, ci) + kernel, 1), requires_grad=True)
+        b = T.Tensor(rand((grid * grid, co), 2), requires_grad=True)
+        oh = h + grid * (2 * padding[0] - kernel[0] + 1)
+        with T.Tape() as tape:
+            out = T.conv2d_per_patch(x, k, b, padding=padding)
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(rand((co, oh, oh, 2), 3)))))
+        assert (tape.grad(x) is not None) == track
+        monkeypatch.setattr(T, "submit", submit)
+        grads = [tape.grad(t) for t in (x, k, b) if tape.grad(t) is not None]
+        return [a.tobytes() for a in (out.data, *grads)], halves
+
+    @pytest.mark.parametrize("worker", ["thread", "inline"])
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("kernel, padding", [((3, 3), (1, 1)), ((3, 3), (0, 0)),
+                                                 ((1, 1), (0, 0))])
+    @pytest.mark.parametrize("ci, co", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("grid", [2, 4, 8])
+    def test_halves_give_the_bytes_of_the_whole_grid(
+        self, monkeypatch, grid, ci, co, kernel, padding, track, worker
+    ):
+        # C_in < C_out and C_in >= C_out take the two kernel-gradient branches.
+        if worker == "inline":
+            monkeypatch.setattr(T, "_POOL", InlineExecutor())
+        whole, none = self.run(monkeypatch, False, grid, ci, co, kernel, padding, track)
+        halves, split = self.run(monkeypatch, True, grid, ci, co, kernel, padding, track)
+        assert none == [] and split == [(grid // 2, grid)] * 2  # the forward's, the backward's
+        assert halves == whole
+
+    def test_whole_map_convolution_never_splits(self, monkeypatch):
+        monkeypatch.setattr(T, "SPLIT_MACS", 0)
+        monkeypatch.setattr(T, "submit", None)  # any split would call it
+        x = T.Tensor(rand((3, 8, 8, 2)), requires_grad=True)
+        k, b = T.Tensor(rand((4, 3, 3, 3), 1), requires_grad=True), T.Tensor(rand((4,), 2))
+        with T.Tape() as tape:
+            tape.backward(T.sum_all(T.conv2d(x, k, b, padding=(1, 1))))
+        assert tape.grad(x).shape == x.shape
+
+    def test_held_worker_keeps_the_grid_whole(self, monkeypatch):
+        monkeypatch.setattr(T, "SPLIT_MACS", 0)
+        monkeypatch.setattr(T, "submit", None)
+        rows = []
+        with T.worker_held():
+            T._over_rows(4, 1, lambda r0, r1: rows.append((r0, r1)))
+        assert rows == [(0, 4)]
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)])
+    def test_failed_half_raises_once_both_have_finished(self, monkeypatch, failing):
+        # Half 0 runs rows [0, 2) on the caller, half 1 rows [2, 4) on the worker.
+        monkeypatch.setattr(T, "SPLIT_MACS", 0)
+        finished = []
+
+        class HalfFailed(Exception):
+            pass
+
+        def half(r0, r1):
+            index = r0 // 2
+            time.sleep(0.05 if index in failing else 0.3)  # the other half outlasts a failure
+            finished.append(index)
+            if index in failing:
+                raise HalfFailed(index)
+
+        with pytest.raises(HalfFailed) as exc:
+            T._over_rows(4, 1, half)
+        assert exc.value.args == (failing[0],) and sorted(finished) == [0, 1]
 
 
 def attention_pool_reference(maps, feat, kernels, bias, padding, up):
