@@ -6,9 +6,11 @@ feature map.  A region layer runs one full-map 3x3 convolution, then
 three chained per-patch convolution stages over successively coarser
 partition grids (8x8, 4x4, 2x2 patches), concatenates the three stage
 outputs along channels, and fuses them back with a 1x1 convolution;
-every convolution is followed by a tanh nonlinearity.  A per-patch stage
-is one ``conv2d_per_patch`` node on the whole map: the op cuts the map into
-its grid and pastes the patch outputs back itself.
+every convolution is followed by a tanh nonlinearity, which the
+convolution applies itself (``tanh=True``), so a region layer records 6
+tape nodes.  A per-patch stage is one ``conv2d_per_patch`` node on the
+whole map: the op cuts the map into its grid and pastes the patch outputs
+back itself.
 
 Stage 1 takes a batch of frames only.  Every layer works on batch-last
 maps (C, H, W, b), the layout the convolutions take: ``backbone_forward``
@@ -76,17 +78,14 @@ class AttentionBranchParams:
 
 def region_layer_forward(x: T.Tensor, params: RegionLayerParams) -> T.Tensor:
     """One region layer over a batch of maps (C_in, H, W, b) -> (C_out, H, W, b)."""
-    current = T.tanh(
-        T.conv2d(x, params.input_conv.kernels, params.input_conv.bias, padding=(1, 1))
-    )
+    current = T.conv2d(x, params.input_conv.kernels, params.input_conv.bias, padding=(1, 1),
+                       tanh=True)
     stage_outputs = []
     for bank in params.stage_convs:
-        current = T.tanh(T.conv2d_per_patch(current, bank.kernels, bank.bias, padding=(1, 1)))
+        current = T.conv2d_per_patch(current, bank.kernels, bank.bias, padding=(1, 1), tanh=True)
         stage_outputs.append(current)
     stacked = T.concat(stage_outputs, axis=0)
-    return T.tanh(
-        T.conv2d(stacked, params.fusion_conv.kernels, params.fusion_conv.bias)
-    )
+    return T.conv2d(stacked, params.fusion_conv.kernels, params.fusion_conv.bias, tanh=True)
 
 
 def backbone_forward(frames: T.Tensor, params: BackboneParams) -> T.Tensor:

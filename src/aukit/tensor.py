@@ -18,8 +18,12 @@ stacking them records no tape node.
 
 A large per-patch convolution runs on two threads: the caller takes the
 first half of the patch grid's rows and the one worker thread (``_POOL``,
-shared with ``model.attention_predict``) the second.  Each patch's products
-are the same calls either way, so the bytes do not depend on the split.
+shared with ``model.attention_predict``) the second.  Each half walks its
+patches in blocks whose windows fit ``BLOCK_VALUES``, and finishes each
+block (bias, an optional fused tanh, the paste into the output map) before
+the next, so a thread's window buffer is bounded by one block, or by a
+whole-map convolution's window matrix.  Each patch's products are the same
+calls either way, so the bytes depend on neither the split nor the blocks.
 
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
@@ -694,8 +698,11 @@ def _scratch(n: int) -> np.ndarray:
     It holds one window matrix at a time and keeps the size of the largest
     one the thread has built, so a convolution writes its windows into
     pages that are already mapped instead of faulting in fresh ones each
-    call.  A caller is done with it before the next call.  Passes of at
-    most ``model.FRAMES_PER_PASS`` frames bound its size.
+    call.  A caller is done with it before the next call.  A per-patch
+    convolution builds one block's windows at a time, so its size is
+    bounded by one block (``BLOCK_VALUES``, or one patch's windows where a
+    patch needs more), or by the window matrix of a whole-map convolution,
+    whose map is one patch.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < n:
@@ -704,34 +711,75 @@ def _scratch(n: int) -> np.ndarray:
     return buf[:n]
 
 
-def _patches(x: np.ndarray, grid: int, rows: tuple[int, int]) -> np.ndarray:
-    """Grid rows [r0, r1) of ``x`` (C, H, W, B) cut into g x g patches: (r1-r0, g, C, h, w, B)."""
-    c, hh, ww, b = x.shape
-    r0, r1 = rows
-    return x.reshape(c, grid, hh // grid, grid, ww // grid, b).transpose(1, 3, 0, 2, 4, 5)[r0:r1]
+#: Window-matrix values a block of a per-patch convolution builds at most:
+#: 2**18 float64 values, 2 MB, about one core's L2 cache.  A constant, not a
+#: setting (see CHANGES.md for the candidates measured).
+BLOCK_VALUES = 2**18
 
 
-def _windows(
-    x: np.ndarray, grid: int, kh: int, kw: int, ph: int, pw: int, rows: tuple[int, int]
-) -> np.ndarray:
-    """Channel-major im2col of grid rows ``rows`` of a g x g grid of zero-padded patches.
+def _blocks(grid: int, rows: tuple[int, int], per_patch: int) -> list[tuple[slice, slice, slice]]:
+    """The blocks of grid rows [r0, r1), each as (grid rows, grid columns, patch numbers).
 
-    ``x`` is (C, H, W, B), cut row-major into P = g*g patches of h x w =
-    H/g x W/g, each padded by (ph, pw) on its own.  Returns the (P',
-    C*k_h*k_w, oh*ow*B) window matrix of the P' = (r1 - r0)*g patches of
-    grid rows [r0, r1), columns in (oy, ox, b) order, oh = h + 2*ph - k_h + 1
-    and likewise ow: cutting and padding are one copy, and laying the
-    windows out is one more, in which every copied run is ow*B contiguous
-    values.  A matrix that is a view of ``x`` (one patch, a 1x1 kernel, no
-    padding) is not copied; otherwise it is written into the calling
-    thread's :func:`_scratch` buffer.
+    When the windows of one grid row, ``per_patch`` values for each of its
+    ``grid`` patches, fit ``BLOCK_VALUES``, a block is as many whole rows
+    as fit; otherwise it is a run of as many patches of one row as fit, at
+    least one.  Either way the block's patches are consecutive in row-major
+    order, so ``at`` slices them out of every per-patch array.
     """
-    c, hh, ww, b = x.shape
-    h, w = hh // grid, ww // grid
+    r0, r1 = rows
+    fit = max(1, int(min(BLOCK_VALUES / max(per_patch, 1), grid * grid)))  # no frames: 0
+    if fit >= grid:
+        step = fit // grid
+        spans = [(slice(r, min(r + step, r1)), slice(0, grid)) for r in range(r0, r1, step)]
+    else:
+        spans = [(slice(r, r + 1), slice(j, min(j + fit, grid)))
+                 for r in range(r0, r1) for j in range(0, grid, fit)]
+    return [(rs, cs, slice(rs.start * grid + cs.start, (rs.stop - 1) * grid + cs.stop))
+            for rs, cs in spans]
+
+
+def _over_blocks(grid: int, macs: int, per_patch: int, block: Callable) -> None:
+    """Run ``block(rows, cols, at)`` on every block of the rows :func:`_over_rows` hands out."""
+
+    def half(r0, r1):
+        for rs, cs, at in _blocks(grid, (r0, r1), per_patch):
+            block(rs, cs, at)
+
+    _over_rows(grid, macs, half)
+
+
+def _grid_view(a: np.ndarray, grid: int) -> np.ndarray:
+    """A (C, H, W, B) map as its g x g grid of patches, (g, g, C, H/g, W/g, B): a view."""
+    c, hh, ww, b = a.shape
+    return a.reshape(c, grid, hh // grid, grid, ww // grid, b).transpose(1, 3, 0, 2, 4, 5)
+
+
+def _cut(patches: np.ndarray) -> np.ndarray:
+    """(R, J, C, h, w, B) patches as a contiguous (R*J, C, h*w*B), a view if they are contiguous."""
+    r, j, c = patches.shape[:3]
+    return np.ascontiguousarray(patches).reshape(r * j, c, -1)
+
+
+def _paste(grid_view: np.ndarray, rs: slice, cs: slice, block: np.ndarray) -> None:
+    """Write a block's (P', C, h*w*B) patch outputs into their place in ``grid_view``."""
+    dst = grid_view[rs, cs]
+    dst[...] = block.reshape(dst.shape)
+
+
+def _windows(patches: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
+    """Channel-major im2col of (R, J, C, h, w, B) patches, each zero-padded on its own.
+
+    Returns the (R*J, C*k_h*k_w, oh*ow*B) window matrix, columns in (oy,
+    ox, b) order, oh = h + 2*ph - k_h + 1 and likewise ow: padding is one
+    copy, and laying the windows out is one more, in which every copied run
+    is ow*B contiguous values.  A matrix that is a view of ``patches`` (one
+    patch, a 1x1 kernel, no padding) is not copied; otherwise it is written
+    into the calling thread's :func:`_scratch` buffer.
+    """
+    r, j, c, h, w, b = patches.shape
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    patches = _patches(x, grid, rows)
     if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros(patches.shape[:3] + (h + 2 * ph, w + 2 * pw, b))
+        xp = np.zeros((r, j, c, h + 2 * ph, w + 2 * pw, b))
         xp[:, :, :, ph : ph + h, pw : pw + w] = patches
     else:
         xp = patches
@@ -741,66 +789,48 @@ def _windows(
         win2 = _scratch(win.size).reshape(win.shape)
         np.copyto(win2, win)
         win = win2
-    return win.reshape(patches.shape[0] * grid, c * kh * kw, oh * ow * b)
-
-
-def _cuts(x: np.ndarray, grid: int) -> Callable[[int, int], np.ndarray]:
-    """``cut(r0, r1)``: the patches of grid rows [r0, r1) of ``x``, as (P', C, h*w*B).
-
-    The 1x1 windows of ``x``, kept beside the scratch buffer's: for one
-    patch a view of ``x``, otherwise copied into rows of one (P, C, h*w*B)
-    array that is allocated here, by the thread that splits the work, so
-    that a half run on the worker allocates no large array of its own.
-    """
-    c, hh, ww, b = x.shape
-    if grid == 1:
-        return lambda r0, r1: x.reshape(1, c, hh * ww * b)
-    out = np.empty((grid * grid, c, hh * ww * b // (grid * grid)))
-
-    def cut(r0, r1):
-        part = out[r0 * grid:r1 * grid]
-        patches = _patches(x, grid, (r0, r1))
-        np.copyto(part.reshape(patches.shape), patches)
-        return part
-
-    return cut
-
-
-def _paste(y2: np.ndarray, b: int, grid: int, oh: int, ow: int) -> np.ndarray:
-    """(P, C, oh*ow*B) patch outputs pasted back in place: (C, g*oh, g*ow, B)."""
-    c = y2.shape[1]
-    y = y2.reshape(grid, grid, c, oh, ow, b).transpose(2, 0, 3, 1, 4, 5)
-    return y.reshape(c, grid * oh, grid * ow, b)
+    return win.reshape(r * j, c * kh * kw, oh * ow * b)
 
 
 def _grouped_conv(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: tuple[int, int]
+    x: np.ndarray,
+    kernels: np.ndarray,
+    bias: np.ndarray,
+    padding: tuple[int, int],
+    tanh: bool = False,
 ) -> tuple[np.ndarray, Callable]:
     """Cross-correlation of a g x g grid of patches, each with its own kernel bank.
 
     ``x`` is (C_in, H, W, B), cut row-major into P = g*g patches of H/g x W/g;
     ``kernels`` is (P, C_out, C_in, k_h, k_w) and ``bias`` (P, C_out).  Each
     patch is zero-padded on its own.  Returns the (C_out, g*oh, g*ow, B) map
-    of patch outputs pasted back in place, and ``backward(g, need_dx) ->
-    (dx, dkernels, dbias)``, where ``dx`` is None unless ``need_dx``.
+    of patch outputs pasted back in place, passed through tanh when
+    ``tanh``, and ``backward(g, need_dx) -> (dx, dkernels, dbias)``, where
+    ``dx`` is None unless ``need_dx``.
 
-    The forward keeps no window matrix: ``backward`` closes over ``x`` and
-    the kernels only, which the caller holds anyway.  Large window matrices
-    are built one at a time in the thread's scratch buffer.  ``dx =
-    flipped @ Wg`` correlates ``g`` with the kernels flipped in both spatial
-    axes and C_in, C_out swapped (arXiv 1603.07285), where ``Wg`` are the
-    windows of ``g`` at padding k-1-p, so padding must lie in 0..k-1.  The
-    kernel gradient comes from whichever windows are smaller by channels:
-    ``g2 @ windows(x)ᵀ`` when C_in < C_out (the frame layer, a widening
-    layer), else ``Wg @ x_patchesᵀ`` flipped back, which reuses ``Wg``.
-    The choice follows the shapes, not whether ``dx`` is needed: the two
-    products sum the same terms at other positions of the reduction, and
-    BLAS groups a sum by position, so the kernel gradient would otherwise
-    depend in its last bits on whether the input is tracked.
+    The forward keeps no window matrix: ``backward`` closes over ``x``, the
+    kernels and, for a fused tanh, the output, which the caller holds
+    anyway.  ``dx = flipped @ Wg`` correlates ``g`` with the kernels
+    flipped in both spatial axes and C_in, C_out swapped (arXiv 1603.07285),
+    where ``Wg`` are the windows of ``g`` at padding k-1-p, so padding must
+    lie in 0..k-1.  The kernel gradient comes from whichever windows are
+    smaller by channels: ``g2 @ windows(x)ᵀ`` when C_in < C_out (the frame
+    layer, a widening layer), else ``Wg @ x_patchesᵀ`` flipped back, which
+    reuses ``Wg``.  The choice follows the shapes, not whether ``dx`` is
+    needed: the two products sum the same terms at other positions of the
+    reduction, and BLAS groups a sum by position, so the kernel gradient
+    would otherwise depend in its last bits on whether the input is tracked.
 
     Forward and backward each run over the grid rows through
     :func:`_over_rows`, so a large per-patch convolution runs on two
-    threads; every patch's products are the same calls either way.
+    threads, and each half walks its rows in :func:`_blocks`.  A block
+    cuts and pads only its own patches, builds their windows in the
+    thread's scratch buffer, runs their GEMMs and finishes them where they
+    are: the forward adds the bias, applies tanh and pastes the block into
+    the output map; the backward forms g·(1-y²) for a fused tanh, pastes
+    its ``dx`` and flips its kernels and kernel gradients.  Every patch's
+    products are the same calls whatever the split and the blocks, and the
+    rest is elementwise, so the bytes depend on neither.
     """
     p, co, ci, kh, kw = kernels.shape
     _, hh, ww, b = x.shape
@@ -816,53 +846,63 @@ def _grouped_conv(
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
     macs = p * co * ci * kh * kw * oh * ow * b
     flat = kernels.reshape(p, co, ci * kh * kw)
-    y2 = np.empty((p, co, oh * ow * b))
+    # Every full-size output is allocated here, on the calling thread; a
+    # one-patch map is its own block, which writes it in place.
+    y = np.empty((co, grid * oh, grid * ow, b))
+    x_grid, y_grid = _grid_view(x, grid), _grid_view(y, grid)
 
-    def forward(r0, r1):
-        at = slice(r0 * grid, r1 * grid)
-        np.matmul(flat[at], _windows(x, grid, kh, kw, ph, pw, (r0, r1)), out=y2[at])
-        y2[at] += bias[at, :, None]
+    def forward(rs, cs, at):
+        yb = y.reshape(1, co, -1) if p == 1 else np.empty((at.stop - at.start, co, oh * ow * b))
+        np.matmul(flat[at], _windows(x_grid[rs, cs], kh, kw, ph, pw), out=yb)
+        yb += bias[at, :, None]
+        if tanh:
+            np.tanh(yb, out=yb)
+        if p > 1:
+            _paste(y_grid, rs, cs, yb)
 
-    _over_rows(grid, macs, forward)
+    _over_blocks(grid, macs, ci * kh * kw * oh * ow * b, forward)
+    y_kept = y_grid if tanh else None  # only a fused tanh's backward reads the output
 
     def backward(g, need_dx):
-        g_cut = _cuts(g, grid)  # (P', C_out, oh*ow*B): the 1x1 windows of g
-        x_cut = None if ci < co else _cuts(x, grid)
-        if need_dx:
-            flipped = kernels[..., ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(p, ci, -1)
-            dx2 = np.empty((p, ci, h * w * b))
-        dk2 = np.empty((p, co, ci * kh * kw) if ci < co else (p, co * kh * kw, ci))
+        g_grid = _grid_view(g, grid)
+        dx = np.empty(x.shape) if need_dx else None
+        dx_grid = _grid_view(dx, grid) if need_dx else None
+        dk = np.empty(kernels.shape)
         db = np.empty((p, co))
+        g_windows = need_dx or ci >= co
+        per_patch = max(co * kh * kw * h * w * b if g_windows else 0,
+                        ci * kh * kw * oh * ow * b if ci < co else 0)
 
-        def half(r0, r1):
-            at, rows = slice(r0 * grid, r1 * grid), (r0, r1)
-            g2 = g_cut(r0, r1)
-            if need_dx or ci >= co:  # (P', C_out*k_h*k_w, h*w*B)
-                wg = g2 if kh == kw == 1 else _windows(
-                    g, grid, kh, kw, kh - 1 - ph, kw - 1 - pw, rows)
+        def block(rs, cs, at):
+            n = at.stop - at.start
+            g2 = _cut(g_grid[rs, cs])  # (P', C_out, oh*ow*B): the 1x1 windows of g
+            if tanh:
+                yb = _cut(y_kept[rs, cs])
+                g2 = g2 * (1.0 - yb * yb)
+            if g_windows:  # (P', C_out*k_h*k_w, h*w*B)
+                wg = _windows(g2.reshape(rs.stop - rs.start, cs.stop - cs.start, co, oh, ow, b),
+                              kh, kw, kh - 1 - ph, kw - 1 - pw)
             if need_dx:
-                np.matmul(flipped[at], wg, out=dx2[at])
+                flipped = kernels[at, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(n, ci, -1)
+                dxb = dx.reshape(1, ci, -1) if p == 1 else np.empty((n, ci, h * w * b))
+                np.matmul(flipped, wg, out=dxb)
+                if p > 1:
+                    _paste(dx_grid, rs, cs, dxb)
             if ci < co:  # after dx: these windows take over the scratch buffer from Wg
-                x2 = _windows(x, grid, kh, kw, ph, pw, rows)
-                np.matmul(g2, x2.transpose(0, 2, 1), out=dk2[at])
+                x2 = _windows(x_grid[rs, cs], kh, kw, ph, pw)
+                np.matmul(g2, x2.transpose(0, 2, 1), out=dk.reshape(p, co, -1)[at])
             else:
-                np.matmul(wg, x_cut(r0, r1).transpose(0, 2, 1), out=dk2[at])
+                dkb = np.matmul(wg, _cut(x_grid[rs, cs]).transpose(0, 2, 1))
+                dk[at] = dkb.reshape(n, co, kh, kw, ci)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
             db[at] = g2.sum(axis=2)
 
-        _over_rows(grid, macs, half)
-        del g_cut, x_cut  # free both cuts before pasting dx
-        dx = _paste(dx2, b, grid, h, w) if need_dx else None
-        if ci < co:
-            dk = dk2.reshape(kernels.shape)
-        else:
-            dk = np.ascontiguousarray(
-                dk2.reshape(p, co, kh, kw, ci)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3))
+        _over_blocks(grid, macs, per_patch, block)
         return dx, dk, db
 
-    return _paste(y2, b, grid, oh, ow), backward
+    return y, backward
 
 
-def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Tensor:
+def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding, tanh: bool) -> Tensor:
     """Shared node of both convolutions; ``kernels`` may lack the bank axis."""
     if (
         input.data.ndim != 4
@@ -873,7 +913,7 @@ def _conv(op: str, input: Tensor, kernels: Tensor, bias: Tensor, padding) -> Ten
     if bias.shape != kernels.shape[:-3]:
         raise ShapeError(f"{op}: bias shape {bias.shape} != {kernels.shape[:-3]}")
     banks = kernels.data.reshape((-1,) + kernels.shape[-4:])
-    y, grads = _grouped_conv(input.data, banks, bias.data.reshape(banks.shape[:2]), padding)
+    y, grads = _grouped_conv(input.data, banks, bias.data.reshape(banks.shape[:2]), padding, tanh)
     out = Tensor._wrap(y)
     # Frames, or the features of a frozen stage, need no gradient: skip
     # the input-gradient convolution for an input the tape does not track.
@@ -894,14 +934,16 @@ def conv2d(
     kernels: Tensor,
     bias: Tensor,
     padding: tuple[int, int] = (0, 0),
+    tanh: bool = False,
 ) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding, then tanh when ``tanh``.
 
     ``input`` is (C_in, H, W, B); ``kernels`` is (C_out, C_in, k_h, k_w);
     ``bias`` is (C_out,).  Returns (C_out, H', W', B), H' = H + 2*pad - k + 1.
-    This is the one-patch case of :func:`conv2d_per_patch`.
+    This is the one-patch case of :func:`conv2d_per_patch`.  With ``tanh``
+    the op is one node with the bytes of ``tanh(conv2d(...))``.
     """
-    return _conv("conv2d", input, kernels, bias, padding)
+    return _conv("conv2d", input, kernels, bias, padding, tanh)
 
 
 def conv2d_per_patch(
@@ -909,6 +951,7 @@ def conv2d_per_patch(
     kernels: Tensor,
     bias: Tensor,
     padding: tuple[int, int] = (1, 1),
+    tanh: bool = False,
 ) -> Tensor:
     """Stride-1 cross-correlation with an independent kernel bank per patch.
 
@@ -916,9 +959,11 @@ def conv2d_per_patch(
     C_in, k_h, k_w) with P = g*g, and ``bias`` is (P, C_out).  The map is cut
     into a g x g grid of H/g x W/g patches, numbered row-major; each patch is
     zero-padded and convolved on its own with its bank, and the results are
-    pasted back in place: (C_out, H, W, B) at padding (k-1)/2.
+    pasted back in place: (C_out, H, W, B) at padding (k-1)/2.  With
+    ``tanh`` each block of patches is passed through tanh before it is
+    pasted: one node with the bytes of ``tanh(conv2d_per_patch(...))``.
     """
-    return _conv("conv2d_per_patch", input, kernels, bias, padding)
+    return _conv("conv2d_per_patch", input, kernels, bias, padding, tanh)
 
 
 def maxpool2d(input: Tensor) -> Tensor:
@@ -936,6 +981,8 @@ def maxpool2d(input: Tensor) -> Tensor:
     cells = input.data.reshape(c, h // 2, 2, w // 2, 2, b).transpose(2, 4, 0, 1, 3, 5)
     cells = cells.reshape(4, c, h // 2, w // 2, b)
     out = Tensor._wrap(cells.max(axis=0))
+    if not _tracked(_active_tape(), input):
+        return out  # nothing records the node, so the tie mask is not needed
     first = cells == out.data  # then keep only the first cell holding the max
     first[1] &= ~first[0]
     first[2] &= ~(first[0] | first[1])

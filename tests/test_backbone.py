@@ -139,8 +139,9 @@ class TestRegionLayer:
         layer = fresh_region_layer(8)
         with T.Tape() as tape:
             B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
-        # input conv + tanh, three (per-patch conv + tanh), concat, fusion conv + tanh
-        assert len(tape._nodes) == 2 + 3 * 2 + 1 + 2
+        # input conv, three per-patch convs, concat, fusion conv: each conv
+        # applies its tanh itself
+        assert len(tape._nodes) == 1 + 3 + 1 + 1
 
 
 class TestBackbone:
@@ -339,17 +340,18 @@ class TestFusedBranches:
             assert fused_grads[name].shape == expected.shape, name
             assert np.abs(fused_grads[name] - expected).max() < 1e-12, name
 
-    # 12 nodes per region layer and its pool, 9 for the branches (2 concat,
-    # conv2d, sigmoid, attention_pool, 2 transposes, per_node_head, sigmoid)
-    # and 10 for the loss (7 for detection, 3 for the attention term): 43 at
-    # any c and m.  The frames' transpose to batch-last records no node.
+    # 7 nodes per region layer and its pool (the convolutions apply their
+    # tanh), 9 for the branches (2 concat, conv2d, sigmoid, attention_pool, 2
+    # transposes, per_node_head, sigmoid) and 10 for the loss (7 for
+    # detection, 3 for the attention term): 33 at any c and m.  The frames'
+    # transpose to batch-last records no node.
     def test_paper_size_step_node_count(self):
         # Node counts do not depend on the frame size: 32 px keeps this cheap.
-        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 43
+        assert attention_step_nodes(8, 12, rand((1, 3, 32, 32))) == 33
 
     def test_toy_step_node_count(self):
         hp = resolve("toy")
-        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 43
+        assert attention_step_nodes(hp.c, hp.m, rand((hp.t, 3, hp.l, hp.l))) == 33
 
 
 class TestAttentionStage:

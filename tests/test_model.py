@@ -171,6 +171,10 @@ def test_stage1_bytes_are_pinned():
     # 2 frames of 64 px at c=8, m=12: every per-patch convolution splits, and
     # its GEMMs are below the size at which BLAS threads change the bytes.
     assert T.SPLIT_MACS <= 32 * 32 * 9 * 64 * 64 * 2  # a layer-1 per-patch convolution
+    # Both kinds of block run: a grid-8 row of layer 2's windows (8 patches
+    # x 64*9 x 4*4*2) fits a block, so its blocks are whole rows, and one of
+    # layer 1's (8 x 32*9 x 8*8*2) does not, so its blocks are runs of patches.
+    assert 8 * 64 * 9 * 4 * 4 * 2 <= T.BLOCK_VALUES < 8 * 32 * 9 * 8 * 8 * 2
     assert stage1_digest(2, 64, c=8, m=12, seed=5) == (
         "9c8d4558ff35bdc54bf07203650f63ac51a436ecfcdf995ea625a71797fc002c")
 

@@ -432,21 +432,32 @@ class TestConvBackward:
 
 class TestSplitConvolution:
     """A large per-patch convolution runs grid rows [0, g//2) on the caller
-    and [g//2, g) on the worker: every output and gradient byte must be the
-    one the whole-grid call gives."""
+    and [g//2, g) on the worker, each half in blocks of patches: every output
+    and gradient byte must be the one the whole-grid call gives."""
 
-    def run(self, monkeypatch, split, grid, ci, co, kernel, padding, track):
-        """Output and gradient bytes, and the rows each handed to the worker."""
+    def run(self, monkeypatch, split, block, grid, ci, co, kernel, padding, track, fused):
+        """Output and gradient bytes, and the rows each handed to the worker.
+
+        ``block`` is ``BLOCK_VALUES``; ``fused`` runs the op with its own tanh,
+        ``fused=None`` as ``tanh(op(...))``, two nodes, and False without tanh.
+        Grid 1 is a whole-map ``conv2d``.
+        """
         monkeypatch.setattr(T, "SPLIT_MACS", 0 if split else math.inf)
+        monkeypatch.setattr(T, "BLOCK_VALUES", block)
         halves, submit = [], T.submit
         monkeypatch.setattr(T, "submit", lambda fn, *rows: halves.append(rows) or submit(fn, *rows))
         h = 4 * grid
+        banks = () if grid == 1 else (grid * grid,)
+        op = T.conv2d if grid == 1 else T.conv2d_per_patch
         x = T.Tensor(rand((ci, h, h, 2)), requires_grad=track)
-        k = T.Tensor(rand((grid * grid, co, ci) + kernel, 1), requires_grad=True)
-        b = T.Tensor(rand((grid * grid, co), 2), requires_grad=True)
+        k = T.Tensor(rand(banks + (co, ci) + kernel, 1), requires_grad=True)
+        b = T.Tensor(rand(banks + (co,), 2), requires_grad=True)
         oh = h + grid * (2 * padding[0] - kernel[0] + 1)
         with T.Tape() as tape:
-            out = T.conv2d_per_patch(x, k, b, padding=padding)
+            if fused is None:
+                out = T.tanh(op(x, k, b, padding=padding))
+            else:
+                out = op(x, k, b, padding=padding, tanh=fused)
             tape.backward(T.sum_all(T.mul(out, T.Tensor(rand((co, oh, oh, 2), 3)))))
         assert (tape.grad(x) is not None) == track
         monkeypatch.setattr(T, "submit", submit)
@@ -458,17 +469,61 @@ class TestSplitConvolution:
     @pytest.mark.parametrize("kernel, padding", [((3, 3), (1, 1)), ((3, 3), (0, 0)),
                                                  ((1, 1), (0, 0))])
     @pytest.mark.parametrize("ci, co", [(2, 3), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("grid", [2, 4, 8])
+    @pytest.mark.parametrize("grid", [1, 2, 4, 8])
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("block", [1, math.inf])  # one patch per block, each half one block
     def test_halves_give_the_bytes_of_the_whole_grid(
-        self, monkeypatch, grid, ci, co, kernel, padding, track, worker
+        self, monkeypatch, block, fused, grid, ci, co, kernel, padding, track, worker
     ):
         # C_in < C_out and C_in >= C_out take the two kernel-gradient branches.
+        # The fused tanh is checked against the unfused op followed by T.tanh.
         if worker == "inline":
             monkeypatch.setattr(T, "_POOL", InlineExecutor())
-        whole, none = self.run(monkeypatch, False, grid, ci, co, kernel, padding, track)
-        halves, split = self.run(monkeypatch, True, grid, ci, co, kernel, padding, track)
-        assert none == [] and split == [(grid // 2, grid)] * 2  # the forward's, the backward's
+        whole, none = self.run(monkeypatch, False, math.inf, grid, ci, co, kernel, padding, track,
+                               None if fused else False)
+        halves, split = self.run(monkeypatch, True, block, grid, ci, co, kernel, padding, track,
+                                 fused)
+        assert none == [] and split == ([(grid // 2, grid)] * 2 if grid > 1 else [])
         assert halves == whole
+
+    @pytest.mark.parametrize("grid", [1, 2, 4, 8])
+    @pytest.mark.parametrize("per_patch", [1, 700, 30_000, 70_000, 300_000])
+    @pytest.mark.parametrize("rows", [(0, None), (0, "half"), ("half", None)])
+    def test_blocks_tile_the_rows_in_order(self, grid, per_patch, rows):
+        r0, r1 = (grid // 2 if r == "half" else r for r in rows)
+        r1 = grid if r1 is None else r1
+        blocks = T._blocks(grid, (r0, r1), per_patch)
+        assert [p for _, _, at in blocks for p in range(at.start, at.stop)] == list(
+            range(r0 * grid, r1 * grid))
+        for rs, cs, at in blocks:
+            whole_rows = cs == slice(0, grid)
+            assert whole_rows or rs.stop - rs.start == 1  # whole rows, or a run within one
+            assert at == slice(rs.start * grid + cs.start, (rs.stop - 1) * grid + cs.stop)
+            n = at.stop - at.start
+            assert n == 1 or n * per_patch <= T.BLOCK_VALUES
+            assert whole_rows == (grid * per_patch <= T.BLOCK_VALUES or grid == 1)
+
+    def test_blocks_keep_the_peak_below_the_whole_grid_window_matrix(self, monkeypatch):
+        # Forward and backward of a grid-8 per-patch convolution, 8 channels,
+        # 64 px, 2 frames: its whole-grid 3x3 window matrix would be 64
+        # patches x 72 x (8*8*2) = 589,824 values.  The thread's window buffer
+        # starts empty, so its growth is traced too.
+        monkeypatch.setattr(T, "SPLIT_MACS", math.inf)
+        monkeypatch.setattr(T._SCRATCH, "buf", None, raising=False)
+        x = T.Tensor(rand((8, 64, 64, 2)), requires_grad=True)
+        k = T.Tensor(rand((64, 8, 8, 3, 3), 1), requires_grad=True)
+        b = T.Tensor(rand((64, 8), 2), requires_grad=True)
+        up = T.Tensor(rand((8, 64, 64, 2), 3))
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                loss = T.sum_all(T.mul(T.conv2d_per_patch(x, k, b, padding=(1, 1)), up))
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape.grad(x).shape == x.shape
+        assert peak < 64 * 72 * 128 * 8
 
     def test_whole_map_convolution_never_splits(self, monkeypatch):
         monkeypatch.setattr(T, "SPLIT_MACS", 0)
