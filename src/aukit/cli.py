@@ -49,7 +49,7 @@ from .model import (
     relation_predict,
     save_model,
 )
-from .serialize import atomic_write, load_tensor, save_pgm
+from .serialize import au_columns, load_tensor, save_pgm, write_csv
 from .training import (
     save_training_log,
     train_attention_stage,
@@ -227,14 +227,9 @@ def _cmd_infer(args, log: _Logger) -> int:
     entries, dims, graph = _load_model_and_graph(args.ckpt)
     frames = _load_frames(args.frames)
     probs = _predict_sequence(entries, dims, graph, frames)
-    try:
-        with atomic_write(args.out, "w", encoding="utf-8", newline="") as fp:
-            fp.write("frame_idx," + ",".join(
-                f"au_{j}" for j in range(1, dims.m + 1)) + "\n")
-            for i, row in enumerate(probs):
-                fp.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write probabilities to {args.out}: {exc}") from exc
+    write_csv(args.out, ["frame_idx", *au_columns(dims.m)],
+              ([i, *(repr(float(v)) for v in row)] for i, row in enumerate(probs)),
+              "probabilities file", lineterminator="\n")
     log.info(f"wrote {len(probs)} rows to {args.out}",
              frames=len(probs), out=args.out)
     return 0

@@ -9,7 +9,8 @@ own fixed center, giving attention maps a spatial target to find.
 
 Directory layout: ``labels.csv`` (header ``video_id,frame_idx,au_1..au_m``),
 ``frames/<video_id>.stnt`` with shape (frames, 3, size, size), and
-``spec.json`` recording the generator inputs.
+``spec.json`` recording the generator inputs, one key per ``SyntheticSpec``
+field in field order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
@@ -30,6 +31,9 @@ from .rng import Xoshiro256pp, derive_seed
 #: fully persistent chain stays exactly constant.
 COUPLING_GAIN = 1.1
 
+#: The annotation of a whole-number array field; ``np.ndarray`` fields hold floats.
+IntArray = np.ndarray
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -39,7 +43,7 @@ class SyntheticSpec:
     image_size: int
     cooccurrence: np.ndarray  # (m, m) targets in [-1, 1]
     persistence: np.ndarray   # (m,) in [0, 1]
-    centers: np.ndarray       # (m, 2) pixel coordinates (y, x)
+    centers: IntArray         # (m, 2) pixel coordinates (y, x)
     radius: np.ndarray        # (m,) blob radius in pixels
     noise: float
     seed: int
@@ -106,27 +110,41 @@ def default_spec(
 
 
 def save_spec(path, spec: SyntheticSpec) -> None:
-    payload = {
-        "m": spec.m,
-        "videos": spec.videos,
-        "frames_per_video": spec.frames_per_video,
-        "image_size": spec.image_size,
-        "cooccurrence": spec.cooccurrence.tolist(),
-        "persistence": spec.persistence.tolist(),
-        "centers": spec.centers.tolist(),
-        "radius": spec.radius.tolist(),
-        "noise": spec.noise,
-        "seed": spec.seed,
-    }
+    """Write every field of ``spec``, in field order, as one JSON object."""
+    payload = {field.name: getattr(spec, field.name) for field in fields(SyntheticSpec)}
     try:
         with serialize.atomic_write(path, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=1)
+            json.dump(payload, fp, indent=1, default=np.ndarray.tolist)
             fp.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write spec file {path}: {exc}") from exc
 
 
+def _whole(value) -> int:
+    """A JSON number with a whole value (3 or 3.0) as an int; no bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"must hold whole numbers, got {value!r}")
+
+
+def _whole_array(value) -> np.ndarray:
+    cells = np.asarray(value, dtype=object)
+    return np.array([_whole(v) for v in cells.flat], dtype=np.int64).reshape(cells.shape)
+
+
+#: How ``load_spec`` reads a field, by the field's annotation.
+_SPEC_READERS = {
+    "int": _whole,
+    "float": float,
+    "np.ndarray": lambda value: np.asarray(value, dtype=np.float64),
+    "IntArray": _whole_array,
+}
+
+
 def load_spec(path) -> SyntheticSpec:
+    """Read a spec file: it must hold every ``SyntheticSpec`` field."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             raw = fp.read()
@@ -138,28 +156,15 @@ def load_spec(path) -> SyntheticSpec:
         raise ConfigError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"spec file {path} must hold a JSON object")
-    required = (
-        "m", "videos", "frames_per_video", "image_size", "cooccurrence",
-        "persistence", "centers", "radius", "noise", "seed",
-    )
-    for field in required:
-        if field not in payload:
-            raise ConfigError(f"spec file {path} is missing key {field!r}")
-    try:
-        spec = SyntheticSpec(
-            m=int(payload["m"]),
-            videos=int(payload["videos"]),
-            frames_per_video=int(payload["frames_per_video"]),
-            image_size=int(payload["image_size"]),
-            cooccurrence=np.asarray(payload["cooccurrence"], dtype=np.float64),
-            persistence=np.asarray(payload["persistence"], dtype=np.float64),
-            centers=np.asarray(payload["centers"], dtype=np.int64),
-            radius=np.asarray(payload["radius"], dtype=np.float64),
-            noise=float(payload["noise"]),
-            seed=int(payload["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"spec file {path} has a malformed field: {exc}") from exc
+    values = {}
+    for field in fields(SyntheticSpec):
+        if field.name not in payload:
+            raise ConfigError(f"spec file {path} is missing key {field.name!r}")
+        try:
+            values[field.name] = _SPEC_READERS[field.type](payload[field.name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"spec file {path}: key {field.name!r}: {exc}") from exc
+    spec = SyntheticSpec(**values)
     spec.validate()
     return spec
 
@@ -237,11 +242,10 @@ def generate(spec: SyntheticSpec, out_dir) -> None:
         labels = generate_video_labels(spec, v)
         frames = render_video(spec, v, labels)
         serialize.save_tensor(os.path.join(frames_dir, f"{video_id(v)}.stnt"), frames)
-        for i in range(spec.frames_per_video):
-            ids.append(video_id(v))
-            rows_index.append(i)
-            all_labels.append(labels[i])
-    save_labels(os.path.join(out_dir, "labels.csv"), ids, rows_index, np.array(all_labels))
+        ids += [video_id(v)] * spec.frames_per_video
+        rows_index += range(spec.frames_per_video)
+        all_labels.append(labels)
+    save_labels(os.path.join(out_dir, "labels.csv"), ids, rows_index, np.concatenate(all_labels))
     save_spec(os.path.join(out_dir, "spec.json"), spec)
 
 
@@ -254,17 +258,9 @@ def save_labels(path, video_ids: Sequence[str], frame_idx: Sequence[int], labels
     n, m = labels.shape
     if len(video_ids) != n or len(frame_idx) != n:
         raise DataError("video_ids, frame_idx and labels must have equal length")
-    header = ["video_id", "frame_idx"] + [f"au_{j + 1}" for j in range(m)]
-    try:
-        with serialize.atomic_write(path, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(header)
-            for i in range(n):
-                writer.writerow(
-                    [video_ids[i], frame_idx[i]] + [int(v) for v in labels[i]]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write labels file {path}: {exc}") from exc
+    rows = ([video_ids[i], frame_idx[i], *(int(v) for v in labels[i])] for i in range(n))
+    serialize.write_csv(path, ["video_id", "frame_idx", *serialize.au_columns(m)], rows,
+                        "labels file")
 
 
 def load_labels(path) -> tuple[List[str], np.ndarray, np.ndarray]:
@@ -285,11 +281,10 @@ def load_labels(path) -> tuple[List[str], np.ndarray, np.ndarray]:
     m = len(header) - 2
     if m < 1:
         raise FormatError(f"labels file {path} has no label columns")
-    for j in range(m):
-        want = f"au_{j + 1}"
-        if header[2 + j] != want:
+    for want, found in zip(serialize.au_columns(m), header[2:]):
+        if found != want:
             raise FormatError(
-                f"labels file {path} is missing column {want!r} (found {header[2 + j]!r})"
+                f"labels file {path} is missing column {want!r} (found {found!r})"
             )
     ids: List[str] = []
     frame_idx = np.empty(len(rows), dtype=np.int64)

@@ -7,13 +7,12 @@ detectors that never fire.  Any 0/0 ratio is defined as 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IoError, ShapeError
-from .serialize import atomic_write
+from .errors import ShapeError
+from .serialize import au_columns, write_csv
 
 #: Decision threshold for turning probabilities into labels; ties count
 #: as positive.
@@ -26,14 +25,6 @@ class MetricsReport:
     recall: np.ndarray     # (m,)
     f1: np.ndarray         # (m,)
     accuracy: np.ndarray   # (m,)
-
-    @property
-    def avg_precision(self) -> float:
-        return float(self.precision.mean())
-
-    @property
-    def avg_recall(self) -> float:
-        return float(self.recall.mean())
 
     @property
     def avg_f1(self) -> float:
@@ -76,29 +67,8 @@ def f1_accuracy(pred: np.ndarray, truth: np.ndarray) -> MetricsReport:
 
 def save_metrics_csv(path, report: MetricsReport) -> None:
     """One row per label (1-based names) plus an unweighted Avg row."""
-    m = report.f1.shape[0]
-    try:
-        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(["au", "precision", "recall", "f1", "accuracy"])
-            for j in range(m):
-                writer.writerow(
-                    [
-                        f"au_{j + 1}",
-                        repr(float(report.precision[j])),
-                        repr(float(report.recall[j])),
-                        repr(float(report.f1[j])),
-                        repr(float(report.accuracy[j])),
-                    ]
-                )
-            writer.writerow(
-                [
-                    "Avg",
-                    repr(report.avg_precision),
-                    repr(report.avg_recall),
-                    repr(report.avg_f1),
-                    repr(report.avg_accuracy),
-                ]
-            )
-    except OSError as exc:
-        raise IoError(f"cannot write metrics file {path}: {exc}") from exc
+    columns = (report.precision, report.recall, report.f1, report.accuracy)
+    rows = [[name, *(repr(float(col[j])) for col in columns)]
+            for j, name in enumerate(au_columns(report.f1.shape[0]))]
+    rows.append(["Avg", *(repr(float(col.mean())) for col in columns)])
+    write_csv(path, ["au", "precision", "recall", "f1", "accuracy"], rows, "metrics file")

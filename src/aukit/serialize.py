@@ -1,4 +1,4 @@
-"""Binary file formats: tensor containers, checkpoints, PGM heatmaps.
+"""File formats: tensor containers, checkpoints, PGM heatmaps, CSV tables.
 
 Tensor container layout (little-endian throughout):
 
@@ -20,17 +20,19 @@ Malformed input raises ``FormatError`` carrying the byte offset where
 parsing failed.  Writers iterate checkpoint entries in insertion order,
 so identical dictionaries serialize to identical bytes.  Every file the
 toolkit writes goes through ``atomic_write``, so a failed or interrupted
-write leaves the previous file, not a partial one.
+write leaves the previous file, not a partial one.  Every CSV table goes
+through ``write_csv``, and ``au_columns`` names its AU columns.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import struct
 import uuid
-from typing import BinaryIO, Dict, Iterator, IO
+from typing import BinaryIO, Dict, Iterable, Iterator, IO, List, Sequence
 
 import numpy as np
 
@@ -98,6 +100,28 @@ def atomic_write(path, mode: str = "wb", **kwargs) -> Iterator[IO]:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def au_columns(m: int) -> List[str]:
+    """The names of ``m`` AU columns, 1-based: ``au_1`` .. ``au_m``."""
+    return [f"au_{j}" for j in range(1, m + 1)]
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence], what: str,
+              lineterminator: str = "\r\n") -> None:
+    """Write ``header`` and then ``rows`` as a CSV file, through ``atomic_write``.
+
+    An ``OSError`` becomes an ``IoError`` naming ``what`` and ``path``.
+    ``rows`` is drawn while the file is open, so an error it raises leaves
+    the old file.
+    """
+    try:
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
+            writer = csv.writer(fp, lineterminator=lineterminator)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _check_u32(value: int, what: str) -> int:

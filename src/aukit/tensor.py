@@ -75,18 +75,6 @@ class Tensor:
         out.id = next(_ids)
         return out
 
-    @classmethod
-    def zeros(cls, shape: tuple[int, ...]) -> "Tensor":
-        return cls._wrap(np.zeros(shape))
-
-    @classmethod
-    def ones(cls, shape: tuple[int, ...]) -> "Tensor":
-        return cls._wrap(np.ones(shape))
-
-    @classmethod
-    def full(cls, shape: tuple[int, ...], value: float) -> "Tensor":
-        return cls._wrap(np.full(shape, float(value)))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape

@@ -17,7 +17,6 @@ flips, in window order, before any part runs).
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .config import HyperParams
 from .dataset import VideoSequence, iter_windows
-from .errors import ConfigError, DataError, IoError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .graph import RelationGraph
 from .losses import attention_stage_loss, au_detection_loss, class_weights
 from .model import (
@@ -44,7 +43,7 @@ from .model import (
     stage2_forward,
 )
 from .rng import Xoshiro256pp, derive_seed
-from .serialize import atomic_write
+from .serialize import write_csv
 
 # Stream tags, one per consumer of the training seed.
 _ATTENTION_EPOCH_STREAM = 21
@@ -240,6 +239,14 @@ def _dataset_weights(sequences: Sequence[VideoSequence], m: int) -> np.ndarray:
     return class_weights(labels.mean(axis=0))
 
 
+def _check_sizes(what: str, hp: HyperParams, **sizes: int) -> None:
+    """Raise ``ConfigError`` unless ``hp`` has each of ``sizes`` (e.g. ``c=dims.c``)."""
+    want = {name: getattr(hp, name) for name in sizes}
+    if sizes != want:
+        got_text, want_text = (", ".join(f"{k}={v}" for k, v in d.items()) for d in (sizes, want))
+        raise ConfigError(f"{what} sizes ({got_text}) do not match config ({want_text})")
+
+
 def _crop_bounds(frames: np.ndarray, l: int, stage: str) -> Tuple[int, int]:
     height, width = frames.shape[-2], frames.shape[-1]
     if height < l or width < l:
@@ -269,14 +276,8 @@ def _center_window(frames: np.ndarray, l: int, stage: str) -> np.ndarray:
 
 
 def save_training_log(path, rows: Sequence[LogRow]) -> None:
-    try:
-        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp)
-            writer.writerow(LOG_HEADER)
-            for stage, epoch, step, lr, loss in rows:
-                writer.writerow([stage, epoch, step, repr(lr), repr(loss)])
-    except OSError as exc:
-        raise IoError(f"cannot write training log {path}: {exc}") from exc
+    write_csv(path, LOG_HEADER, ([stage, epoch, step, repr(lr), repr(loss)]
+                                 for stage, epoch, step, lr, loss in rows), "training log")
 
 
 @dataclass
@@ -353,11 +354,7 @@ def train_attention_stage(
     else:  # a relation model's graph stack was fit to stage-1 features this changes
         entries = stage1_entries(init_entries)
     dims = model_dims(entries)
-    if dims.c != hp.c or dims.m != hp.m:
-        raise ConfigError(
-            f"checkpoint sizes (c={dims.c}, m={dims.m}) do not match "
-            f"config (c={hp.c}, m={hp.m})"
-        )
+    _check_sizes("checkpoint", hp, c=dims.c, m=dims.m)
     trainable = list(entries)
 
     def batch_losses(entries, batch, rng):
@@ -397,30 +394,26 @@ def train_relation_stage(
     """Fit the sequence-level model on top of a trained frame-level stage.
 
     ``hp.freeze_backbone`` (the default) trains only ``gst.*`` and ``head.*``.
-    A resume checkpoint (``init_entries``) that embeds a graph must embed
-    ``graph``: its edge weights were fit to that graph.
+    ``stage1`` and a resume checkpoint (``init_entries``) must have the
+    config's (c, m), and the resume its (depth, t_k).  A resume checkpoint
+    that embeds a graph must embed ``graph``: its edge weights were fit to
+    that graph.
     """
     hp.validate()
     dims = model_dims(stage1)
-    if graph.m != dims.m:
-        raise ConfigError(
-            f"graph has {graph.m} nodes but checkpoint has {dims.m} branches"
-        )
+    _check_sizes("stage-1 checkpoint", hp, c=dims.c, m=dims.m)
+    if graph.m != hp.m:
+        raise ConfigError(f"graph has {graph.m} nodes but config has m={hp.m}")
     windows = _training_windows(sequences, hp.t, "relation stage")
-    weights = _dataset_weights(sequences, dims.m)
+    weights = _dataset_weights(sequences, hp.m)
 
     if init_entries is not None:
         entries = dict(init_entries)
         resumed = model_dims(entries)
         if resumed.depth == 0:
             raise ConfigError("resume checkpoint holds no graph-stack entries")
-        if (resumed.c, resumed.m) != (dims.c, dims.m):
-            raise ConfigError("resume checkpoint does not match stage-1 sizes")
-        if (resumed.depth, resumed.t_k) != (hp.depth, hp.t_k):
-            raise ConfigError(
-                f"resume checkpoint sizes (depth={resumed.depth}, t_k={resumed.t_k}) "
-                f"do not match config (depth={hp.depth}, t_k={hp.t_k})"
-            )
+        _check_sizes("resume checkpoint", hp, c=resumed.c, m=resumed.m)
+        _check_sizes("resume checkpoint", hp, depth=resumed.depth, t_k=resumed.t_k)
         embedded = extract_graph(init_entries)
         if embedded is not None and (embedded.tau != graph.tau
                                      or embedded.pcc.tobytes() != graph.pcc.tobytes()):
@@ -448,7 +441,7 @@ def train_relation_stage(
                 _center_window(seq.frames[start:start + hp.t], hp.l, "relation stage")
                 for seq, start in batch])
             _, flat, _ = stage1_forward(entries, T.Tensor(clips))
-            per_seq = T.reshape(flat, (len(batch), hp.t, dims.m, flat.shape[-1]))
+            per_seq = T.reshape(flat, (len(batch), hp.t, hp.m, flat.shape[-1]))
             f0 = T.transpose(per_seq, (0, 3, 1, 2))  # (s, 8c, t, m)
         targets = np.stack([seq.labels[start:start + hp.t] for seq, start in batch])
         return au_detection_loss(stage2_forward(entries, graph, f0), targets, weights)

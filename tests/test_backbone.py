@@ -35,7 +35,7 @@ def identity_bank(patches, channels, scales=None):
     """1x1 per-patch kernels that copy every channel, patch p scaled by scales[p]."""
     scales = np.ones(patches) if scales is None else np.asarray(scales, dtype=float)
     k = scales[:, None, None] * np.eye(channels)[None]
-    return T.Tensor(k[..., None, None]), T.Tensor.zeros((patches, channels))
+    return T.Tensor(k[..., None, None]), T.Tensor(np.zeros((patches, channels)))
 
 
 class TestPatchSplitting:
@@ -94,7 +94,7 @@ class TestRegionLayerStage:
         poked = base.copy()
         poked[1, 5, 6, 0] += 1.0  # inside patch cell (1, 1)
         bank = B.ConvParams(T.Tensor(rand((grid * grid, 3, 2, 3, 3), seed=5)),
-                            T.Tensor.zeros((grid * grid, 3)))
+                            T.Tensor(np.zeros((grid * grid, 3))))
 
         def stage(x):
             return T.conv2d_per_patch(T.Tensor(x), bank.kernels, bank.bias).data[..., 0]
@@ -116,8 +116,8 @@ class TestRegionLayer:
     def test_zero_fusion_gives_zero_output(self):
         layer = fresh_region_layer(7)
         layer.fusion_conv = B.ConvParams(
-            T.Tensor.zeros(layer.fusion_conv.kernels.shape),
-            T.Tensor.zeros(layer.fusion_conv.bias.shape),
+            T.Tensor(np.zeros(layer.fusion_conv.kernels.shape)),
+            T.Tensor(np.zeros(layer.fusion_conv.bias.shape)),
         )
         out = B.region_layer_forward(T.Tensor(rand((3, 16, 16, 1))), layer)
         assert not out.data.any()
@@ -207,8 +207,8 @@ class TestAttentionBranch:
         branches = self.make_branches(21)
         for branch in branches:
             branch.att_conv = B.ConvParams(
-                T.Tensor.zeros(branch.att_conv.kernels.shape),
-                T.Tensor.zeros(branch.att_conv.bias.shape),
+                T.Tensor(np.zeros(branch.att_conv.kernels.shape)),
+                T.Tensor(np.zeros(branch.att_conv.bias.shape)),
             )
         m, _, _ = B.attention_branch_forward(self.make_feat(), branches)
         assert np.array_equal(m.data, np.full((1, 3, 8, 8), 0.5))
@@ -217,7 +217,7 @@ class TestAttentionBranch:
         branches = self.make_branches(22)
         for j, branch in enumerate(branches):
             branch.feat_conv.bias = T.Tensor(rand((16,), seed=j))
-        feat = T.Tensor.zeros((16, 8, 8, 1))
+        feat = T.Tensor(np.zeros((16, 8, 8, 1)))
         m, f0, _ = B.attention_branch_forward(feat, branches)
         # att bias is zero -> M is exactly 0.5; weighted input is zero, so
         # each f0 row collapses to its own branch's feat_conv bias.

@@ -3,6 +3,7 @@ against a tiny generated dataset, and each documented exit code has a test.
 """
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -22,7 +23,8 @@ from aukit import tensor as T
 from aukit import training
 from aukit.config import load_config
 from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
-from aukit.model import attention_predict, extract_graph, load_model, model_dims
+from aukit.model import (attention_predict, extract_graph, init_attention_entries, load_model,
+                         model_dims, save_model)
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -171,6 +173,49 @@ def test_gen_data_missing_spec(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+def test_gen_data_rejects_a_spec_with_a_fractional_center(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    D.save_spec(spec, D.default_spec(m=2))
+    payload = json.loads(spec.read_text())
+    payload["centers"] = [[4.5, 4.5], [8, 24]]
+    spec.write_text(json.dumps(payload))
+    assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")) == 2
+    assert "key 'centers': must hold whole numbers" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+#: SHA-256 of each text file that test_text_outputs_are_pinned writes.
+TEXT_DIGESTS = {
+    "spec.json": "1de8c3e609103e55bb9ea74a9929811d37a895a2eec0d09535fea781d96a3ded",
+    "labels.csv": "a91b3ca7b044f303d929c3af29cbd884a869816b5de30abb3f686e0766e87592",
+    "metrics.csv": "4f3ccb682e4a6be19c9d00ad162b0e282a306bbf7ec61e04769e7f26fdcf2c5a",
+    "train.log.csv": "9726eadff1d5c004022f3d92f46a4b198333cf48ee65b890bc0ddd913beb11a5",
+    "probs.csv": "01e938faab7382cf0298a1dedfbebe600fe6eaf9e02c0ed18b31110c27ab3748",
+}
+
+
+def test_text_outputs_are_pinned(tmp_path):
+    # spec.json, labels.csv, metrics.csv, a training log and an infer CSV of
+    # one fixed small input, each written by its own command or function.
+    spec = tmp_path / "spec.json"
+    D.save_spec(spec, D.default_spec(m=2, videos=2, frames_per_video=4, seed=0))
+    data = tmp_path / "data"
+    assert run("gen-data", "--spec", str(spec), "--out", str(data)) == 0
+    ckpt = str(tmp_path / "model.stck")
+    save_model(ckpt, init_attention_entries(1, 2, seed=4))
+    assert run("eval", "--ckpt", ckpt, "--data", str(data),
+               "--out", str(tmp_path / "metrics.csv")) == 0
+    assert run("infer", "--ckpt", ckpt, "--frames", str(data / "frames" / "v0000.stnt"),
+               "--out", str(tmp_path / "probs.csv")) == 0
+    training.save_training_log(tmp_path / "train.log.csv", [
+        ("attention", 0, 0, 0.01, 2.0 / 3.0), ("relation", 1, 12, 1e-05, 0.1)])
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (spec, data / "labels.csv", tmp_path / "metrics.csv",
+                            tmp_path / "train.log.csv", tmp_path / "probs.csv")}
+    assert (data / "spec.json").read_bytes() == spec.read_bytes()
+    assert digests == TEXT_DIGESTS
+
+
 def test_relation_checkpoint_embeds_the_training_labels_graph(ws):
     entries = load_model(ws.rel)
     assert [n for n in entries if n.startswith("graph.")] == ["graph.tau", "graph.pcc"]
@@ -249,6 +294,15 @@ def test_train_relation_requires_stage1(ws, tmp_path, capsys):
     assert run("train", "--stage", "relation", "--data", ws.data,
                "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS) == 2
     assert "--stage1" in capsys.readouterr().err
+
+
+def test_train_relation_rejects_a_stage1_of_other_sizes(ws, tmp_path, capsys):
+    # The workspace stage 1 has c=1.
+    out = tmp_path / "x.stck"
+    assert run("train", "--stage", "relation", "--data", ws.data, "--stage1", ws.att,
+               "--out", str(out), *RELATION_FLAGS, "--c", "2") == 2
+    assert "sizes (c=1, m=2) do not match config (c=2, m=2)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_attention_rejects_stage1(ws, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -109,20 +111,50 @@ class TestRendering:
         assert np.isfinite(frames).all()
 
 
+def spec_file_with(path, **changes):
+    """A default m=2 spec file with ``changes`` written over its keys."""
+    D.save_spec(path, D.default_spec(m=2))
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestSpecFile:
     def test_round_trip(self, tmp_path):
-        spec = D.default_spec(m=3, seed=11)
+        spec = D.default_spec(m=3, videos=5, frames_per_video=7, image_size=48,
+                              cooccurrence=-0.3, persistence=0.8, noise=0.25, seed=11)
         path = tmp_path / "spec.json"
         D.save_spec(path, spec)
         loaded = D.load_spec(path)
-        assert (loaded.m, loaded.videos, loaded.frames_per_video) == (
-            spec.m, spec.videos, spec.frames_per_video,
-        )
-        assert (loaded.image_size, loaded.noise, loaded.seed) == (
-            spec.image_size, spec.noise, spec.seed,
-        )
-        for field in ("cooccurrence", "persistence", "centers", "radius"):
-            assert np.array_equal(getattr(loaded, field), getattr(spec, field))
+        fields = [f.name for f in dataclasses.fields(D.SyntheticSpec)]
+        assert list(json.loads(path.read_text())) == fields
+        for name in fields:
+            want, got = getattr(spec, name), getattr(loaded, name)
+            assert type(got) is type(want), name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 2.7), ("m", True), ("videos", 1.5), ("frames_per_video", False),
+        ("image_size", 32.5), ("seed", 0.5), ("seed", "3"),
+        ("centers", [[4.5, 4.5], [8, 24]]), ("centers", [[8, True], [8, 24]]),
+    ])
+    def test_non_whole_number_is_rejected_naming_its_key(self, tmp_path, key, value):
+        path = spec_file_with(tmp_path / "spec.json", **{key: value})
+        with pytest.raises(ConfigError, match=f"key '{key}': must hold whole numbers"):
+            D.load_spec(path)
+
+    def test_whole_valued_floats_load_as_integers(self, tmp_path):
+        path = spec_file_with(tmp_path / "spec.json", m=2.0,
+                              centers=[[8.0, 8.0], [8.0, 24.0]])
+        loaded = D.load_spec(path)
+        assert type(loaded.m) is int and loaded.m == 2
+        assert loaded.centers.dtype == np.int64
+        assert loaded.centers.tolist() == [[8, 8], [8, 24]]
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "spec.json"

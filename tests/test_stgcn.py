@@ -59,8 +59,8 @@ def mixed_edges(part, w):
     """
     n = part.shape[0]
     one_hot = T.Tensor(np.eye(n)[None, :, None])  # (C, T, B, N) = (1, n, 1, n)
-    out = T.partition_mix(one_hot, [part], [w], [T.Tensor.ones((1, 1, 1, 1))],
-                          [T.Tensor.zeros((1,))])
+    out = T.partition_mix(one_hot, [part], [w], [T.Tensor(np.ones((1, 1, 1, 1)))],
+                          [T.Tensor(np.zeros((1,)))])
     return out.data[0, :, 0].T
 
 
@@ -69,24 +69,24 @@ class TestAdaptiveEdges:
 
     def test_zero_weights_zero_edges(self):
         part = rand((4, 4), seed=1)
-        out = mixed_edges(part, T.Tensor.zeros((4, 4)))
+        out = mixed_edges(part, T.Tensor(np.zeros((4, 4))))
         assert not out.any()
 
     def test_saturated_weights_recover_partition(self):
         part = rand((4, 4), seed=2)
-        out = mixed_edges(part, T.Tensor.full((4, 4), 50.0))
+        out = mixed_edges(part, T.Tensor(np.full((4, 4), 50.0)))
         assert np.abs(out - part).max() < 1e-12
 
     def test_all_ones_initialization_scale(self):
         part = rand((3, 3), seed=3)
-        out = mixed_edges(part, T.Tensor.ones((3, 3)))
+        out = mixed_edges(part, T.Tensor(np.ones((3, 3))))
         assert np.abs(out - math.tanh(1.0) * part).max() < 1e-15
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.partition_mix(T.Tensor.zeros((1, 1, 2, 4)), [np.ones((3, 3))],
-                            [T.Tensor.ones((4, 4))], [T.Tensor.ones((1, 1, 1, 1))],
-                            [T.Tensor.zeros((1,))])
+            T.partition_mix(T.Tensor(np.zeros((1, 1, 2, 4))), [np.ones((3, 3))],
+                            [T.Tensor(np.ones((4, 4)))], [T.Tensor(np.ones((1, 1, 1, 1)))],
+                            [T.Tensor(np.zeros((1,)))])
 
 
 class TestLayerForward:

@@ -125,7 +125,7 @@ class TestStructural:
 class TestBroadcastMulChannelwise:
     def test_ones_map_is_identity(self):
         feat = T.Tensor(rand((2, 4, 3, 3)))
-        ones = T.Tensor.ones((2, 3, 3))
+        ones = T.Tensor(np.ones((2, 3, 3)))
         assert np.array_equal(T.broadcast_mul_channelwise(ones, feat).data, feat.data)
 
     def test_scales_every_channel(self):
@@ -147,7 +147,7 @@ class TestConv2d:
         # overlap (9 ones), corners see a 2x2 overlap (4 ones).
         x = T.Tensor(np.ones((1, 3, 3, 3)))
         k = T.Tensor(np.ones((1, 1, 3, 3)))
-        b = T.Tensor.zeros((1,))
+        b = T.Tensor(np.zeros((1,)))
         y = T.conv2d(x, k, b, padding=(1, 1)).data[0]
         for frame in range(3):
             assert y[1, 1, frame] == 9.0
@@ -159,21 +159,21 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        y = T.conv2d(x, T.Tensor(k), T.Tensor.zeros((3,)))
+        y = T.conv2d(x, T.Tensor(k), T.Tensor(np.zeros((3,))))
         assert np.array_equal(y.data, x.data)
 
     def test_kernel_larger_than_input(self):
         x = T.Tensor(rand((1, 2, 2, 3)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
-            T.conv2d(x, k, T.Tensor.zeros((1,)))
+            T.conv2d(x, k, T.Tensor(np.zeros((1,))))
 
     @pytest.mark.parametrize("padding", [(3, 0), (0, 3), (-1, 0), (0, -1)])
     def test_padding_outside_kernel_rejected(self, padding):
         x = T.Tensor(rand((1, 8, 8, 3)))
         k = T.Tensor(rand((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
-            T.conv2d(x, k, T.Tensor.zeros((1,)), padding=padding)
+            T.conv2d(x, k, T.Tensor(np.zeros((1,))), padding=padding)
 
     def test_batched_matches_per_frame(self):
         xs = rand((2, 6, 6, 4))
@@ -186,7 +186,7 @@ class TestConv2d:
 
     def test_linearity(self):
         k = T.Tensor(rand((2, 3, 3, 3), seed=4))
-        zero_b = T.Tensor.zeros((2,))
+        zero_b = T.Tensor(np.zeros((2,)))
         x = rand((3, 6, 6, 3), seed=5)
         y = rand((3, 6, 6, 3), seed=6)
         lhs = T.conv2d(T.Tensor(2.5 * x - 1.5 * y), k, zero_b, padding=(1, 1)).data
@@ -225,33 +225,33 @@ class TestConv2dPerPatch:
     def test_kernel_rank_rejected(self):
         x = T.Tensor(rand((3, 4, 4, 1)))
         with pytest.raises(ShapeError):
-            T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor.zeros((2, 3)))
+            T.conv2d_per_patch(x, T.Tensor(rand((2, 3, 3, 3))), T.Tensor(np.zeros((2, 3))))
 
     def test_padding_outside_kernel_rejected(self):
         x = T.Tensor(rand((3, 4, 4, 1)))
         k = T.Tensor(rand((4, 3, 3, 1, 1)))
         with pytest.raises(ShapeError):  # a 1x1 kernel admits no padding
-            T.conv2d_per_patch(x, k, T.Tensor.zeros((4, 3)))
+            T.conv2d_per_patch(x, k, T.Tensor(np.zeros((4, 3))))
 
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_patch_count_not_square_rejected(self, p):
         x = T.Tensor(rand((2, 24, 24, 1)))
         k = T.Tensor(rand((p, 3, 2, 3, 3)))
         with pytest.raises(ShapeError):
-            T.conv2d_per_patch(x, k, T.Tensor.zeros((p, 3)))
+            T.conv2d_per_patch(x, k, T.Tensor(np.zeros((p, 3))))
 
     @pytest.mark.parametrize("h, w", [(6, 8), (8, 6), (6, 6)])
     def test_map_not_divisible_by_grid_rejected(self, h, w):
         x = T.Tensor(rand((2, h, w, 1)))
         k = T.Tensor(rand((16, 3, 2, 1, 1)))
         with pytest.raises(ShapeError):
-            T.conv2d_per_patch(x, k, T.Tensor.zeros((16, 3)), padding=(0, 0))
+            T.conv2d_per_patch(x, k, T.Tensor(np.zeros((16, 3))), padding=(0, 0))
 
     def test_bias_shape_rejected(self):
         x = T.Tensor(rand((2, 4, 4, 1)))
         k = T.Tensor(rand((4, 3, 2, 3, 3)))
         with pytest.raises(ShapeError):
-            T.conv2d_per_patch(x, k, T.Tensor.zeros((3,)))
+            T.conv2d_per_patch(x, k, T.Tensor(np.zeros((3,))))
 
 
 class TestBatchOnly:
@@ -260,11 +260,12 @@ class TestBatchOnly:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda x: T.conv2d(x, T.Tensor(rand((3, 2, 3, 3))), T.Tensor.zeros((3,))),
-            lambda x: T.conv2d_per_patch(x, T.Tensor(rand((4, 3, 2, 3, 3))), T.Tensor.zeros((4, 3))),
+            lambda x: T.conv2d(x, T.Tensor(rand((3, 2, 3, 3))), T.Tensor(np.zeros((3,)))),
+            lambda x: T.conv2d_per_patch(x, T.Tensor(rand((4, 3, 2, 3, 3))),
+                                         T.Tensor(np.zeros((4, 3)))),
             T.maxpool2d,
             T.global_avg_pool,
-            lambda x: T.broadcast_mul_channelwise(T.Tensor.ones((4, 4)), x),
+            lambda x: T.broadcast_mul_channelwise(T.Tensor(np.ones((4, 4))), x),
         ],
         ids=["conv2d", "conv2d_per_patch", "maxpool2d", "global_avg_pool",
              "broadcast_mul_channelwise"],
@@ -276,7 +277,7 @@ class TestBatchOnly:
 
     def test_channelwise_map_needs_batch_axis(self):
         with pytest.raises(ShapeError):
-            T.broadcast_mul_channelwise(T.Tensor.ones((4, 4)), T.Tensor(rand((1, 2, 4, 4))))
+            T.broadcast_mul_channelwise(T.Tensor(np.ones((4, 4))), T.Tensor(rand((1, 2, 4, 4))))
 
 
 def reference_conv(x, k, b, padding, up):
@@ -707,12 +708,12 @@ class TestPartitionMix:
         shapes = {"x": (3, 4, 2, 5), "kernel": (2, 3, 1, 1), "bias": (2,), "edge": (5, 5),
                   "part": (5, 5), **change}
         parts = [np.ones(shapes["part"])] * 3
-        edges = [T.Tensor.ones(shapes["edge"])] * 3
-        kernels = [T.Tensor.ones((2, 3, 1, 1)), T.Tensor.ones(shapes["kernel"]),
-                   T.Tensor.ones((2, 3, 1, 1))]
-        biases = [T.Tensor.zeros(shapes["bias"])] * 3
+        edges = [T.Tensor(np.ones(shapes["edge"]))] * 3
+        kernels = [T.Tensor(np.ones((2, 3, 1, 1))), T.Tensor(np.ones(shapes["kernel"])),
+                   T.Tensor(np.ones((2, 3, 1, 1)))]
+        biases = [T.Tensor(np.zeros(shapes["bias"]))] * 3
         with pytest.raises(ShapeError):
-            T.partition_mix(T.Tensor.zeros(shapes["x"]), parts, edges,
+            T.partition_mix(T.Tensor(np.zeros(shapes["x"])), parts, edges,
                             kernels[:change.get("count", 3)], biases)
 
 
