@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import HyperParams, PRESETS, load_config, resolve
+from .config import HyperParams, PRESETS, resolve
 from .dataset import load_dataset, load_spec, generate, stacked_labels
 from .errors import (
     AukitError,
@@ -49,7 +49,7 @@ from .model import (
     relation_predict,
     save_model,
 )
-from .serialize import au_columns, load_tensor, save_pgm, write_csv
+from .serialize import au_columns, load_json_object, load_tensor, save_pgm, write_csv
 from .training import (
     save_training_log,
     train_attention_stage,
@@ -81,46 +81,29 @@ class _Logger:
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-_BOOL_VALUES = {"true": True, "1": True, "yes": True,
-                "false": False, "0": False, "no": False}
-
-
 def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_VALUES[text.lower()]
-    except KeyError:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
         raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
+    return text.lower() in ("true", "1", "yes")
 
 
 def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "hyperparameters", "override individual preset/config values"
     )
+    kinds = {"int": int, "float": float, "bool": _parse_bool}
     for field in dataclasses.fields(HyperParams):
-        flag = "--" + field.name.replace("_", "-")
-        kind = _parse_bool if field.type == "bool" else type(
-            field.default if field.default is not dataclasses.MISSING else 0
-        )
-        if kind not in (int, float, _parse_bool):
-            kind = int
-        group.add_argument(flag, type=kind, default=None, metavar="V",
-                           help=f"override {field.name}")
+        group.add_argument("--" + field.name.replace("_", "-"), type=kinds[field.type],
+                           default=None, metavar="V", help=f"override {field.name}")
 
 
 def _resolve_hyperparams(args: argparse.Namespace) -> HyperParams:
-    overrides = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(HyperParams)
-        if getattr(args, field.name, None) is not None
-    }
-    if args.config is not None:
-        base = load_config(args.config)
-        if args.preset is not None:
-            raise ConfigError("give either --config or --preset, not both")
-        hp = dataclasses.replace(base, **overrides)
-        hp.validate()
-        return hp
-    return resolve(args.preset, overrides)
+    if args.config is not None and args.preset is not None:
+        raise ConfigError("give either --config or --preset, not both")
+    config = load_json_object(args.config, "config file") if args.config else {}
+    flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(HyperParams)
+             if getattr(args, field.name) is not None}
+    return resolve(config.pop("preset", args.preset), {**config, **flags})
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +112,6 @@ def _resolve_hyperparams(args: argparse.Namespace) -> HyperParams:
 
 
 def _cmd_gen_data(args, log: _Logger) -> int:
-    if not os.path.exists(args.spec):
-        raise ConfigError(f"spec file does not exist: {args.spec}")
     try:
         spec = load_spec(args.spec)
     except IoError as exc:
@@ -170,7 +151,7 @@ def _cmd_train(args, log: _Logger) -> int:
 
     save_model(args.out, entries)
     save_training_log(log_path, result.log)
-    final = result.log[-1][4] if result.log else float("nan")
+    final = result.log[-1][4] if result.log else None  # JSON null when no step ran
     graph_text = ", ".join(f"{name} {value}" for name, value in summary.items())
     log.info(
         f"trained {args.stage} stage for {len(result.log)} steps; "

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .backbone import FRAME_MULTIPLE
-from .errors import ConfigError, IoError
+from .errors import ConfigError
+from .serialize import load_json_object, read_fields
 
 
 @dataclass
@@ -19,7 +19,7 @@ class HyperParams:
     t: int                 # training sequence length (frames)
     m: int                 # label count
     t_k: int               # temporal kernel size (odd)
-    tau: float = 0.15      # correlation threshold for graph edges
+    tau: float = 0.15      # correlation threshold for graph edges (> 1: identity graph)
     lambda_r: float = 1e-4 # attention regularization weight
     depth: int = 8         # stacked graph-conv layers
     batch_size: int = 8    # sequences per optimizer step
@@ -36,14 +36,15 @@ class HyperParams:
     freeze_backbone: bool = True
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.l < FRAME_MULTIPLE or self.l % FRAME_MULTIPLE:
             raise ConfigError(f"l must be a positive multiple of {FRAME_MULTIPLE}, got {self.l}")
         if self.c < 1 or self.t < 1 or self.m < 1 or self.depth < 1:
             raise ConfigError("c, t, m and depth must be positive")
         if self.t_k < 1 or self.t_k % 2 == 0:
             raise ConfigError(f"t_k must be odd and positive, got {self.t_k}")
-        if not math.isfinite(self.tau):  # above 1 gives the identity graph
-            raise ConfigError(f"tau must be finite, got {self.tau}")
         if self.lambda_r < 0.0:
             raise ConfigError(f"lambda_r must be >= 0, got {self.lambda_r}")
         if self.batch_size < 1:
@@ -53,10 +54,8 @@ class HyperParams:
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
         for stage in ("attention", "relation"):
-            lr = getattr(self, f"{stage}_lr")
-            decay = getattr(self, f"{stage}_decay")
-            period = getattr(self, f"{stage}_period")
-            epochs = getattr(self, f"{stage}_epochs")
+            lr, decay, period, epochs = (getattr(self, f"{stage}_{key}")
+                                         for key in ("lr", "decay", "period", "epochs"))
             if lr <= 0.0:
                 raise ConfigError(f"{stage}_lr must be positive")
             if not 0.0 < decay <= 1.0:
@@ -82,47 +81,20 @@ PAPER = HyperParams(l=176, c=8, t=48, m=12, t_k=5)
 
 PRESETS: Mapping[str, HyperParams] = {"toy": TOY, "paper": PAPER}
 
-_FIELDS = {field.name: field.type for field in dataclasses.fields(HyperParams)}
 
-
-def resolve(
-    preset: Optional[str] = None,
-    overrides: Optional[Mapping[str, object]] = None,
-) -> HyperParams:
-    """Start from a preset (default: toy) and apply explicit overrides."""
+def resolve(preset: Optional[str] = None,
+            overrides: Optional[Mapping[str, object]] = None) -> HyperParams:
+    """Start from a preset (default: toy) and apply overrides, read by their annotations."""
     name = preset or "toy"
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    hp = dataclasses.replace(PRESETS[name])
-    for key, value in (overrides or {}).items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown hyperparameter {key!r}")
-        # bool subclasses int, so it is told apart; an int is also a valid float.
-        field_type = type(getattr(hp, key))
-        allowed = (int, float) if field_type is float else field_type
-        if isinstance(value, bool) != (field_type is bool) or not isinstance(value, allowed):
-            raise ConfigError(
-                f"bad value for {key!r}: expected {field_type.__name__}, got {value!r}"
-            )
-        setattr(hp, key, field_type(value))
+    hp = dataclasses.replace(
+        PRESETS[name], **read_fields(HyperParams, overrides or {}, "hyperparameters"))
     hp.validate()
     return hp
 
 
 def load_config(path) -> HyperParams:
     """Read a JSON config: optional "preset" key plus field overrides."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            raw = fp.read()
-    except OSError as exc:
-        raise IoError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    preset = payload.pop("preset", None)
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError("config key 'preset' must be a string")
-    return resolve(preset, payload)
+    config = load_json_object(path, "config file")
+    return resolve(config.pop("preset", None), config)

@@ -49,6 +49,9 @@ class SyntheticSpec:
     seed: int
 
     def validate(self) -> None:
+        for name in ("cooccurrence", "persistence", "radius", "noise"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite")
         if self.m < 1 or self.videos < 1 or self.frames_per_video < 1:
             raise ConfigError("m, videos and frames_per_video must be positive")
         if self.image_size < 1:
@@ -120,51 +123,13 @@ def save_spec(path, spec: SyntheticSpec) -> None:
         raise IoError(f"cannot write spec file {path}: {exc}") from exc
 
 
-def _whole(value) -> int:
-    """A JSON number with a whole value (3 or 3.0) as an int; no bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"must hold whole numbers, got {value!r}")
-
-
-def _whole_array(value) -> np.ndarray:
-    cells = np.asarray(value, dtype=object)
-    return np.array([_whole(v) for v in cells.flat], dtype=np.int64).reshape(cells.shape)
-
-
-#: How ``load_spec`` reads a field, by the field's annotation.
-_SPEC_READERS = {
-    "int": _whole,
-    "float": float,
-    "np.ndarray": lambda value: np.asarray(value, dtype=np.float64),
-    "IntArray": _whole_array,
-}
-
-
 def load_spec(path) -> SyntheticSpec:
-    """Read a spec file: it must hold every ``SyntheticSpec`` field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            raw = fp.read()
-    except OSError as exc:
-        raise IoError(f"cannot read spec file {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"spec file {path} must hold a JSON object")
-    values = {}
+    """Read a spec file: it must hold every ``SyntheticSpec`` field and no other key."""
+    payload = serialize.load_json_object(path, "spec file")
     for field in fields(SyntheticSpec):
         if field.name not in payload:
             raise ConfigError(f"spec file {path} is missing key {field.name!r}")
-        try:
-            values[field.name] = _SPEC_READERS[field.type](payload[field.name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"spec file {path}: key {field.name!r}: {exc}") from exc
-    spec = SyntheticSpec(**values)
+    spec = SyntheticSpec(**serialize.read_fields(SyntheticSpec, payload, f"spec file {path}"))
     spec.validate()
     return spec
 

@@ -21,22 +21,25 @@ parsing failed.  Writers iterate checkpoint entries in insertion order,
 so identical dictionaries serialize to identical bytes.  Every file the
 toolkit writes goes through ``atomic_write``, so a failed or interrupted
 write leaves the previous file, not a partial one.  Every CSV table goes
-through ``write_csv``, and ``au_columns`` names its AU columns.
+through ``write_csv``, and ``au_columns`` names its AU columns.  JSON inputs
+go through ``load_json_object`` and ``read_fields``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
+import json
 import math
 import os
 import struct
 import uuid
-from typing import BinaryIO, Dict, Iterable, Iterator, IO, List, Sequence
+from typing import BinaryIO, Dict, Iterable, Iterator, IO, List, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, IoError, ShapeError
+from .errors import ConfigError, FormatError, IoError, ShapeError
 
 TENSOR_MAGIC = b"STNT"
 CHECKPOINT_MAGIC = b"STCK"
@@ -122,6 +125,60 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], what: str,
             writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def load_json_object(path, what: str) -> dict:
+    """Read ``path`` as one JSON object; errors name ``what`` ("spec file") and the path."""
+    try:
+        with open(path, "rb") as fp:
+            payload = json.loads(fp.read())
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
+def _number(value, whole: bool = False):
+    """An int or float, no bool or string; with ``whole``, a whole one (3 or 3.0) as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            whole and not float(value).is_integer()):
+        raise ValueError(f"must hold {'whole ' * whole}numbers, got {value!r}")
+    return int(value) if whole else float(value)
+
+
+def _array(value, whole: bool = False) -> np.ndarray:
+    cells = np.asarray(value, dtype=object)
+    return np.array([_number(v, whole) for v in cells.flat],
+                    dtype=np.int64 if whole else np.float64).reshape(cells.shape)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+#: The reader of a field's value, by the field's annotation (postponed, so a string).
+FIELD_READERS = {"int": lambda value: _number(value, whole=True), "float": _number,
+                 "bool": _boolean, "np.ndarray": _array,
+                 "IntArray": lambda value: _array(value, whole=True)}
+
+
+def read_fields(cls, payload: Mapping, what: str) -> dict:
+    """``payload``'s values for dataclass ``cls``, each read by its field's annotation."""
+    types = {field.name: field.type for field in dataclasses.fields(cls)}
+    values = {}
+    for key, value in payload.items():
+        if key not in types:
+            raise ConfigError(f"{what}: unknown key {key!r}")
+        try:
+            values[key] = FIELD_READERS[types[key]](value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{what}: key {key!r}: {exc}") from exc
+    return values
 
 
 def _check_u32(value: int, what: str) -> int:

@@ -3,8 +3,10 @@ against a tiny generated dataset, and each documented exit code has a test.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from aukit import graph as G
 from aukit import serialize
 from aukit import tensor as T
 from aukit import training
-from aukit.config import load_config
+from aukit.config import HyperParams, load_config
 from aukit.errors import AukitError, ConfigError, IoError, NumericalError, ShapeError
 from aukit.model import (attention_predict, extract_graph, init_attention_entries, load_model,
                          model_dims, save_model)
@@ -184,6 +186,17 @@ def test_gen_data_rejects_a_spec_with_a_fractional_center(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("key, value", [("noise", float("nan")), ("persistence", [None, 0.9]),
+                                        ("radius", [float("inf"), 2.0])])
+def test_gen_data_rejects_a_spec_with_a_non_finite_value(tmp_path, capsys, key, value):
+    spec = tmp_path / "spec.json"
+    D.save_spec(spec, D.default_spec(m=2))
+    spec.write_text(json.dumps({**json.loads(spec.read_text()), key: value}))
+    assert run("gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 #: SHA-256 of each text file that test_text_outputs_are_pinned writes.
 TEXT_DIGESTS = {
     "spec.json": "1de8c3e609103e55bb9ea74a9929811d37a895a2eec0d09535fea781d96a3ded",
@@ -331,6 +344,90 @@ def test_train_config_value_of_wrong_type_rejected(ws, tmp_path, capsys, key, va
     assert run("train", "--stage", "attention", "--data", ws.data,
                "--config", str(config), "--out", str(tmp_path / "x.stck")) == 2
     assert key in capsys.readouterr().err
+
+
+#: A flag's text and its parsed value, and config values of the wrong kind, per annotation.
+FLAG_VALUE = {"int": ("3", 3), "float": ("0.5", 0.5), "bool": ("false", False)}
+WRONG_KIND = {"int": ["3", 2.5], "float": ["0.5"], "bool": [1]}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HyperParams), ids=lambda f: f.name)
+def test_every_hyperparameter_has_a_typed_train_flag(field):
+    args = cli.build_parser().parse_args(
+        ["train", "--stage", "attention", "--data", "d", "--out", "o",
+         "--" + field.name.replace("_", "-"), FLAG_VALUE[field.type][0]])
+    value, want = getattr(args, field.name), FLAG_VALUE[field.type][1]
+    assert type(value) is type(want) and value == want
+
+
+@pytest.mark.parametrize("key, value", [
+    (field.name, value) for field in dataclasses.fields(HyperParams)
+    for value in WRONG_KIND[field.type]])
+def test_config_value_of_the_wrong_kind_names_its_key(tmp_path, capsys, key, value):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=f"key '{key}': must"):
+        load_config(config)
+    out = tmp_path / "x.stck"
+    assert run("train", "--stage", "attention", "--data", str(tmp_path),
+               "--config", str(config), "--out", str(out)) == 2
+    assert f"key '{key}': must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_unknown_key_is_rejected(tmp_path, capsys):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"lambda": 0.1}))
+    with pytest.raises(ConfigError, match="unknown key 'lambda'"):
+        load_config(config)
+    assert run("train", "--stage", "attention", "--data", str(tmp_path),
+               "--config", str(config), "--out", str(tmp_path / "x.stck")) == 2
+    assert "unknown key 'lambda'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", [3, ["toy"], "huge"])
+def test_config_preset_must_name_a_preset(tmp_path, preset):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"preset": preset}))
+    with pytest.raises(ConfigError, match="unknown preset"):
+        load_config(config)
+
+
+def test_config_whole_valued_float_loads_as_int(tmp_path):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"t": 8.0, "preset": "paper"}))
+    hp = load_config(config)
+    assert type(hp.t) is int and hp.t == 8 and hp.c == 8
+
+
+def test_config_non_finite_value_rejected(tmp_path):
+    config = tmp_path / "hp.json"
+    config.write_text('{"weight_decay": NaN}')
+    with pytest.raises(ConfigError, match="weight_decay must be finite, got nan"):
+        load_config(config)
+
+
+@pytest.mark.parametrize("flag, text, field", [("--lambda-r", "nan", "lambda_r"),
+                                               ("--attention-lr", "inf", "attention_lr"),
+                                               ("--momentum", "-inf", "momentum")])
+def test_train_non_finite_float_flag_rejected(tmp_path, capsys, flag, text, field):
+    assert run("train", "--stage", "attention", "--data", str(tmp_path),
+               "--out", str(tmp_path / "x.stck"), f"{flag}={text}") == 2
+    assert f"{field} must be finite, got {float(text)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_flags_override_config_values_through_the_same_checks(tmp_path):
+    config = tmp_path / "hp.json"
+    config.write_text(json.dumps({"preset": "paper", "depth": 3, "tau": 0.5}))
+    argv = ["train", "--stage", "attention", "--data", "d", "--out", "o",
+            "--config", str(config), "--depth", "2"]
+    hp = cli._resolve_hyperparams(cli.build_parser().parse_args(argv))
+    assert hp == dataclasses.replace(load_config(config), depth=2)
+    with pytest.raises(ConfigError, match="tau must be finite"):
+        cli._resolve_hyperparams(cli.build_parser().parse_args([*argv, "--tau", "nan"]))
+    with pytest.raises(ConfigError, match="depth must be positive"):
+        cli._resolve_hyperparams(cli.build_parser().parse_args([*argv, "--depth", "0"]))
 
 
 def test_config_int_accepted_for_float_field(tmp_path):
@@ -563,6 +660,36 @@ def test_json_logs_are_parseable(ws, tmp_path, capsys):
     line = json.loads(capsys.readouterr().out.strip())
     assert line["level"] == "info" and line["nodes"] == 2
     assert (line["edges"], line["gravity"], line["tau"]) == (1, 1, 0.0)
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-0", "train-1", "eval", "infer"])
+def test_json_logs_lines_are_strict_json(ws, tmp_path, capsys, command):
+    argv = {
+        "gen-data": ("gen-data", "--spec", ws.spec, "--out", str(tmp_path / "d")),
+        "train-0": ("train", "--stage", "attention", "--data", ws.data,
+                    "--out", str(tmp_path / "x.stck"), *TRAIN_FLAGS, "--epochs", "0"),
+        "train-1": ("train", "--stage", "relation", "--data", ws.data, "--stage1", ws.att,
+                    "--out", str(tmp_path / "x.stck"), *RELATION_FLAGS),
+        "eval": ("eval", "--ckpt", ws.rel, "--data", ws.data,
+                 "--out", str(tmp_path / "m.csv")),
+        "infer": ("infer", "--ckpt", ws.rel, "--frames", ws.video,
+                  "--out", str(tmp_path / "p.csv")),
+    }[command]
+    assert run(argv[0], "--json-logs", *argv[1:]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    records = [_strict_json(line) for line in lines]
+    assert all(record["level"] == "info" for record in records)
+    if command.startswith("train"):
+        steps, loss = records[-1]["steps"], records[-1]["loss"]
+        assert (steps == 0) == (loss is None)
+        assert loss is None or math.isfinite(loss)
 
 
 def test_json_logs_on_error_path(ws, tmp_path, capsys):

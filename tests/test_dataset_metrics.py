@@ -156,6 +156,45 @@ class TestSpecFile:
         assert loaded.centers.dtype == np.int64
         assert loaded.centers.tolist() == [[8, 8], [8, 24]]
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise", "0.1"), ("noise", True), ("noise", None), ("persistence", [None, 0.9]),
+        ("radius", [2.0, "2.0"]), ("cooccurrence", [[0.0, 0.7], [False, 0.0]]),
+    ])
+    def test_non_number_is_rejected_naming_its_key(self, tmp_path, key, value):
+        path = spec_file_with(tmp_path / "spec.json", **{key: value})
+        with pytest.raises(ConfigError, match=f"key '{key}': must hold numbers, got"):
+            D.load_spec(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise", float("nan")), ("noise", float("inf")), ("persistence", [float("nan"), 0.9]),
+        ("radius", [float("inf"), 2.0]), ("radius", [2.0, float("nan")]),
+        ("cooccurrence", [[0.0, float("nan")], [float("nan"), 0.0]]),
+        ("cooccurrence", [[float("-inf"), 0.7], [0.7, 0.0]]),
+    ])
+    def test_non_finite_value_is_rejected_naming_its_key(self, tmp_path, key, value):
+        path = spec_file_with(tmp_path / "spec.json", **{key: value})
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+            D.load_spec(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise", float("nan")), ("persistence", np.array([0.9, np.nan])),
+        ("radius", np.array([np.inf, 2.0])), ("cooccurrence", np.full((2, 2), np.nan)),
+    ])
+    def test_validate_rejects_non_finite_values(self, key, value):
+        spec = dataclasses.replace(D.default_spec(m=2), **{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+            spec.validate()
+
+    def test_default_spec_rejects_non_finite_noise(self):
+        with pytest.raises(ConfigError, match="^noise must be finite$"):
+            D.default_spec(m=2, noise=float("nan"))
+
+    def test_unknown_key_is_rejected_naming_it(self, tmp_path):
+        path = spec_file_with(tmp_path / "spec.json", preset="toy")
+        with pytest.raises(ConfigError, match="unknown key 'preset'"):
+            D.load_spec(path)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"m": 3}')

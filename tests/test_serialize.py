@@ -1,10 +1,13 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from aukit import cli, serialize
-from aukit.errors import FormatError, IoError
+from aukit.config import HyperParams
+from aukit.dataset import SyntheticSpec
+from aukit.errors import ConfigError, FormatError, IoError
 
 #: Headers whose element count the file cannot hold: 8 * count overflows an
 #: index (four dims of 2**32 - 1) or asks for 8 TiB (2**20 x 2**20).
@@ -222,3 +225,89 @@ class TestAtomicWrite:
     def test_missing_directory_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             serialize.save_checkpoint(tmp_path / "absent" / "model.stck", {})
+
+
+@dataclasses.dataclass
+class Fields:
+    """One field of each annotation the reader knows, as postponed (string) annotations."""
+    count: "int"
+    rate: "float"
+    flag: "bool"
+    table: "np.ndarray"
+    cells: "IntArray"
+
+
+class TestJsonObject:
+    def test_reads_an_object(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1, 2.5], "b": null}')
+        assert serialize.load_json_object(path, "test file") == {"a": [1, 2.5], "b": None}
+
+    def test_missing_file_is_io_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(IoError, match=f"cannot read test file {path}"):
+            serialize.load_json_object(path, "test file")
+
+    @pytest.mark.parametrize("raw, problem", [
+        (b"{", "is not valid JSON"), (b'{"a": "\xff"}', "is not valid JSON"),
+        (b"\xff\xfe{}", "is not valid JSON"), (b"[1, 2]", "must hold a JSON object"),
+        (b"3", "must hold a JSON object"),
+    ])
+    def test_bad_content_is_config_error(self, tmp_path, raw, problem):
+        path = tmp_path / "x.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"test file {path} {problem}"):
+            serialize.load_json_object(path, "test file")
+
+
+class TestReadFields:
+    @pytest.mark.parametrize("cls", [HyperParams, SyntheticSpec, Fields])
+    def test_every_annotation_has_a_reader(self, cls):
+        # A field with an annotation the table lacks would fail only when read.
+        assert {f.type for f in dataclasses.fields(cls)} <= set(serialize.FIELD_READERS)
+
+    def test_values_take_their_fields_types(self):
+        values = serialize.read_fields(Fields, {
+            "count": 3.0, "rate": 2, "flag": False, "table": [[1, 0.5]], "cells": [2.0, -4],
+        }, "test")
+        assert type(values["count"]) is int and values["count"] == 3
+        assert type(values["rate"]) is float and values["rate"] == 2.0
+        assert values["flag"] is False
+        assert values["table"].dtype == np.float64 and values["table"].tolist() == [[1.0, 0.5]]
+        assert values["cells"].dtype == np.int64 and values["cells"].tolist() == [2, -4]
+
+    def test_only_the_given_keys_are_read(self):
+        assert serialize.read_fields(Fields, {"rate": 0.5}, "test") == {"rate": 0.5}
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("count", 2.7, "must hold whole numbers, got 2.7"),
+        ("count", True, "must hold whole numbers, got True"),
+        ("count", "3", "must hold whole numbers, got '3'"),
+        ("count", None, "must hold whole numbers, got None"),
+        ("count", float("nan"), "must hold whole numbers, got nan"),
+        ("count", float("inf"), "must hold whole numbers, got inf"),
+        ("rate", "0.1", "must hold numbers, got '0.1'"),
+        ("rate", True, "must hold numbers, got True"),
+        ("rate", None, "must hold numbers, got None"),
+        ("rate", [0.5], "must hold numbers, got \\[0.5\\]"),
+        ("flag", 1, "must be true or false, got 1"),
+        ("flag", "true", "must be true or false, got 'true'"),
+        ("table", [[1, None]], "must hold numbers, got None"),
+        ("table", [[1, 2], [3]], "must hold numbers, got \\[1, 2\\]"),
+        ("table", [1, False], "must hold numbers, got False"),
+        ("cells", [1, 1.5], "must hold whole numbers, got 1.5"),
+        ("cells", [[1, "2"]], "must hold whole numbers, got '2'"),
+    ])
+    def test_wrong_kind_is_config_error_naming_the_key(self, key, value, problem):
+        with pytest.raises(ConfigError, match=f"^test: key '{key}': {problem}$"):
+            serialize.read_fields(Fields, {key: value}, "test")
+
+    def test_number_beyond_the_field_is_config_error(self):
+        with pytest.raises(ConfigError, match="^test: key 'rate': "):
+            serialize.read_fields(Fields, {"rate": 10**400}, "test")
+        with pytest.raises(ConfigError, match="^test: key 'cells': "):
+            serialize.read_fields(Fields, {"cells": [2**70]}, "test")
+
+    def test_unknown_key_is_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="^test: unknown key 'extra'$"):
+            serialize.read_fields(Fields, {"rate": 0.5, "extra": 1}, "test")
