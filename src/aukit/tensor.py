@@ -16,14 +16,15 @@ The ops with one parameter per branch or node (``attention_pool``,
 ``partition_mix``, ``per_node_head``) take those entries as lists, so
 stacking them records no tape node.
 
-A large per-patch convolution runs on two threads: the caller takes the
-first half of the patch grid's rows and the one worker thread (``_POOL``,
-shared with ``model.attention_predict``) the second.  Each half walks its
-patches in blocks whose windows fit ``BLOCK_VALUES``, and finishes each
-block (bias, an optional fused tanh, the paste into the output map) before
-the next, so a thread's window buffer is bounded by one block, or by a
-whole-map convolution's window matrix.  Each patch's products are the same
-calls either way, so the bytes depend on neither the split nor the blocks.
+Every convolution, from a whole map to a grid-8 bank, runs each GEMM in
+blocks (``_blocks``): runs of whole patches where a patch's windows fit
+``BLOCK_VALUES``, else runs within one patch, cut only along an axis the
+GEMM does not sum (bands of output rows; for the kernel gradient, runs of
+channels' taps), so a thread's window buffer holds one block.  A large
+convolution runs on two threads, the caller and the one worker (``_POOL``,
+shared with ``model.attention_predict``), which take half of its blocks
+each, or its input and kernel gradients.  Every block's product gives the bytes of the
+whole GEMM, so the bytes depend on neither the split nor the blocks.
 
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
@@ -600,7 +601,7 @@ def partition_mix(
 
 #: The one thread besides the caller's.  It runs the odd serving passes of
 #: ``model.attention_predict`` and the second half of a split convolution
-#: (``_over_rows``); an executor starts no thread until its first ``submit``.
+#: (``_in_halves``); an executor starts no thread until its first ``submit``.
 _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
 
 
@@ -643,30 +644,29 @@ def submit(fn: Callable, *args) -> Future:
     return _POOL.submit(run)
 
 
-#: Multiply-adds from which a per-patch convolution splits its grid rows
-#: between the caller and the worker.  Below it, handing a half over costs
-#: more than it saves; a constant, not a setting (see CHANGES.md for the
-#: crossover measurement).
+#: Multiply-adds from which a convolution hands half of its work to the
+#: worker.  Below it, handing work over costs more than it saves; a
+#: constant, not a setting (see CHANGES.md for the crossover measurement).
 SPLIT_MACS = 16_000_000
 
 
-def _over_rows(grid: int, macs: int, half: Callable[[int, int], None]) -> None:
-    """Run ``half(r0, r1)`` over the grid rows [0, grid), in one call or two.
+def _in_halves(n: int, macs: int, half: Callable[[int, int], None]) -> None:
+    """Run ``half(i0, i1)`` over a convolution's pieces [0, n), in one call or two.
 
-    It splits when the grid has at least 2 rows, the convolution's
-    multiply-adds ``macs`` reach ``SPLIT_MACS`` and the calling thread does
-    not hold the worker (``worker_held``): the caller runs rows [0, g//2)
-    and the worker rows [g//2, g) at once.  Each half writes its
-    own rows of preallocated outputs with the calls one whole call would
-    make per patch, so the bytes do not depend on the split.  If a half
-    raises, the first failure in row order raises, once both have finished.
+    The pieces are a GEMM's blocks, output channels or the backward's two
+    GEMMs.  When there are at least 2, the multiply-adds ``macs`` reach
+    ``SPLIT_MACS`` and the calling thread does not hold the worker
+    (``worker_held``), the caller runs [0, n//2) and the worker [n//2, n) at
+    once, each writing its own part of preallocated outputs, so the bytes do
+    not depend on the split.  If a half raises, the first failure in order
+    raises once both finished.
     """
-    if grid < 2 or macs < SPLIT_MACS or getattr(_LANE, "held", False):
-        half(0, grid)
+    if n < 2 or macs < SPLIT_MACS or getattr(_LANE, "held", False):
+        half(0, n)
         return
-    other = submit(half, grid // 2, grid)
+    other = submit(half, n // 2, n)
     try:
-        half(0, grid // 2)
+        half(0, n // 2)
     finally:
         wait((other,))
     other.result()
@@ -686,11 +686,11 @@ def _scratch(n: int) -> np.ndarray:
     It holds one window matrix at a time and keeps the size of the largest
     one the thread has built, so a convolution writes its windows into
     pages that are already mapped instead of faulting in fresh ones each
-    call.  A caller is done with it before the next call.  A per-patch
-    convolution builds one block's windows at a time, so its size is
-    bounded by one block (``BLOCK_VALUES``, or one patch's windows where a
-    patch needs more), or by the window matrix of a whole-map convolution,
-    whose map is one patch.
+    call.  A caller is done with it before the next call.  Every
+    convolution builds one block's windows at a time (:func:`_blocks`), so
+    its size is bounded by one block: ``BLOCK_VALUES``, or the fewest output
+    rows a band may hold where those need more.  Larger kernel-gradient
+    blocks use a buffer of their own (:func:`_grouped_conv`).
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.size < n:
@@ -699,41 +699,68 @@ def _scratch(n: int) -> np.ndarray:
     return buf[:n]
 
 
-#: Window-matrix values a block of a per-patch convolution builds at most:
-#: 2**18 float64 values, 2 MB, about one core's L2 cache.  A constant, not a
+#: Window values a block of a convolution's GEMM builds at most: 2**18
+#: float64 values, 2 MB, about one core's L2 cache.  A constant, not a
 #: setting (see CHANGES.md for the candidates measured).
 BLOCK_VALUES = 2**18
 
 
-def _blocks(grid: int, rows: tuple[int, int], per_patch: int) -> list[tuple[slice, slice, slice]]:
-    """The blocks of grid rows [r0, r1), each as (grid rows, grid columns, patch numbers).
+def _band(lines: int, cols: int) -> int:
+    """The fewest output rows of ``cols`` columns that a column band holds: a
+    multiple of 8 columns and at least 256, as other widths can change a
+    GEMM's bytes (ROADMAP); ``lines``, no band, if the patch's width is not."""
+    r8 = 8 // math.gcd(cols, 8)
+    return lines if not cols or lines % r8 else r8 * -(-256 // (cols * r8))
 
-    When the windows of one grid row, ``per_patch`` values for each of its
-    ``grid`` patches, fit ``BLOCK_VALUES``, a block is as many whole rows
-    as fit; otherwise it is a run of as many patches of one row as fit, at
-    least one.  Either way the block's patches are consecutive in row-major
-    order, so ``at`` slices them out of every per-patch array.
+
+def _blocks(grid: int, lines: int, per_line: int, unit: int,
+            step: int = 0) -> list[tuple[slice, slice, slice, slice]]:
+    """The blocks of one GEMM on a g x g grid: (grid rows, grid columns, patch numbers, lines).
+
+    Each patch's GEMM is cut, along an axis it does not sum, into ``lines``
+    lines of ``per_line`` window values (0: views).  If a patch fits
+    ``BLOCK_VALUES``, a block is as many whole grid rows as fit, else as
+    many patches of one row, at least one.  Otherwise the patch is cut at
+    multiples of ``step`` lines (default: ``unit``) into nearly equal runs,
+    as many as it holds runs of the lines that fit, each at least ``unit``
+    lines.  Blocks come in patch order, then line order.
     """
-    r0, r1 = rows
-    fit = max(1, int(min(BLOCK_VALUES / max(per_patch, 1), grid * grid)))  # no frames: 0
-    if fit >= grid:
-        step = fit // grid
-        spans = [(slice(r, min(r + step, r1)), slice(0, grid)) for r in range(r0, r1, step)]
+    fit, step = BLOCK_VALUES / per_line if per_line else math.inf, step or unit
+    if fit >= lines:
+        n = max(1, int(min(fit / lines, grid * grid)))  # whole patches a block holds
+        spans = ([(slice(r, min(r + n // grid, grid)), slice(0, grid))
+                  for r in range(0, grid, n // grid)] if n >= grid else
+                 [(slice(r, r + 1), slice(j, min(j + n, grid)))
+                  for r in range(grid) for j in range(0, grid, n)])
+        runs = [(0, lines)]
     else:
-        spans = [(slice(r, r + 1), slice(j, min(j + fit, grid)))
-                 for r in range(r0, r1) for j in range(0, grid, fit)]
-    return [(rs, cs, slice(rs.start * grid + cs.start, (rs.stop - 1) * grid + cs.stop))
-            for rs, cs in spans]
+        n = max(1, lines // max(unit, int(fit) // step * step))  # runs per patch
+        cuts = [step * (i * lines // (n * step)) for i in range(n)] + [lines]
+        runs = list(zip(cuts, cuts[1:]))
+        spans = [(slice(r, r + 1), slice(j, j + 1)) for r in range(grid) for j in range(grid)]
+    return [(rs, cs, slice(rs.start * grid + cs.start, (rs.stop - 1) * grid + cs.stop),
+             slice(l0, l1)) for rs, cs in spans for l0, l1 in runs]
 
 
-def _over_blocks(grid: int, macs: int, per_patch: int, block: Callable) -> None:
-    """Run ``block(rows, cols, at)`` on every block of the rows :func:`_over_rows` hands out."""
+def _conv_blocks(grid: int, ci: int, co: int, kernel: tuple[int, int], patch: tuple[int, int, int],
+                 padding: tuple[int, int]) -> tuple[list, list, list, int]:
+    """The blocks of a convolution's GEMMs ``y``, ``dx`` and ``dk``, and dk's largest block.
 
-    def half(r0, r1):
-        for rs, cs, at in _blocks(grid, (r0, r1), per_patch):
-            block(rs, cs, at)
-
-    _over_rows(grid, macs, half)
+    ``y = K @ W`` and ``dx = flipped @ Wg`` are cut into column bands, runs
+    of output rows (columns are (oy, ox, b)); ``dk`` into row blocks of the
+    windows of ``g`` (C_in >= C_out) or ``x``, runs of channels (k_h*k_w
+    rows each) against the whole other operand, which each block re-reads:
+    so a block holds at least as many rows as it has, and at least 2 (1 row
+    runs as a GEMV, with other bytes).  No sum changes order.
+    """
+    (kh, kw), (h, w, b), (ph, pw) = kernel, patch, padding
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    copied = int(kh * kw > 1 or grid > 1)
+    taps, other, n = (ci, co, oh * ow * b) if ci < co else (co, ci, h * w * b)
+    dk = _blocks(grid, taps, copied * kh * kw * n, -(-max(2, other) // (kh * kw)), step=1)
+    return (_blocks(grid, oh, ci * kh * kw * ow * b, _band(oh, ow * b)),
+            _blocks(grid, h, co * kh * kw * w * b, _band(h, w * b)), dk,
+            copied * kh * kw * n * max((a.stop - a.start) * (c.stop - c.start) for *_, a, c in dk))
 
 
 def _grid_view(a: np.ndarray, grid: int) -> np.ndarray:
@@ -748,36 +775,46 @@ def _cut(patches: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(patches).reshape(r * j, c, -1)
 
 
-def _paste(grid_view: np.ndarray, rs: slice, cs: slice, block: np.ndarray) -> None:
-    """Write a block's (P', C, h*w*B) patch outputs into their place in ``grid_view``."""
-    dst = grid_view[rs, cs]
-    dst[...] = block.reshape(dst.shape)
+def _into(out: np.ndarray, grid: int, rs: slice, cs: slice, rows: slice, block) -> None:
+    """``block(dst)`` for a block's output rows of the (C, H, W, B) map ``out``: on a
+    whole map ``dst`` is those columns of ``out``, else a fresh (P', C, rows*w*B)
+    array pasted into its patches' rows afterwards."""
+    c, _, ww, b = out.shape
+    if grid == 1:
+        return block(out.reshape(1, c, -1)[:, :, rows.start * ww * b : rows.stop * ww * b])
+    dst = _grid_view(out, grid)[rs, cs, :, rows]
+    block(src := np.empty((dst.shape[0] * dst.shape[1], c, dst[0, 0, 0].size)))
+    dst[...] = src.reshape(dst.shape)
 
 
-def _windows(patches: np.ndarray, kh: int, kw: int, ph: int, pw: int) -> np.ndarray:
+def _windows(patches: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+             rows: slice = slice(None), buf=None) -> np.ndarray:
     """Channel-major im2col of (R, J, C, h, w, B) patches, each zero-padded on its own.
 
-    Returns the (R*J, C*k_h*k_w, oh*ow*B) window matrix, columns in (oy,
-    ox, b) order, oh = h + 2*ph - k_h + 1 and likewise ow: padding is one
-    copy, and laying the windows out is one more, in which every copied run
-    is ow*B contiguous values.  A matrix that is a view of ``patches`` (one
-    patch, a 1x1 kernel, no padding) is not copied; otherwise it is written
-    into the calling thread's :func:`_scratch` buffer.
+    Returns the (R*J, C*k_h*k_w, oh'*ow*B) window matrix of the output rows
+    ``rows`` (default: all), columns in (oy, ox, b) order, ow = w + 2*pw -
+    k_w + 1.  Padding the input rows read is one copy, and laying the
+    windows out one more, of runs of ow*B values, into ``buf`` or else this
+    thread's :func:`_scratch`; one patch's 1x1 windows are its rows, a view.
     """
     r, j, c, h, w, b = patches.shape
-    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    if ph or pw:  # zeros plus one slice copy: several times faster than np.pad here
-        xp = np.zeros((r, j, c, h + 2 * ph, w + 2 * pw, b))
-        xp[:, :, :, ph : ph + h, pw : pw + w] = patches
+    ow = w + 2 * pw - kw + 1
+    r0, r1, _ = rows.indices(h + 2 * ph - kh + 1)
+    flat = (r * j, c * kh * kw, (r1 - r0) * ow * b)
+    if kh * kw == r * j == 1:
+        return patches[:, :, :, r0:r1].reshape(flat)
+    lo, hi = max(r0 - ph, 0), min(r1 - ph + kh - 1, h)  # the input rows read
+    top, span = lo - r0 + ph, r1 - r0 + kh - 1
+    if top or pw or hi - lo < span:  # zeros plus one slice copy: several times faster than np.pad
+        xp = np.zeros((r, j, c, span, w + 2 * pw, b))
+        xp[:, :, :, top : top + hi - lo, pw : pw + w] = patches[:, :, :, lo:hi]
     else:
-        xp = patches
+        xp = patches[:, :, :, lo:hi]
     s = xp.strides
-    win = as_strided(xp, xp.shape[:3] + (kh, kw, oh, ow, b), s[:5] + s[3:], writeable=False)
-    if not win.flags["C_CONTIGUOUS"]:
-        win2 = _scratch(win.size).reshape(win.shape)
-        np.copyto(win2, win)
-        win = win2
-    return win.reshape(r * j, c * kh * kw, oh * ow * b)
+    win = as_strided(xp, xp.shape[:3] + (kh, kw, r1 - r0, ow, b), s[:5] + s[3:], writeable=False)
+    out = (_scratch(win.size) if buf is None else buf[: win.size]).reshape(win.shape)
+    np.copyto(out, win)
+    return out.reshape(flat)
 
 
 def _grouped_conv(
@@ -803,22 +840,23 @@ def _grouped_conv(
     where ``Wg`` are the windows of ``g`` at padding k-1-p, so padding must
     lie in 0..k-1.  The kernel gradient comes from whichever windows are
     smaller by channels: ``g2 @ windows(x)ᵀ`` when C_in < C_out (the frame
-    layer, a widening layer), else ``Wg @ x_patchesᵀ`` flipped back, which
-    reuses ``Wg``.  The choice follows the shapes, not whether ``dx`` is
-    needed: the two products sum the same terms at other positions of the
-    reduction, and BLAS groups a sum by position, so the kernel gradient
-    would otherwise depend in its last bits on whether the input is tracked.
+    layer, a widening layer), else ``Wg @ x_patchesᵀ`` flipped back.  The
+    choice follows the shapes, not whether ``dx`` is needed: the two
+    products sum the same terms at other positions of the reduction, and
+    BLAS groups a sum by position, so the kernel gradient would otherwise
+    depend in its last bits on whether the input is tracked.
 
-    Forward and backward each run over the grid rows through
-    :func:`_over_rows`, so a large per-patch convolution runs on two
-    threads, and each half walks its rows in :func:`_blocks`.  A block
-    cuts and pads only its own patches, builds their windows in the
-    thread's scratch buffer, runs their GEMMs and finishes them where they
-    are: the forward adds the bias, applies tanh and pastes the block into
-    the output map; the backward forms g·(1-y²) for a fused tanh, pastes
-    its ``dx`` and flips its kernels and kernel gradients.  Every patch's
-    products are the same calls whatever the split and the blocks, and the
-    rest is elementwise, so the bytes depend on neither.
+    Every GEMM, from a whole map (P = 1) to a grid-8 bank, runs in the
+    blocks of :func:`_conv_blocks`; a block pads only its own rows, builds
+    its windows in the thread's scratch buffer (a kernel-gradient block
+    larger than ``BLOCK_VALUES``: in a buffer made for one backward) and
+    writes its rows of ``y`` (with bias and tanh), ``dx`` or ``dk``.  Where
+    the blocks of ``dx`` and ``dk`` are the same whole patches, they share
+    the windows of g.  Through :func:`_in_halves`, a large convolution runs
+    half its forward blocks, of its channels' g·(1-y²) and bias gradient,
+    and of those shared blocks on the worker, else its kernel gradient there
+    while the caller runs ``dx``.  Full-size outputs are allocated on the
+    calling thread, and every cut keeps the GEMM's bytes (ROADMAP).
     """
     p, co, ci, kh, kw = kernels.shape
     _, hh, ww, b = x.shape
@@ -834,57 +872,79 @@ def _grouped_conv(
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
     macs = p * co * ci * kh * kw * oh * ow * b
     flat = kernels.reshape(p, co, ci * kh * kw)
-    # Every full-size output is allocated here, on the calling thread; a
-    # one-patch map is its own block, which writes it in place.
+    y_blocks, dx_blocks, dk_blocks, dk_values = _conv_blocks(
+        grid, ci, co, (kh, kw), (h, w, b), padding)
     y = np.empty((co, grid * oh, grid * ow, b))
-    x_grid, y_grid = _grid_view(x, grid), _grid_view(y, grid)
+    x_grid = _grid_view(x, grid)
 
-    def forward(rs, cs, at):
-        yb = y.reshape(1, co, -1) if p == 1 else np.empty((at.stop - at.start, co, oh * ow * b))
-        np.matmul(flat[at], _windows(x_grid[rs, cs], kh, kw, ph, pw), out=yb)
-        yb += bias[at, :, None]
-        if tanh:
-            np.tanh(yb, out=yb)
-        if p > 1:
-            _paste(y_grid, rs, cs, yb)
+    def forward(i0, i1):  # the forward's blocks [i0, i1)
+        for rs, cs, at, rows in y_blocks[i0:i1]:
+            def gemm(yb):
+                np.matmul(flat[at], _windows(x_grid[rs, cs], kh, kw, ph, pw, rows), out=yb)
+                yb += bias[at, :, None]
+                if tanh:
+                    np.tanh(yb, out=yb)
 
-    _over_blocks(grid, macs, ci * kh * kw * oh * ow * b, forward)
-    y_kept = y_grid if tanh else None  # only a fused tanh's backward reads the output
+            _into(y, grid, rs, cs, rows, gemm)
+
+    _in_halves(len(y_blocks), macs, forward)
+    y_kept = y if tanh else None  # only a fused tanh's backward reads the output
 
     def backward(g, need_dx):
-        g_grid = _grid_view(g, grid)
-        dx = np.empty(x.shape) if need_dx else None
-        dx_grid = _grid_view(dx, grid) if need_dx else None
-        dk = np.empty(kernels.shape)
+        g2 = np.empty(g.shape) if tanh else np.ascontiguousarray(g)
+        g_grid = _grid_view(g2, grid)
+        dx, dk = np.empty(x.shape) if need_dx else None, np.empty(kernels.shape)
         db = np.empty((p, co))
-        g_windows = need_dx or ci >= co
-        per_patch = max(co * kh * kw * h * w * b if g_windows else 0,
-                        ci * kh * kw * oh * ow * b if ci < co else 0)
 
-        def block(rs, cs, at):
-            n = at.stop - at.start
-            g2 = _cut(g_grid[rs, cs])  # (P', C_out, oh*ow*B): the 1x1 windows of g
-            if tanh:
-                yb = _cut(y_kept[rs, cs])
-                g2 = g2 * (1.0 - yb * yb)
-            if g_windows:  # (P', C_out*k_h*k_w, h*w*B)
-                wg = _windows(g2.reshape(rs.stop - rs.start, cs.stop - cs.start, co, oh, ow, b),
-                              kh, kw, kh - 1 - ph, kw - 1 - pw)
-            if need_dx:
-                flipped = kernels[at, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4).reshape(n, ci, -1)
-                dxb = dx.reshape(1, ci, -1) if p == 1 else np.empty((n, ci, h * w * b))
-                np.matmul(flipped, wg, out=dxb)
-                if p > 1:
-                    _paste(dx_grid, rs, cs, dxb)
-            if ci < co:  # after dx: these windows take over the scratch buffer from Wg
-                x2 = _windows(x_grid[rs, cs], kh, kw, ph, pw)
-                np.matmul(g2, x2.transpose(0, 2, 1), out=dk.reshape(p, co, -1)[at])
-            else:
-                dkb = np.matmul(wg, _cut(x_grid[rs, cs]).transpose(0, 2, 1))
-                dk[at] = dkb.reshape(n, co, kh, kw, ci)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
-            db[at] = g2.sum(axis=2)
+        def upstream(c0, c1):  # g·(1-y²), in place, and the bias gradient of channels [c0, c1)
+            if tanh:  # no temporaries, which would stay in the worker's malloc arena
+                part = np.square(y_kept[c0:c1], out=g2[c0:c1])
+                np.multiply(g[c0:c1], np.subtract(1.0, part, out=part), out=part)
+            db[:, c0:c1] = _cut(g_grid[:, :, c0:c1]).sum(axis=2)
 
-        _over_blocks(grid, macs, per_patch, block)
+        _in_halves(co, macs, upstream)
+        buf = np.empty(dk_values) if dk_values > BLOCK_VALUES else None  # freed on return
+        flipped = kernels[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+        others = g_grid if ci < co else x_grid  # what a kernel-gradient block takes whole
+        gp = kh - 1 - ph, kw - 1 - pw  # the padding of g's windows
+
+        def input_grad(rs, cs, at, rows, wg=None):
+            wg = _windows(g_grid[rs, cs], kh, kw, *gp, rows) if wg is None else wg
+            _into(dx, grid, rs, cs, rows, lambda dxb: np.matmul(
+                flipped[at].reshape(at.stop - at.start, ci, -1), wg, out=dxb))
+
+        def kernel_grad(rs, cs, at, chans, whole, wg=None):  # whole: the other operand's patches
+            if ci < co:  # a few input channels' taps against the whole g2
+                xw = _windows(x_grid[rs, cs, chans], kh, kw, ph, pw, buf=buf)
+                np.matmul(whole, xw.transpose(0, 2, 1), out=dk.reshape(p, co, -1)[
+                    at, :, chans.start * kh * kw : chans.stop * kh * kw])
+                return
+            if wg is None:  # a few output channels' windows of g2 against the whole x patch
+                wg = _windows(g_grid[rs, cs, chans], kh, kw, *gp, buf=buf)
+            dkb = np.matmul(wg, whole.transpose(0, 2, 1))
+            dk[at, chans] = dkb.reshape(at.stop - at.start, chans.stop - chans.start, kh, kw,
+                                        ci)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
+
+        def shared(i0, i1):  # whole patches: each block's windows of g serve dx and dk
+            for (rs, cs, at, rows), (*_, chans) in zip(dx_blocks[i0:i1], dk_blocks[i0:i1]):
+                wg = _windows(g_grid[rs, cs], kh, kw, *gp) if need_dx or ci >= co else None
+                if need_dx:
+                    input_grad(rs, cs, at, rows, wg)
+                kernel_grad(rs, cs, at, chans, _cut(others[rs, cs]), wg)
+
+        def kernel_grads():  # one patch's row blocks share its whole other operand
+            for (rs, cs, at), runs in itertools.groupby(dk_blocks, lambda block: block[:3]):
+                whole = _cut(others[rs, cs])
+                for *_, chans in runs:
+                    kernel_grad(rs, cs, at, chans, whole)
+
+        runs = [(*b[:3], slice(0, h)) for b in dk_blocks if b[3] == slice(0, min(ci, co))]
+        if runs == dx_blocks and len(runs) == len(dk_blocks):  # the same runs of whole patches
+            _in_halves(len(dx_blocks), macs, shared)
+        else:  # dx on the caller and the kernel gradient on the worker, at once
+            passes = (lambda: [input_grad(*block) for block in dx_blocks], kernel_grads)
+            passes = passes if need_dx else passes[1:]
+            _in_halves(len(passes), macs, lambda i0, i1: [run() for run in passes[i0:i1]])
         return dx, dk, db
 
     return y, backward

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import InlineExecutor, names_read
+from conftest import InlineExecutor, names_read, stage1_convs
 
 from aukit import model
 from aukit import tensor as T
@@ -169,14 +170,67 @@ def stage1_digest(frames_n, size, c, m, seed):
 
 def test_stage1_bytes_are_pinned():
     # 2 frames of 64 px at c=8, m=12: every per-patch convolution splits, and
-    # its GEMMs are below the size at which BLAS threads change the bytes.
+    # so do the whole-map convolutions, such as layer 2's input convolution
+    # (64 x 32*9 x 32*32*2 = 37.7M multiply-adds); the GEMMs are below the
+    # size at which BLAS threads change the bytes.
     assert T.SPLIT_MACS <= 32 * 32 * 9 * 64 * 64 * 2  # a layer-1 per-patch convolution
-    # Both kinds of block run: a grid-8 row of layer 2's windows (8 patches
+    assert T.SPLIT_MACS <= 64 * 32 * 9 * 32 * 32 * 2  # layer 2's input convolution
+    # Every kind of block runs: a grid-8 row of layer 2's windows (8 patches
     # x 64*9 x 4*4*2) fits a block, so its blocks are whole rows, and one of
-    # layer 1's (8 x 32*9 x 8*8*2) does not, so its blocks are runs of patches.
+    # layer 1's (8 x 32*9 x 8*8*2) does not, so its blocks are runs of
+    # patches; the dx windows of layer 2's input convolution (64*9 x
+    # 32*32*2 = 1,179,648 values) do not fit one block, so they run in bands.
     assert 8 * 64 * 9 * 4 * 4 * 2 <= T.BLOCK_VALUES < 8 * 32 * 9 * 8 * 8 * 2
+    assert T.BLOCK_VALUES < 64 * 9 * 32 * 32 * 2
+    assert len(T._conv_blocks(1, 32, 64, (3, 3), (32, 32, 2), (1, 1))[1]) > 1
     assert stage1_digest(2, 64, c=8, m=12, seed=5) == (
         "9c8d4558ff35bdc54bf07203650f63ac51a436ecfcdf995ea625a71797fc002c")
+
+
+def test_stage1_bytes_are_pinned_at_176_px():
+    # One frame of the paper's 176 px at c=8, m=12, where the whole-map
+    # convolutions and the grid-2 patches run in bands and row blocks.  GEMMs
+    # this large give other bytes under two BLAS threads, so it runs in a
+    # process with one, as the program does.  Digest computed before blocks
+    # cut within a patch.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    probe = (f"import sys; sys.path.insert(0, {tests!r}); from test_model import stage1_digest; "
+             "print(stage1_digest(1, 176, c=8, m=12, seed=5))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(T.__file__)),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "cdb0aa223159b5e8c2d16670767340155a628fdd78423b86f33fe07b2251dcff")
+
+
+def test_scratch_buffers_stay_within_four_blocks(monkeypatch):
+    # A forward and backward of 2 frames of 64 px at c=8, m=12 with every
+    # convolution split: both threads' window buffers, from empty, stay
+    # within 4 * BLOCK_VALUES (a whole-map window matrix here is up to
+    # 1,179,648 values).
+    monkeypatch.setattr(T, "SPLIT_MACS", 0)
+    entries = model.init_attention_entries(8, 12, 5)
+    frames = T.Tensor(np.random.default_rng(5).standard_normal((2, 3, 64, 64)),
+                      requires_grad=True)
+    worker = T._POOL
+    worker.submit(setattr, T._SCRATCH, "buf", None).result(timeout=60)
+    sizes = []
+
+    def run():  # a fresh thread starts without a buffer
+        with T.Tape() as tape:
+            loss = T.sum_all(model.stage1_forward(entries, frames)[1])
+        tape.backward(loss)
+        assert tape.grad(frames).shape == frames.shape
+        sizes.extend([T._SCRATCH.buf.size, worker.submit(
+            lambda: T._SCRATCH.buf.size).result(timeout=60)])
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert len(sizes) == 2 and max(sizes) <= 4 * T.BLOCK_VALUES
 
 
 class TestBatchIndependence:
@@ -355,13 +409,18 @@ class TestServingThreads:
     @pytest.mark.parametrize("worker", ["thread", "inline"])
     @pytest.mark.parametrize("t", [3, 13, 17])
     def test_split_convolutions_finish_and_keep_the_bytes(self, video, monkeypatch, worker, t):
-        # With every per-patch convolution large enough to split, a pass on
-        # the caller splits only while no pass of its call runs on the
-        # worker: a lone pass (t=3) and the last of an odd count (t=17) do.
+        # With every convolution large enough to split and cut into its
+        # fewest-row blocks, a pass on the caller splits only while no pass
+        # of its call runs on the worker: a lone pass (t=3) and the last of
+        # an odd count (t=17) do.
         entries, frames = video
         monkeypatch.setattr(T, "SPLIT_MACS", math.inf)
         want = serial_passes(entries, frames[:t])
         monkeypatch.setattr(T, "SPLIT_MACS", 0)
+        monkeypatch.setattr(T, "BLOCK_VALUES", 1)
+        lone = 3 if t == 3 else 1  # the frames of the pass that splits
+        splits = sum(len(T._conv_blocks(g, ci, co, k, patch, pad)[0]) > 1
+                     for _, g, ci, co, k, patch, pad in stage1_convs(2, 4, 32, lone))
         if worker == "inline":
             monkeypatch.setattr(T, "_POOL", InlineExecutor())
         halves, submit = [], T.submit
@@ -374,7 +433,7 @@ class TestServingThreads:
         thread.join(timeout=120)
         assert not thread.is_alive()
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert len(halves) == (0 if t == 13 else 6)  # 3 grids x 2 layers, forward only
+        assert splits > 0 and len(halves) == (0 if t == 13 else splits)  # forwards only
 
     def test_bad_frame_size_is_a_shape_error(self, video):
         entries, _ = video

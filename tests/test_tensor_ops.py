@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import InlineExecutor
+from conftest import InlineExecutor, stage1_convs
 from aukit import tensor as T
 from aukit.errors import DomainError, NumericalError, ShapeError
 
@@ -432,25 +432,27 @@ class TestConvBackward:
 
 
 class TestSplitConvolution:
-    """A large per-patch convolution runs grid rows [0, g//2) on the caller
-    and [g//2, g) on the worker, each half in blocks of patches: every output
-    and gradient byte must be the one the whole-grid call gives."""
+    """Every GEMM of a convolution runs in blocks, and a large convolution
+    runs half its forward blocks on the worker and its input and kernel
+    gradients at once, one on each thread: every output and gradient byte
+    must be the one the unsplit, one-block call gives."""
 
-    def run(self, monkeypatch, split, block, grid, ci, co, kernel, padding, track, fused):
-        """Output and gradient bytes, and the rows each handed to the worker.
+    def run(self, monkeypatch, split, block, grid, ci, co, kernel, padding, track, fused,
+            size=4, frames=2):
+        """Output and gradient bytes, and the pieces each handed to the worker.
 
         ``block`` is ``BLOCK_VALUES``; ``fused`` runs the op with its own tanh,
         ``fused=None`` as ``tanh(op(...))``, two nodes, and False without tanh.
-        Grid 1 is a whole-map ``conv2d``.
+        Grid 1 is a whole-map ``conv2d``; patches are ``size`` px square.
         """
         monkeypatch.setattr(T, "SPLIT_MACS", 0 if split else math.inf)
         monkeypatch.setattr(T, "BLOCK_VALUES", block)
         halves, submit = [], T.submit
         monkeypatch.setattr(T, "submit", lambda fn, *rows: halves.append(rows) or submit(fn, *rows))
-        h = 4 * grid
+        h = size * grid
         banks = () if grid == 1 else (grid * grid,)
         op = T.conv2d if grid == 1 else T.conv2d_per_patch
-        x = T.Tensor(rand((ci, h, h, 2)), requires_grad=track)
+        x = T.Tensor(rand((ci, h, h, frames)), requires_grad=track)
         k = T.Tensor(rand(banks + (co, ci) + kernel, 1), requires_grad=True)
         b = T.Tensor(rand(banks + (co,), 2), requires_grad=True)
         oh = h + grid * (2 * padding[0] - kernel[0] + 1)
@@ -459,7 +461,7 @@ class TestSplitConvolution:
                 out = T.tanh(op(x, k, b, padding=padding))
             else:
                 out = op(x, k, b, padding=padding, tanh=fused)
-            tape.backward(T.sum_all(T.mul(out, T.Tensor(rand((co, oh, oh, 2), 3)))))
+            tape.backward(T.sum_all(T.mul(out, T.Tensor(rand((co, oh, oh, frames), 3)))))
         assert (tape.grad(x) is not None) == track
         monkeypatch.setattr(T, "submit", submit)
         grads = [tape.grad(t) for t in (x, k, b) if tape.grad(t) is not None]
@@ -472,37 +474,108 @@ class TestSplitConvolution:
     @pytest.mark.parametrize("ci, co", [(2, 3), (3, 2), (3, 3)])
     @pytest.mark.parametrize("grid", [1, 2, 4, 8])
     @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("block", [1, math.inf])  # one patch per block, each half one block
+    @pytest.mark.parametrize("block", ["patch", math.inf])  # one patch per block, one block
     def test_halves_give_the_bytes_of_the_whole_grid(
         self, monkeypatch, block, fused, grid, ci, co, kernel, padding, track, worker
     ):
         # C_in < C_out and C_in >= C_out take the two kernel-gradient branches.
         # The fused tanh is checked against the unfused op followed by T.tanh.
+        # "patch" makes BLOCK_VALUES one 4x4 patch's largest window matrix, so
+        # blocks are runs of whole patches: GEMMs this small run OpenBLAS's
+        # small-matrix kernels, whose bytes a cut changes (the bands and row
+        # blocks are checked at stage-1 sizes below).
         if worker == "inline":
             monkeypatch.setattr(T, "_POOL", InlineExecutor())
+        if block == "patch":
+            block = kernel[0] * kernel[1] * max(ci, co) * 4 * 4 * 2
         whole, none = self.run(monkeypatch, False, math.inf, grid, ci, co, kernel, padding, track,
                                None if fused else False)
         halves, split = self.run(monkeypatch, True, block, grid, ci, co, kernel, padding, track,
                                  fused)
-        assert none == [] and split == ([(grid // 2, grid)] * 2 if grid > 1 else [])
+        monkeypatch.setattr(T, "BLOCK_VALUES", block)
+        y, dx, dk, _ = T._conv_blocks(grid, ci, co, kernel, (4, 4, 2), padding)
+        # The worker takes the second half of the forward's blocks; in the
+        # backward, the second half of the output channels' g·(1-y²) and
+        # bias gradient, then the second half of the blocks where dx and dk
+        # run the same whole patches, else the kernel gradient while the
+        # caller runs the input gradient.
+        shared = dx == [(*b[:3], slice(0, 4)) for b in dk]
+        assert none == [] and split == [(len(y) // 2, len(y))] * (len(y) > 1) + [
+            (co // 2, co)] + ([(len(dx) // 2, len(dx))] * (len(dx) > 1) if shared else
+                              [(1, 2)] * track)
         assert halves == whole
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("ci, co, size", [(8, 32, 32), (32, 64, 16), (32, 32, 32),
+                                              (32, 32, 22), (64, 12, 16), (64, 12, 22)])
+    def test_bands_and_row_blocks_give_the_bytes_of_one_gemm(
+        self, monkeypatch, ci, co, size, fused, track, split
+    ):
+        # Whole-map 3x3 convolutions of 2 frames at stage-1 channel counts,
+        # both kernel-gradient branches (C_in < C_out widens) and the
+        # attention conv's 12 outputs; 22 px makes a row 44 columns, so a
+        # band must hold an even number of rows.  BLOCK_VALUES = 1 cuts
+        # every GEMM into its fewest-row blocks.
+        monkeypatch.setattr(T, "BLOCK_VALUES", 1)
+        y, dx, dk, _ = T._conv_blocks(1, ci, co, (3, 3), (size, size, 2), (1, 1))
+        assert len(y) > 1 and len(dx) > 1 and (len(dk) > 1) == (ci < co or ci == co)
+        whole, _ = self.run(monkeypatch, False, math.inf, 1, ci, co, (3, 3), (1, 1), track,
+                            None if fused else False, size)
+        blocked, halves = self.run(monkeypatch, split, 1, 1, ci, co, (3, 3), (1, 1), track,
+                                   fused, size)
+        assert blocked == whole
+        assert halves == ([(len(y) // 2, len(y)), (co // 2, co)] + [(1, 2)] * track) * split
+
     @pytest.mark.parametrize("grid", [1, 2, 4, 8])
-    @pytest.mark.parametrize("per_patch", [1, 700, 30_000, 70_000, 300_000])
-    @pytest.mark.parametrize("rows", [(0, None), (0, "half"), ("half", None)])
-    def test_blocks_tile_the_rows_in_order(self, grid, per_patch, rows):
-        r0, r1 = (grid // 2 if r == "half" else r for r in rows)
-        r1 = grid if r1 is None else r1
-        blocks = T._blocks(grid, (r0, r1), per_patch)
-        assert [p for _, _, at in blocks for p in range(at.start, at.stop)] == list(
-            range(r0 * grid, r1 * grid))
-        for rs, cs, at in blocks:
-            whole_rows = cs == slice(0, grid)
-            assert whole_rows or rs.stop - rs.start == 1  # whole rows, or a run within one
+    @pytest.mark.parametrize("lines, unit, step", [(16, 1, 1), (44, 6, 6), (7, 7, 7),
+                                                   (32, 4, 1), (12, 8, 1), (32, 2, 2)])
+    @pytest.mark.parametrize("per_line", [0, 700, 30_000, 70_000, 300_000])
+    def test_blocks_tile_the_patches_in_order(self, grid, lines, unit, step, per_line):
+        blocks = T._blocks(grid, lines, per_line, unit, step)
+        assert [(p, line) for _, _, at, ls in blocks for p in range(at.start, at.stop)
+                for line in range(ls.start, ls.stop)] == [
+            (p, line) for p in range(grid * grid) for line in range(lines)]
+        for rs, cs, at, ls in blocks:
             assert at == slice(rs.start * grid + cs.start, (rs.stop - 1) * grid + cs.stop)
-            n = at.stop - at.start
-            assert n == 1 or n * per_patch <= T.BLOCK_VALUES
-            assert whole_rows == (grid * per_patch <= T.BLOCK_VALUES or grid == 1)
+            assert cs == slice(0, grid) or rs.stop - rs.start == 1  # whole rows, or one row's run
+            n, run = at.stop - at.start, ls.stop - ls.start
+            if run < lines:  # a run within one patch: at least a unit, cut at steps
+                assert n == 1 and run >= unit and n * run * per_line > T.BLOCK_VALUES / 2
+                assert ls.start % step == 0 and (ls.stop == lines or ls.stop % step == 0)
+            else:
+                assert n == 1 or n * lines * per_line <= T.BLOCK_VALUES
+
+    @pytest.mark.parametrize("c, m, size, frames", [
+        (2, 4, 32, 4), (2, 4, 32, 8), (8, 12, 64, 1), (8, 12, 64, 2), (8, 12, 160, 1),
+        (8, 12, 160, 2), (8, 12, 176, 1), (8, 12, 176, 8)])
+    def test_stage1_blocks_keep_the_byte_rule(self, c, m, size, frames):
+        # No GEMM runs: the blocks of every stage-1 convolution tile its
+        # output columns and kernel-gradient rows once, in order.  A column
+        # band is a multiple of 8 columns wide and at least 256; a row block
+        # holds whole channels, at least 2 rows, and as many as the operand
+        # it is multiplied against.  Band windows stay within 4 *
+        # BLOCK_VALUES, the bound on a thread's scratch buffer.
+        for name, grid, ci, co, (kh, kw), (h, w, b), (ph, pw) in stage1_convs(c, m, size, frames):
+            oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+            y, dx, dk, dk_values = T._conv_blocks(grid, ci, co, (kh, kw), (h, w, b), (ph, pw))
+            taps, other = (ci, co) if ci < co else (co, ci)
+            for blocks, lines, cols, rows in ((y, oh, ow * b, ci * kh * kw),
+                                              (dx, h, w * b, co * kh * kw), (dk, taps, kh * kw, 0)):
+                assert [(p, line) for _, _, at, ls in blocks for p in range(at.start, at.stop)
+                        for line in range(ls.start, ls.stop)] == [
+                    (p, line) for p in range(grid * grid) for line in range(lines)], name
+                for _, _, at, ls in blocks:
+                    run = ls.stop - ls.start
+                    if run < lines and rows:
+                        assert run * cols % 8 == 0 and run * cols >= 256, name
+                        assert run * cols * rows <= 4 * T.BLOCK_VALUES, name
+                    elif run < lines:
+                        assert run * kh * kw >= max(kw, 2, other), name
+            largest = max((a.stop - a.start) * (ls.stop - ls.start) for _, _, a, ls in dk)
+            assert dk_values == (kh * kw > 1 or grid > 1) * largest * kh * kw * (
+                oh * ow * b if ci < co else h * w * b), name
 
     def test_blocks_keep_the_peak_below_the_whole_grid_window_matrix(self, monkeypatch):
         # Forward and backward of a grid-8 per-patch convolution, 8 channels,
@@ -526,13 +599,19 @@ class TestSplitConvolution:
         assert tape.grad(x).shape == x.shape
         assert peak < 64 * 72 * 128 * 8
 
-    def test_whole_map_convolution_never_splits(self, monkeypatch):
+    def test_whole_map_convolution_splits_its_bands(self, monkeypatch):
+        # A whole-map conv2d above SPLIT_MACS hands the second half of its
+        # forward bands, of its output channels' bias gradient, and then its
+        # kernel gradient, to the worker.
         monkeypatch.setattr(T, "SPLIT_MACS", 0)
-        monkeypatch.setattr(T, "submit", None)  # any split would call it
-        x = T.Tensor(rand((3, 8, 8, 2)), requires_grad=True)
-        k, b = T.Tensor(rand((4, 3, 3, 3), 1), requires_grad=True), T.Tensor(rand((4,), 2))
+        halves, submit = [], T.submit
+        monkeypatch.setattr(T, "submit", lambda fn, *rows: halves.append(rows) or submit(fn, *rows))
+        x = T.Tensor(rand((16, 64, 64, 2)), requires_grad=True)
+        k, b = T.Tensor(rand((32, 16, 3, 3), 1), requires_grad=True), T.Tensor(rand((32,), 2))
         with T.Tape() as tape:
             tape.backward(T.sum_all(T.conv2d(x, k, b, padding=(1, 1))))
+        bands = len(T._conv_blocks(1, 16, 32, (3, 3), (64, 64, 2), (1, 1))[0])
+        assert bands > 1 and halves == [(bands // 2, bands), (16, 32), (1, 2)]
         assert tape.grad(x).shape == x.shape
 
     def test_held_worker_keeps_the_grid_whole(self, monkeypatch):
@@ -540,7 +619,7 @@ class TestSplitConvolution:
         monkeypatch.setattr(T, "submit", None)
         rows = []
         with T.worker_held():
-            T._over_rows(4, 1, lambda r0, r1: rows.append((r0, r1)))
+            T._in_halves(4, 1, lambda r0, r1: rows.append((r0, r1)))
         assert rows == [(0, 4)]
 
     @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)])
@@ -560,7 +639,7 @@ class TestSplitConvolution:
                 raise HalfFailed(index)
 
         with pytest.raises(HalfFailed) as exc:
-            T._over_rows(4, 1, half)
+            T._in_halves(4, 1, half)
         assert exc.value.args == (failing[0],) and sorted(finished) == [0, 1]
 
 
