@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import HyperParams, PRESETS, resolve
+from .config import HyperParams, PRESETS, load_config, resolve
 from .dataset import load_dataset, load_spec, generate, stacked_labels
 from .errors import (
     AukitError,
@@ -49,7 +49,7 @@ from .model import (
     relation_predict,
     save_model,
 )
-from .serialize import au_columns, load_json_object, load_tensor, save_pgm, write_csv
+from .serialize import au_columns, load_tensor, make_dirs, save_pgm, write_csv
 from .training import (
     save_training_log,
     train_attention_stage,
@@ -100,10 +100,9 @@ def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_hyperparams(args: argparse.Namespace) -> HyperParams:
     if args.config is not None and args.preset is not None:
         raise ConfigError("give either --config or --preset, not both")
-    config = load_json_object(args.config, "config file") if args.config else {}
     flags = {field.name: getattr(args, field.name) for field in dataclasses.fields(HyperParams)
              if getattr(args, field.name) is not None}
-    return resolve(config.pop("preset", args.preset), {**config, **flags})
+    return load_config(args.config, flags) if args.config else resolve(args.preset, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +220,7 @@ def _cmd_export_attention(args, log: _Logger) -> int:
     frames = _load_frames(args.frames)
     maps = attention_predict(entries, frames)[0]  # (t, m, h, w)
     stem = os.path.splitext(os.path.basename(args.frames))[0]
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {args.out}: {exc}") from exc
+    make_dirs(args.out, "output directory")
     count = 0
     for i in range(maps.shape[0]):
         for j in range(maps.shape[1]):

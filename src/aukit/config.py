@@ -94,7 +94,7 @@ def resolve(preset: Optional[str] = None,
     return hp
 
 
-def load_config(path) -> HyperParams:
-    """Read a JSON config: optional "preset" key plus field overrides."""
+def load_config(path, overrides: Optional[Mapping[str, object]] = None) -> HyperParams:
+    """Read a JSON config: optional "preset" key plus field overrides, then ``overrides``."""
     config = load_json_object(path, "config file")
-    return resolve(config.pop("preset", None), config)
+    return resolve(config.pop("preset", None), {**config, **(overrides or {})})

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Sequence
 import numpy as np
 
 from . import serialize
-from .errors import ConfigError, DataError, FormatError, IoError
+from .errors import ConfigError, DataError, FormatError
 from .rng import Xoshiro256pp, derive_seed
 
 #: Gain applied to the coupling drive; scaled by (1 - persistence) so a
@@ -115,12 +115,9 @@ def default_spec(
 def save_spec(path, spec: SyntheticSpec) -> None:
     """Write every field of ``spec``, in field order, as one JSON object."""
     payload = {field.name: getattr(spec, field.name) for field in fields(SyntheticSpec)}
-    try:
-        with serialize.atomic_write(path, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=1, default=np.ndarray.tolist)
-            fp.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write spec file {path}: {exc}") from exc
+    with serialize.atomic_write(path, "spec file", "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=1, default=np.ndarray.tolist)
+        fp.write("\n")
 
 
 def load_spec(path) -> SyntheticSpec:
@@ -198,10 +195,7 @@ def generate(spec: SyntheticSpec, out_dir) -> None:
     """Write the full dataset (labels.csv, frames/, spec.json) to out_dir."""
     spec.validate()
     frames_dir = os.path.join(out_dir, "frames")
-    try:
-        os.makedirs(frames_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create dataset directory {out_dir}: {exc}") from exc
+    serialize.make_dirs(frames_dir, "dataset directory")
     ids, rows_index, all_labels = [], [], []
     for v in range(spec.videos):
         labels = generate_video_labels(spec, v)
@@ -230,16 +224,13 @@ def save_labels(path, video_ids: Sequence[str], frame_idx: Sequence[int], labels
 
 def load_labels(path) -> tuple[List[str], np.ndarray, np.ndarray]:
     """Read a labels CSV; returns (video_ids, frame_idx, labels (n, m))."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.reader(fp)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"labels file {path} is empty") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read labels file {path}: {exc}") from exc
+    with serialize.reading(path, "labels file", "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"labels file {path} is empty") from None
+        rows = list(reader)
     for expected, name in ((0, "video_id"), (1, "frame_idx")):
         if expected >= len(header) or header[expected] != name:
             raise FormatError(f"labels file {path} is missing column {name!r}")

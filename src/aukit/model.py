@@ -8,10 +8,10 @@ amount to replacing dict values; ``stage1_forward`` and ``stage2_forward``
 are the only code that turns entries into a forward pass.  Serving and
 attention training have at most ``FRAMES_PER_PASS`` frames of stage 1 in
 flight: an attention training part is one pass of 8 frames, and serving
-runs passes of 4 frames two at a time, on the calling thread and on the
-worker thread of ``tensor``, with bytes that do not depend on the threads.
-A pass that runs alone splits its large per-patch convolutions between the
-same two threads instead.
+runs passes of 4 frames through ``tensor.in_halves``, the first half on the
+calling thread and the second on the worker, with bytes that do not depend
+on the threads.  A pass that runs alone splits its large convolutions
+between the same two threads instead.
 
 A relation checkpoint embeds the frozen first-stage parameters, so a single
 file is enough to run sequence-level inference.
@@ -20,7 +20,6 @@ file is enough to run sequence-level inference.
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -285,35 +284,26 @@ def attention_predict(
     """Per-frame attention pass over a sequence, ``SERVING_PASS`` frames at a time.
 
     frames (t, 3, h, w) -> maps (t, m, h/4, w/4), features (t, m, 8c),
-    probabilities (t, m).  The calling thread runs the even passes and the
-    worker the odd ones; each pass is the same ``stage1_forward`` it would
-    be alone, joined in pass order, so the bytes do not depend on threads.
-    A caller's pass splits its convolutions only while no pass of this call
-    runs on the worker (``tensor.worker_held``).  The first failed pass, in
-    pass order, raises, and only once no pass of this call is still running.
+    probabilities (t, m).  Through ``tensor.in_halves``, the caller runs the
+    first half of an even number of passes and the worker the second, and
+    neither splits its convolutions; an odd last pass runs alone, and may.
+    Each is the ``stage1_forward`` it would be alone, joined in pass order,
+    so the bytes do not depend on threads.  The first failed pass, in pass
+    order, raises once both halves have finished.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 4:
         raise ShapeError(f"expected a batch of frames, got shape {frames.shape}")
+    parts = [None] * max(math.ceil(len(frames) / SERVING_PASS), 1)  # no frames: one empty pass
 
-    def run(start):
-        return stage1_forward(entries, T.Tensor(frames[start:start + SERVING_PASS]))
+    def run(i0, i1):  # passes [i0, i1)
+        for i in range(i0, i1):
+            start = i * SERVING_PASS
+            parts[i] = stage1_forward(entries, T.Tensor(frames[start:start + SERVING_PASS]))
 
-    starts = range(0, max(len(frames), 1), SERVING_PASS)
-    odd = [T.submit(run, start) for start in starts[1::2]]
-    parts = []
-    try:
-        for k, start in enumerate(starts[0::2]):
-            if k < len(odd):  # the worker runs a pass: this one's convolutions do not split
-                with T.worker_held():
-                    parts.append(run(start))
-                parts.append(odd[k].result())
-            else:
-                parts.append(run(start))
-    finally:
-        for future in odd:
-            future.cancel()
-        wait(odd)
+    paired = len(parts) - len(parts) % 2
+    T.in_halves(paired, run)
+    run(paired, len(parts))
     return tuple(np.concatenate([part[k].data for part in parts]) for k in range(3))
 
 

@@ -84,25 +84,49 @@ class _Reader:
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+def _io_errors(verb: str, what: str, path) -> Iterator[None]:
+    """Turn an ``OSError`` inside into ``IoError("cannot {verb} {what} {path}: ...")``."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot {verb} {what} {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def atomic_write(path, what: str, mode: str = "wb", **kwargs) -> Iterator[IO]:
     """Open a new temporary file beside ``path``; rename it onto ``path`` on success.
 
     ``mode`` is a write mode ("w" or "wb"); ``kwargs`` go to ``open``.  If
     the block raises, the temporary file is removed and ``path`` keeps its
-    old contents.  The rename is atomic on POSIX and Windows; there is no
-    fsync, so this guards against failed and killed writes, not power loss.
+    old contents; an ``OSError`` is an ``IoError`` naming ``what``.  The
+    rename is atomic on POSIX and Windows; there is no fsync, so this
+    guards against failed and killed writes, not power loss.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex[:12]}.tmp")
-    try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as fp:
-            yield fp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with _io_errors("write", what, path):
+        try:
+            with open(tmp, mode.replace("w", "x"), **kwargs) as fp:
+                yield fp
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+
+
+@contextlib.contextmanager
+def reading(path, what: str, mode: str = "rb", **kwargs) -> Iterator[IO]:
+    """Open ``path`` to read; an ``OSError`` from the open or the block becomes an ``IoError``."""
+    with _io_errors("read", what, path), open(path, mode, **kwargs) as fp:
+        yield fp
+
+
+def make_dirs(path, what: str) -> None:
+    """Create directory ``path`` and its parents, if missing; an ``OSError`` is an ``IoError``."""
+    with _io_errors("create", what, path):
+        os.makedirs(path, exist_ok=True)
 
 
 def au_columns(m: int) -> List[str]:
@@ -114,26 +138,20 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence], what: str,
               lineterminator: str = "\r\n") -> None:
     """Write ``header`` and then ``rows`` as a CSV file, through ``atomic_write``.
 
-    An ``OSError`` becomes an ``IoError`` naming ``what`` and ``path``.
     ``rows`` is drawn while the file is open, so an error it raises leaves
     the old file.
     """
-    try:
-        with atomic_write(path, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp, lineterminator=lineterminator)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {what} {path}: {exc}") from exc
+    with atomic_write(path, what, "w", encoding="utf-8", newline="") as fp:
+        writer = csv.writer(fp, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_json_object(path, what: str) -> dict:
     """Read ``path`` as one JSON object; errors name ``what`` ("spec file") and the path."""
     try:
-        with open(path, "rb") as fp:
+        with reading(path, what) as fp:
             payload = json.loads(fp.read())
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # also bytes that are not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -224,19 +242,12 @@ def read_tensor(reader: _Reader) -> np.ndarray:
 
 
 def save_tensor(path, array: np.ndarray) -> None:
-    try:
-        with atomic_write(path) as fp:
-            write_tensor(fp, array)
-    except OSError as exc:
-        raise IoError(f"cannot write tensor file {path}: {exc}") from exc
+    with atomic_write(path, "tensor file") as fp:
+        write_tensor(fp, array)
 
 
 def load_tensor(path) -> np.ndarray:
-    try:
-        fp = open(path, "rb")
-    except OSError as exc:
-        raise IoError(f"cannot read tensor file {path}: {exc}") from exc
-    with fp:
+    with reading(path, "tensor file") as fp:
         reader = _Reader(fp)
         array = read_tensor(reader)
         if not reader.at_eof():
@@ -250,26 +261,19 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_checkpoint(path, entries: Dict[str, np.ndarray]) -> None:
-    try:
-        with atomic_write(path) as fp:
-            fp.write(CHECKPOINT_MAGIC)
-            fp.write(bytes((FORMAT_VERSION,)))
-            fp.write(struct.pack("<I", _check_u32(len(entries), "entry count")))
-            for name, array in entries.items():
-                encoded = name.encode("utf-8")
-                fp.write(struct.pack("<I", _check_u32(len(encoded), "name length")))
-                fp.write(encoded)
-                write_tensor(fp, array)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    with atomic_write(path, "checkpoint") as fp:
+        fp.write(CHECKPOINT_MAGIC)
+        fp.write(bytes((FORMAT_VERSION,)))
+        fp.write(struct.pack("<I", _check_u32(len(entries), "entry count")))
+        for name, array in entries.items():
+            encoded = name.encode("utf-8")
+            fp.write(struct.pack("<I", _check_u32(len(encoded), "name length")))
+            fp.write(encoded)
+            write_tensor(fp, array)
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
-    try:
-        fp = open(path, "rb")
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    with fp:
+    with reading(path, "checkpoint") as fp:
         reader = _Reader(fp)
         magic = reader.take(4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -316,9 +320,6 @@ def save_pgm(path, image: np.ndarray) -> None:
         raise ShapeError(f"PGM image must be 2-D, got shape {img.shape}")
     levels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     height, width = levels.shape
-    try:
-        with atomic_write(path) as fp:
-            fp.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fp.write(levels.tobytes(order="C"))
-    except OSError as exc:
-        raise IoError(f"cannot write PGM file {path}: {exc}") from exc
+    with atomic_write(path, "PGM file") as fp:
+        fp.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fp.write(levels.tobytes(order="C"))

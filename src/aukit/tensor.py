@@ -21,10 +21,10 @@ blocks (``_blocks``): runs of whole patches where a patch's windows fit
 ``BLOCK_VALUES``, else runs within one patch, cut only along an axis the
 GEMM does not sum (bands of output rows; for the kernel gradient, runs of
 channels' taps), so a thread's window buffer holds one block.  A large
-convolution runs on two threads, the caller and the one worker (``_POOL``,
-shared with ``model.attention_predict``), which take half of its blocks
-each, or its input and kernel gradients.  Every block's product gives the bytes of the
-whole GEMM, so the bytes depend on neither the split nor the blocks.
+convolution runs on two threads, the caller and the one worker (``_POOL``),
+which take half of its blocks each (``in_halves``, which serving passes use
+too), or its input and kernel gradients.  Every block's product gives the
+bytes of the whole GEMM, so they depend on neither the split nor the blocks.
 
 ``grad_check`` provides the central-finite-difference oracle used throughout
 the test suite.
@@ -599,9 +599,9 @@ def partition_mix(
 # ---------------------------------------------------------------------------
 
 
-#: The one thread besides the caller's.  It runs the odd serving passes of
-#: ``model.attention_predict`` and the second half of a split convolution
-#: (``_in_halves``); an executor starts no thread until its first ``submit``.
+#: The one thread besides the caller's.  It runs the second half of
+#: ``in_halves`` (serving passes, a split convolution's blocks); an executor
+#: starts no thread until its first ``submit``.
 _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aukit-stage1")
 
 
@@ -620,11 +620,11 @@ _LANE = threading.local()
 
 @contextlib.contextmanager
 def worker_held():
-    """While inside, no convolution this thread runs splits.
+    """While inside, no ``in_halves`` this thread runs splits.
 
     The worker holds it while it runs submitted work, and a caller while it
-    has work in flight there, so work never nests and at most two threads,
-    each with its own scratch buffer, run stage 1.
+    runs its own half of ``in_halves``, so work never nests and at most two
+    threads, each with its own scratch buffer, run stage 1.
     """
     held = getattr(_LANE, "held", False)
     _LANE.held = True
@@ -650,23 +650,24 @@ def submit(fn: Callable, *args) -> Future:
 SPLIT_MACS = 16_000_000
 
 
-def _in_halves(n: int, macs: int, half: Callable[[int, int], None]) -> None:
-    """Run ``half(i0, i1)`` over a convolution's pieces [0, n), in one call or two.
+def in_halves(n: int, half: Callable[[int, int], None], split: bool = True) -> None:
+    """Run ``half(i0, i1)`` over pieces [0, n), in one call or two.
 
-    The pieces are a GEMM's blocks, output channels or the backward's two
-    GEMMs.  When there are at least 2, the multiply-adds ``macs`` reach
-    ``SPLIT_MACS`` and the calling thread does not hold the worker
+    The pieces are serving passes, a convolution's GEMM blocks, its output
+    channels or its backward's two GEMMs.  When there are at least 2,
+    ``split`` is set and the calling thread does not hold the worker
     (``worker_held``), the caller runs [0, n//2) and the worker [n//2, n) at
-    once, each writing its own part of preallocated outputs, so the bytes do
-    not depend on the split.  If a half raises, the first failure in order
-    raises once both finished.
+    once, both holding it, each writing its own part of preallocated outputs,
+    so the bytes do not depend on the split.  If a half raises, the first
+    failure in order raises once both finished.
     """
-    if n < 2 or macs < SPLIT_MACS or getattr(_LANE, "held", False):
+    if n < 2 or not split or getattr(_LANE, "held", False):
         half(0, n)
         return
     other = submit(half, n // 2, n)
     try:
-        half(0, n // 2)
+        with worker_held():
+            half(0, n // 2)
     finally:
         wait((other,))
     other.result()
@@ -852,7 +853,7 @@ def _grouped_conv(
     larger than ``BLOCK_VALUES``: in a buffer made for one backward) and
     writes its rows of ``y`` (with bias and tanh), ``dx`` or ``dk``.  Where
     the blocks of ``dx`` and ``dk`` are the same whole patches, they share
-    the windows of g.  Through :func:`_in_halves`, a large convolution runs
+    the windows of g.  Through :func:`in_halves`, a large convolution runs
     half its forward blocks, of its channels' g·(1-y²) and bias gradient,
     and of those shared blocks on the worker, else its kernel gradient there
     while the caller runs ``dx``.  Full-size outputs are allocated on the
@@ -870,7 +871,7 @@ def _grouped_conv(
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w} padded by {padding}")
-    macs = p * co * ci * kh * kw * oh * ow * b
+    split = p * co * ci * kh * kw * oh * ow * b >= SPLIT_MACS
     flat = kernels.reshape(p, co, ci * kh * kw)
     y_blocks, dx_blocks, dk_blocks, dk_values = _conv_blocks(
         grid, ci, co, (kh, kw), (h, w, b), padding)
@@ -887,7 +888,7 @@ def _grouped_conv(
 
             _into(y, grid, rs, cs, rows, gemm)
 
-    _in_halves(len(y_blocks), macs, forward)
+    in_halves(len(y_blocks), forward, split)
     y_kept = y if tanh else None  # only a fused tanh's backward reads the output
 
     def backward(g, need_dx):
@@ -902,7 +903,7 @@ def _grouped_conv(
                 np.multiply(g[c0:c1], np.subtract(1.0, part, out=part), out=part)
             db[:, c0:c1] = _cut(g_grid[:, :, c0:c1]).sum(axis=2)
 
-        _in_halves(co, macs, upstream)
+        in_halves(co, upstream, split)
         buf = np.empty(dk_values) if dk_values > BLOCK_VALUES else None  # freed on return
         flipped = kernels[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
         others = g_grid if ci < co else x_grid  # what a kernel-gradient block takes whole
@@ -940,11 +941,11 @@ def _grouped_conv(
 
         runs = [(*b[:3], slice(0, h)) for b in dk_blocks if b[3] == slice(0, min(ci, co))]
         if runs == dx_blocks and len(runs) == len(dk_blocks):  # the same runs of whole patches
-            _in_halves(len(dx_blocks), macs, shared)
+            in_halves(len(dx_blocks), shared, split)
         else:  # dx on the caller and the kernel gradient on the worker, at once
             passes = (lambda: [input_grad(*block) for block in dx_blocks], kernel_grads)
             passes = passes if need_dx else passes[1:]
-            _in_halves(len(passes), macs, lambda i0, i1: [run() for run in passes[i0:i1]])
+            in_halves(len(passes), lambda i0, i1: [run() for run in passes[i0:i1]], split)
         return dx, dk, db
 
     return y, backward

@@ -4,6 +4,7 @@ against a tiny generated dataset, and each documented exit code has a test.
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -423,7 +424,8 @@ def test_train_flags_override_config_values_through_the_same_checks(tmp_path):
     argv = ["train", "--stage", "attention", "--data", "d", "--out", "o",
             "--config", str(config), "--depth", "2"]
     hp = cli._resolve_hyperparams(cli.build_parser().parse_args(argv))
-    assert hp == dataclasses.replace(load_config(config), depth=2)
+    assert hp == dataclasses.replace(load_config(config), depth=2) == load_config(
+        config, {"depth": 2})
     with pytest.raises(ConfigError, match="tau must be finite"):
         cli._resolve_hyperparams(cli.build_parser().parse_args([*argv, "--tau", "nan"]))
     with pytest.raises(ConfigError, match="depth must be positive"):
@@ -621,6 +623,18 @@ def test_infer_rejects_checkpoint_unlike_its_architecture(ws, tmp_path, capsys, 
 def test_infer_missing_checkpoint_is_io_error(ws, tmp_path):
     assert run("infer", "--ckpt", str(tmp_path / "none.stck"),
                "--frames", ws.video, "--out", str(tmp_path / "p.csv")) == 3
+
+
+def test_infer_read_error_partway_is_io_error(ws, tmp_path, monkeypatch, capsys):
+    # The checkpoint opens, then a read inside it fails, as a failing disk does.
+    def failing(reader):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(serialize, "read_tensor", failing)
+    assert run("infer", "--ckpt", ws.rel, "--frames", ws.video,
+               "--out", str(tmp_path / "p.csv")) == 3
+    assert f"cannot read checkpoint {ws.rel}: " in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_export_attention_writes_one_map_per_frame_and_label(ws, tmp_path):

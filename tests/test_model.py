@@ -325,8 +325,9 @@ def serial_passes(entries, frames):
 
 
 class TestServingThreads:
-    """``attention_predict`` runs its even passes on the calling thread and its
-    odd ones on a worker: the bytes must not depend on which thread ran what."""
+    """``attention_predict`` runs the first half of its passes on the calling
+    thread and the second half on a worker: the bytes must not depend on
+    which thread ran what."""
 
     @pytest.fixture(scope="class")
     def video(self):
@@ -375,7 +376,8 @@ class TestServingThreads:
     @pytest.mark.parametrize("failing", [0, 1, 2, 3])
     def test_failed_pass_raises_once_no_pass_runs(self, video, monkeypatch, failing):
         entries, frames = video
-        frames = frames[:4 * model.SERVING_PASS]  # passes 0, 2 on the caller; 1, 3 on the worker
+        # The first half, passes 0 and 1, on the caller; the second half, 2 and 3, on the worker.
+        frames = frames[:4 * model.SERVING_PASS]
         firsts = frames[::model.SERVING_PASS, 0, 0, 0]
         original, lock = model.stage1_forward, threading.Lock()
         live, started, raised = [0], [], []
@@ -407,12 +409,13 @@ class TestServingThreads:
         assert live[0] == 0 and len(started) == count  # no cancelled pass started later
 
     @pytest.mark.parametrize("worker", ["thread", "inline"])
-    @pytest.mark.parametrize("t", [3, 13, 17])
+    @pytest.mark.parametrize("t", [3, 9, 13, 17])
     def test_split_convolutions_finish_and_keep_the_bytes(self, video, monkeypatch, worker, t):
         # With every convolution large enough to split and cut into its
         # fewest-row blocks, a pass on the caller splits only while no pass
         # of its call runs on the worker: a lone pass (t=3) and the last of
-        # an odd count (t=17) do.
+        # an odd count (t=9, 17) do.  Only convolution halves are counted,
+        # not the serving passes' own.
         entries, frames = video
         monkeypatch.setattr(T, "SPLIT_MACS", math.inf)
         want = serial_passes(entries, frames[:t])
@@ -425,7 +428,7 @@ class TestServingThreads:
             monkeypatch.setattr(T, "_POOL", InlineExecutor())
         halves, submit = [], T.submit
         monkeypatch.setattr(T, "submit", lambda fn, *args: (
-            halves.append(args) if len(args) == 2 else None) or submit(fn, *args))
+            halves.append(args) if fn.__module__ == T.__name__ else None) or submit(fn, *args))
         got = []
         thread = threading.Thread(target=lambda: got.extend(model.attention_predict(
             entries, frames[:t])))

@@ -1,12 +1,13 @@
 import dataclasses
+import errno
 import struct
 
 import numpy as np
 import pytest
 
-from aukit import cli, serialize
+from aukit import cli, dataset, serialize
 from aukit.config import HyperParams
-from aukit.dataset import SyntheticSpec
+from aukit.dataset import SyntheticSpec, default_spec
 from aukit.errors import ConfigError, FormatError, IoError
 
 #: Headers whose element count the file cannot hold: 8 * count overflows an
@@ -225,6 +226,49 @@ class TestAtomicWrite:
     def test_missing_directory_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             serialize.save_checkpoint(tmp_path / "absent" / "model.stck", {})
+
+    @pytest.mark.parametrize("what, write", [
+        ("tensor file", lambda path: serialize.save_tensor(path, np.zeros(2))),
+        ("checkpoint", lambda path: serialize.save_checkpoint(path, {"w": np.ones(2)})),
+        ("PGM file", lambda path: serialize.save_pgm(path, np.zeros((2, 2)))),
+        ("labels file", lambda path: dataset.save_labels(path, ["v"], [0], np.ones((1, 1)))),
+        ("spec file", lambda path: dataset.save_spec(path, default_spec(m=2))),
+    ])
+    def test_rename_onto_a_directory_is_io_error_and_leaves_no_temporary_file(
+            self, tmp_path, what, write):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IoError, match=f"cannot write {what} {target}: "):
+            write(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
+
+class TestReadErrors:
+    """An ``OSError`` anywhere in a read, not only at the open, is an ``IoError``."""
+
+    @pytest.mark.parametrize("what, save, load", [
+        ("tensor file", lambda path: serialize.save_tensor(path, np.zeros(2)),
+         serialize.load_tensor),
+        ("checkpoint", lambda path: serialize.save_checkpoint(path, {"w": np.ones(2)}),
+         serialize.load_checkpoint),
+    ])
+    def test_failed_read_partway_is_io_error_naming_the_file(
+            self, tmp_path, monkeypatch, what, save, load):
+        path = tmp_path / "x"
+        save(path)
+
+        def failing(reader):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(serialize, "read_tensor", failing)
+        with pytest.raises(IoError, match=f"cannot read {what} {path}: .*Input/output error"):
+            load(path)
+
+    def test_directory_under_a_file_is_io_error(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(IoError, match=f"cannot create test directory {tmp_path / 'file'}"):
+            serialize.make_dirs(tmp_path / "file" / "sub", "test directory")
 
 
 @dataclasses.dataclass

@@ -615,17 +615,28 @@ class TestSplitConvolution:
         assert tape.grad(x).shape == x.shape
 
     def test_held_worker_keeps_the_grid_whole(self, monkeypatch):
-        monkeypatch.setattr(T, "SPLIT_MACS", 0)
         monkeypatch.setattr(T, "submit", None)
         rows = []
         with T.worker_held():
-            T._in_halves(4, 1, lambda r0, r1: rows.append((r0, r1)))
+            T.in_halves(4, lambda r0, r1: rows.append((r0, r1)))
         assert rows == [(0, 4)]
+
+    @pytest.mark.parametrize("worker", ["thread", "inline"])
+    def test_nested_call_in_either_half_runs_as_one_call(self, monkeypatch, worker):
+        # Both halves hold the worker, the caller's too, so work never nests.
+        if worker == "inline":
+            monkeypatch.setattr(T, "_POOL", InlineExecutor())
+        rows = []
+
+        def half(i0, i1):
+            T.in_halves(4, lambda r0, r1: rows.append((i0, r0, r1)))
+
+        T.in_halves(2, half)
+        assert sorted(rows) == [(0, 0, 4), (1, 0, 4)]
 
     @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1)])
     def test_failed_half_raises_once_both_have_finished(self, monkeypatch, failing):
         # Half 0 runs rows [0, 2) on the caller, half 1 rows [2, 4) on the worker.
-        monkeypatch.setattr(T, "SPLIT_MACS", 0)
         finished = []
 
         class HalfFailed(Exception):
@@ -639,7 +650,7 @@ class TestSplitConvolution:
                 raise HalfFailed(index)
 
         with pytest.raises(HalfFailed) as exc:
-            T._in_halves(4, 1, half)
+            T.in_halves(4, half)
         assert exc.value.args == (failing[0],) and sorted(finished) == [0, 1]
 
 
